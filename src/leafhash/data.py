@@ -298,8 +298,12 @@ class _Reader:
         return struct.unpack("<d", self._take(8))[0]
 
     def string(self):
+        start = self.base + self.pos
         n = self.u32()
-        return self._take(n).decode("utf-8")
+        try:
+            return self._take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"string is not UTF-8: {exc}", offset=start) from exc
 
     def array(self):
         ndim = self.u8()
@@ -449,13 +453,18 @@ def _config_to_json(cfg: ForestConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True)
 
 
-def _config_from_json(text: str) -> ForestConfig:
-    d = json.loads(text)
-    split = d.pop("split")
-    opt = OptimizerConfig(**split.pop("optimizer"))
-    net = NetConfig(**split.pop("net"))
-    split["net_hidden"] = tuple(split["net_hidden"])
-    return ForestConfig(split=SplitConfig(optimizer=opt, net=net, **split), **d)
+def _config_from_json(text: str, offset: int) -> ForestConfig:
+    """Parse the stored forest config; ``offset`` locates it for error reports."""
+    try:
+        d = json.loads(text)
+        split = d.pop("split")
+        opt = OptimizerConfig(**split.pop("optimizer"))
+        net = NetConfig(**split.pop("net"))
+        split["net_hidden"] = tuple(split["net_hidden"])
+        return ForestConfig(split=SplitConfig(optimizer=opt, net=net, **split), **d)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers JSON syntax and InvalidInputError from the configs
+        raise DataFormatError(f"bad forest config: {exc!r}", offset=offset) from exc
 
 
 def save_model(forest: Forest, selection, path):
@@ -493,7 +502,8 @@ def load_model(path):
         raise DataFormatError("unknown learner code", offset=r.base + r.pos - 1)
     master_seed = r.i64()
     feature_dims = tuple(r.u32() for _ in range(n_modalities))
-    config = _config_from_json(r.string())
+    config_offset = r.base + r.pos
+    config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r)
     internal = 2 ** (depth - 1) - 1
     trees = []

@@ -12,6 +12,9 @@ count or scheduling.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .lowrank import KernelConfig, kernel_featurize, median_bandwidth
+from .lowrank import (
+    KernelConfig,
+    _as_matrix,
+    _column_sq_norms,
+    _kernel_map,
+    kernel_featurize,
+    median_bandwidth,
+)
 from .dictionaries import SplitConfig, SplitNode, node_route_many, train_split_node
 
 _MAX_SUPPORTED_DEPTH = 6
@@ -307,12 +317,31 @@ def _check_views(views):
 
 
 # Process-pool plumbing: workers receive the shared inputs once through the
-# initializer and then only tree indices per task.
+# initializer and then only tree indices (or index ranges) per task.
 _POOL_ARGS = None
+
+
+def _one_blas_thread():
+    """Cap numpy's bundled OpenBLAS at one thread in this process.
+
+    Pool workers already run one per core; OpenBLAS's own threads on top of
+    them oversubscribe the cores.  Does nothing when numpy bundles no
+    OpenBLAS or the library lacks the setter.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
 
 
 def _pool_init(views, depth, cfg, master_seed, dominant):
     global _POOL_ARGS
+    _one_blas_thread()
     _POOL_ARGS = (views, depth, cfg, master_seed, dominant)
 
 
@@ -328,12 +357,14 @@ _ENCODE_ARGS = None
 
 def _encode_init(trees, x, modality):
     global _ENCODE_ARGS
+    _one_blas_thread()
     _ENCODE_ARGS = (trees, x, modality)
 
 
-def _encode_one(index):
+def _encode_slice(bounds):
     trees, x, modality = _ENCODE_ARGS
-    return index, _leaf_indices(trees[index], x, modality)
+    start, stop = bounds
+    return _leaf_rows(trees[start:stop], x, modality)
 
 
 def train_multimodal_forest(
@@ -349,7 +380,8 @@ def train_multimodal_forest(
 
     Every node draws a single class partition shared by all modalities and
     trains one split node per modality on it; the ``dominant`` modality routes
-    the training samples.  Per-tree failures are re-raised with the tree index.
+    the training samples.  A per-tree failure propagates with a note naming
+    the tree index.
     """
     views = [views] if isinstance(views, LabeledDataset) else list(views)
     cfg = cfg or ForestConfig()
@@ -372,7 +404,8 @@ def train_multimodal_forest(
                 try:
                     _, trees[index] = future.result()
                 except Exception as exc:
-                    raise type(exc)(f"tree {index}: {exc}") from exc
+                    exc.add_note(f"tree {index}")
+                    raise
     else:
         for index in range(n_trees):
             try:
@@ -380,7 +413,8 @@ def train_multimodal_forest(
                     views, depth, cfg, tree_seed_for(master_seed, index), dominant
                 )
             except Exception as exc:
-                raise type(exc)(f"tree {index}: {exc}") from exc
+                exc.add_note(f"tree {index}")
+                raise
 
     return Forest(
         trees=trees,
@@ -406,36 +440,52 @@ def train_forest(
     )
 
 
-def _leaf_indices(tree: HashTree, x, modality: int) -> np.ndarray:
-    """Leaf index (breadth-first, 0-based) for every column of ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if not 0 <= modality < tree.n_modalities:
-        raise InvalidInputError(f"modality {modality} out of range")
-    if x.shape[0] != tree.feature_dims[modality]:
-        raise InvalidInputError(
-            f"feature dimension {x.shape[0]} does not match tree "
-            f"({tree.feature_dims[modality]})"
-        )
-    kc = tree.kernels[modality]
-    f = kernel_featurize(x, kc) if kc is not None else x
+def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
+    """Leaf index (breadth-first, 0-based) of every column of ``x`` per tree.
 
-    pos = np.zeros(f.shape[1], dtype=np.int64)
-    for _ in range(tree.depth - 1):
-        next_pos = np.empty_like(pos)
-        for p in np.unique(pos):
-            mask = pos == p
-            node = tree.nodes[p][modality]
-            go_left = node_route_many(node, f[:, mask])
-            next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
-        pos = next_pos
-    return pos - tree.internal_count
+    The batch is validated, and for RBF maps its squared column norms taken,
+    once per call.  Each tree then maps the batch through its own kernel (if
+    any) and routes it before the next tree starts, so only one tree's
+    feature map is held at a time.
+    """
+    for tree in trees:
+        if not 0 <= modality < tree.n_modalities:
+            raise InvalidInputError(f"modality {modality} out of range")
+        if x.shape[0] != tree.feature_dims[modality]:
+            raise InvalidInputError(
+                f"feature dimension {x.shape[0]} does not match tree "
+                f"({tree.feature_dims[modality]})"
+            )
+    kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
+    if kinds:
+        x = _as_matrix(x, "x")
+    x_sq = _column_sq_norms(x) if "rbf" in kinds else None
+
+    rows = []
+    for tree in trees:
+        kc = tree.kernels[modality]
+        f = _kernel_map(x, x_sq, kc) if kc is not None else x
+        pos = np.zeros(f.shape[1], dtype=np.int64)
+        for _ in range(tree.depth - 1):
+            next_pos = np.empty_like(pos)
+            for p in np.unique(pos):
+                mask = pos == p
+                node = tree.nodes[p][modality]
+                go_left = node_route_many(node, f[:, mask])
+                next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
+            pos = next_pos
+        rows.append(pos - tree.internal_count)
+    return rows
+
+
+def _as_batch(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x[:, None] if x.ndim == 1 else x
 
 
 def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
     """One-hot leaf code (length 2^(depth-1), uint8) for a single point."""
-    leaf = _leaf_indices(tree, x, modality)
+    (leaf,) = _leaf_rows([tree], _as_batch(x), modality)
     if leaf.size != 1:
         raise InvalidInputError("encode_tree takes a single point; use encode_dataset")
     out = np.zeros(tree.leaf_count, dtype=np.uint8)
@@ -446,27 +496,26 @@ def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
 def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> list[np.ndarray]:
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
-    Every column of every block is exactly 1-sparse.  ``workers`` spreads the
-    per-tree work over processes; results are identical for any worker count.
+    Every column of every block is exactly 1-sparse.  ``workers`` spreads
+    contiguous slices of the trees over processes; results are identical for
+    any worker count.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_batch(x)
     n = x.shape[1]
-    leaf_rows: list[np.ndarray | None] = [None] * len(forest.trees)
-    if workers > 1 and len(forest.trees) > 1:
+    trees = forest.trees
+    if workers > 1 and len(trees) > 1:
+        step = -(-len(trees) // workers)
+        slices = [(start, start + step) for start in range(0, len(trees), step)]
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=len(slices),
             initializer=_encode_init,
-            initargs=(forest.trees, x, modality),
+            initargs=(trees, x, modality),
         ) as pool:
-            for index, leaves in pool.map(_encode_one, range(len(forest.trees))):
-                leaf_rows[index] = leaves
+            leaf_rows = [row for rows in pool.map(_encode_slice, slices) for row in rows]
     else:
-        for index, tree in enumerate(forest.trees):
-            leaf_rows[index] = _leaf_indices(tree, x, modality)
+        leaf_rows = _leaf_rows(trees, x, modality)
     blocks = []
-    for tree, leaves in zip(forest.trees, leaf_rows):
+    for tree, leaves in zip(trees, leaf_rows):
         block = np.zeros((tree.leaf_count, n), dtype=np.uint8)
         block[leaves, np.arange(n)] = 1
         blocks.append(block)

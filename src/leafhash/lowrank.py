@@ -16,6 +16,7 @@ one point per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -264,6 +265,11 @@ class KernelConfig:
     def n_anchors(self) -> int:
         return self.anchors.shape[1]
 
+    @cached_property
+    def anchor_sq_norms(self) -> np.ndarray:
+        """Squared norm of every anchor, the per-tree part of the RBF map."""
+        return np.sum(self.anchors**2, axis=0)
+
 
 def kernel_featurize(x, kc: KernelConfig) -> np.ndarray:
     """Map each column of ``x`` to its kernel responses against the anchors.
@@ -271,20 +277,41 @@ def kernel_featurize(x, kc: KernelConfig) -> np.ndarray:
     Output is (n_anchors, N): column j holds kappa(x_j, anchor_i) for all i.
     """
     x = _as_matrix(x, "x")
+    return _kernel_map(x, _column_sq_norms(x) if kc.kind == "rbf" else None, kc)
+
+
+def _column_sq_norms(x) -> np.ndarray:
+    """Squared norm of every column of ``x``, the per-point part of the RBF map."""
+    return np.sum(x**2, axis=0)
+
+
+def _kernel_map(x, x_sq, kc: KernelConfig) -> np.ndarray:
+    """:func:`kernel_featurize` of an already validated ``x``.
+
+    ``x_sq`` is ``_column_sq_norms(x)`` for an RBF map (unused otherwise), so
+    one batch can be mapped through many kernels while its per-point work is
+    done once.  The map is built in place in one buffer; the only other
+    temporary is the anchors-by-points product.
+    """
     if x.shape[0] != kc.anchors.shape[0]:
         raise InvalidInputError(
             f"feature dimension {x.shape[0]} does not match anchors "
             f"({kc.anchors.shape[0]})"
         )
     if kc.kind == "rbf":
-        sq = (
-            np.sum(kc.anchors**2, axis=0)[:, None]
-            + np.sum(x**2, axis=0)[None, :]
-            - 2.0 * kc.anchors.T @ x
-        )
+        # (a_sq + x_sq) - (2a)'x, clip at 0, negate, divide by 2 sigma^2, exp:
+        # this exact order keeps maps, and so codes, bit-identical across
+        # releases; do not fold or reorder the steps
+        sq = np.add(kc.anchor_sq_norms[:, None], x_sq[None, :])
+        np.subtract(sq, 2.0 * kc.anchors.T @ x, out=sq)
         np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * kc.sigma**2))
-    return (kc.anchors.T @ x + kc.p) ** kc.q
+        np.negative(sq, out=sq)
+        np.divide(sq, 2.0 * kc.sigma**2, out=sq)
+        return np.exp(sq, out=sq)
+    out = kc.anchors.T @ x
+    out += kc.p
+    out **= kc.q
+    return out
 
 
 def median_bandwidth(x, rng, max_pairs: int = 1000) -> float:

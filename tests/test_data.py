@@ -1,8 +1,12 @@
 import gzip
 import struct
+import tempfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafhash import (
     BlockSet,
@@ -228,6 +232,78 @@ class TestModelContainer:
         loaded, _ = load_model(zpath)
         blocks2 = encode_dataset(loaded, ds.features)
         assert all(np.array_equal(a, b) for a, b in zip(blocks, blocks2))
+
+
+_SAVED_MODEL = []
+
+
+def saved_model_bytes():
+    """Bytes of one saved model, trained once for the whole module."""
+    if not _SAVED_MODEL:
+        _, forest, _, selection = trained_artifacts()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.fhsh"
+            save_model(forest, selection, path)
+            _SAVED_MODEL.append(path.read_bytes())
+    return _SAVED_MODEL[0]
+
+
+def config_span(raw):
+    """(offset, length) of the config string record in a saved model.
+
+    Layout after the 6-byte magic: u8 modalities, u32 trees, u8 depth,
+    u8 learner, i64 seed, one u32 per modality, then the string: a u32
+    length and that many bytes.
+    """
+    offset = 6 + 15 + 4 * raw[6]
+    (length,) = struct.unpack_from("<I", raw, offset)
+    return offset, length
+
+
+def with_payload_bytes(raw, changes):
+    """``raw`` with bytes replaced and the trailing CRC recomputed."""
+    body = bytearray(raw[:-4])
+    for pos, value in changes:
+        body[pos] = value
+    payload = bytes(body[6:])
+    return bytes(body) + struct.pack("<I", zlib.crc32(payload))
+
+
+def load_model_bytes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.fhsh"
+        path.write_bytes(raw)
+        return load_model(path)
+
+
+class TestConfigStringDecoding:
+    def test_bad_utf8_is_format_error_at_string(self):
+        raw = saved_model_bytes()
+        offset, _ = config_span(raw)
+        with pytest.raises(DataFormatError, match="UTF-8") as info:
+            load_model_bytes(with_payload_bytes(raw, [(offset + 4, 0xFF)]))
+        assert info.value.offset == offset
+
+    def test_missing_key_is_format_error(self):
+        raw = saved_model_bytes()
+        offset, length = config_span(raw)
+        key = raw.index(b'"split"', offset + 4, offset + 4 + length)
+        with pytest.raises(DataFormatError, match="config") as info:
+            load_model_bytes(with_payload_bytes(raw, [(key + 1, ord("x"))]))
+        assert info.value.offset == offset
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_config_loads_or_raises_format_error(self, data):
+        raw = saved_model_bytes()
+        offset, length = config_span(raw)
+        changes = data.draw(st.lists(
+            st.tuples(st.integers(offset + 4, offset + 3 + length), st.integers(0, 255)),
+            min_size=1, max_size=3))
+        try:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        except DataFormatError as exc:
+            assert exc.offset == offset
 
 
 class TestCodesContainer:

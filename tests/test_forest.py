@@ -1,3 +1,8 @@
+import ctypes
+import glob
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,17 +12,22 @@ from leafhash import (
     ForestConfig,
     InvalidInputError,
     LabeledDataset,
+    NetConfig,
+    OptimizerConfig,
     SplitConfig,
     SplitNode,
     SyntheticSpec,
     encode_dataset,
     encode_tree,
     gen_synthetic,
+    kernel_featurize,
     partition_classes,
     train_forest,
     train_multimodal_forest,
     train_tree,
 )
+from leafhash import forest as forest_module
+from leafhash.dictionaries import node_route_many
 from leafhash.forest import HashTree, tree_seed_for
 
 FAST_CFG = ForestConfig(split=SplitConfig(learner="linear", atoms=4, sparsity=2))
@@ -296,3 +306,171 @@ class TestMultimodal:
         assert blocks_a[0].shape == blocks_b[0].shape
         with pytest.raises(InvalidInputError):
             encode_dataset(forest, view_a.features, modality=1)
+
+
+class TwoArgError(Exception):
+    """An exception whose constructor does not take a single message."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+
+
+class TestTreeFailure:
+    def test_original_exception_gets_tree_note(self, monkeypatch):
+        failing = tree_seed_for(5, 2)
+        real_train_tree = forest_module.train_tree
+
+        def train_tree_or_fail(views, depth, cfg, tree_seed, dominant):
+            if tree_seed == failing:
+                raise TwoArgError(17, "bad node")
+            return real_train_tree(views, depth, cfg, tree_seed, dominant)
+
+        monkeypatch.setattr(forest_module, "train_tree", train_tree_or_fail)
+        with pytest.raises(TwoArgError) as info:
+            train_forest(small_dataset(), 4, 2, FAST_CFG, master_seed=5)
+        assert info.value.args == (17, "bad node")
+        assert info.value.__notes__ == ["tree 2"]
+
+
+# Small budgets: these forests exist to exercise encoding, not to hash well.
+TINY_SPLIT = dict(atoms=3, sparsity=1, ksvd_iters=1,
+                  optimizer=OptimizerConfig(max_iters=4, geometry_iters=2))
+ENCODE_CONFIGS = {
+    "rbf": ForestConfig(split=SplitConfig(learner="kernel", **TINY_SPLIT),
+                        anchor_count=10),
+    "polynomial": ForestConfig(split=SplitConfig(learner="kernel", **TINY_SPLIT),
+                               kernel_kind="polynomial", anchor_count=10,
+                               poly_p=1.0, poly_q=2.0),
+    "linear": ForestConfig(split=SplitConfig(learner="linear", **TINY_SPLIT)),
+    "neural": ForestConfig(split=SplitConfig(learner="neural", net_hidden=(16,),
+                                             net_output_dim=8, net=NetConfig(epochs=5),
+                                             **TINY_SPLIT)),
+}
+
+
+def encode_views(seed, dims):
+    return [gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=d,
+                                        intrinsic_dim=1, noise=0.05,
+                                        samples_per_class=12, seed=seed + i))
+            for i, d in enumerate(dims)]
+
+
+def per_tree_leaves(tree, x, modality):
+    """Leaf of every column, one tree at a time: map the batch, then route it."""
+    kc = tree.kernels[modality]
+    f = kernel_featurize(x, kc) if kc is not None else x
+    pos = np.zeros(f.shape[1], dtype=np.int64)
+    for _ in range(tree.depth - 1):
+        next_pos = np.empty_like(pos)
+        for p in np.unique(pos):
+            mask = pos == p
+            go_left = node_route_many(tree.nodes[p][modality], f[:, mask])
+            next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
+        pos = next_pos
+    return pos - tree.internal_count
+
+
+class TestEncodeUnchanged:
+    @given(kind=st.sampled_from(sorted(ENCODE_CONFIGS)), two_views=st.booleans(),
+           depth=st.integers(2, 4), seed=st.integers(0, 10_000),
+           dim=st.integers(2, 9), n=st.integers(1, 40), scale=st.sampled_from([0.1, 1.0, 5.0]),
+           fortran=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_batched_encode_is_per_tree_composition(self, kind, two_views, depth, seed,
+                                                    dim, n, scale, fortran):
+        dims = (dim + 3, dim) if two_views else (dim,)
+        modality = len(dims) - 1
+        views = encode_views(seed, dims)
+        forest = train_multimodal_forest(views, 0, 3, depth, ENCODE_CONFIGS[kind],
+                                         master_seed=seed)
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([views[modality].features[:, : n // 2],
+                            scale * rng.normal(size=(dim, n - n // 2))], axis=1)
+        if fortran:
+            x = np.asfortranarray(x)
+
+        blocks = encode_dataset(forest, x, modality=modality)
+        for tree, block in zip(forest.trees, blocks):
+            expected = np.zeros((tree.leaf_count, n), dtype=np.uint8)
+            expected[per_tree_leaves(tree, x, modality), np.arange(n)] = 1
+            np.testing.assert_array_equal(block, expected)
+        pooled = encode_dataset(forest, x, modality=modality, workers=2)
+        for block, other in zip(blocks, pooled):
+            np.testing.assert_array_equal(block, other)
+
+        for tree in forest.trees:
+            kc = tree.kernels[modality]
+            if kc is None:
+                continue
+            a = kc.anchors
+            if kc.kind == "rbf":
+                a_sq, x_sq = np.sum(a**2, axis=0), np.sum(x**2, axis=0)
+                inline = np.exp(-np.maximum(a_sq[:, None] + x_sq[None, :] - 2.0 * a.T @ x, 0)
+                                / (2.0 * kc.sigma**2))
+            else:
+                inline = (a.T @ x + kc.p) ** kc.q
+            np.testing.assert_array_equal(kernel_featurize(x, kc), inline)
+
+    @pytest.mark.parametrize("kind", sorted(ENCODE_CONFIGS))
+    @given(n=st.integers(1, 30), row=st.integers(0, 5), col=st.integers(0, 29),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=10, deadline=None)
+    def test_non_finite_input_rejected(self, kind, n, row, col, value):
+        forest = _nonfinite_forest(kind)
+        x = np.random.default_rng(n).normal(size=(6, n))
+        x[row, col % n] = value
+        with pytest.raises(InvalidInputError):
+            encode_dataset(forest, x)
+        with pytest.raises(InvalidInputError):
+            encode_tree(forest.trees[0], x[:, col % n])
+
+
+_NONFINITE_FORESTS = {}
+
+
+def _nonfinite_forest(kind):
+    if kind not in _NONFINITE_FORESTS:
+        (view,) = encode_views(3, (6,))
+        _NONFINITE_FORESTS[kind] = train_forest(view, 2, 3, ENCODE_CONFIGS[kind],
+                                                master_seed=3)
+    return _NONFINITE_FORESTS[kind]
+
+
+def bundled_openblas():
+    """numpy's bundled OpenBLAS with its thread-count getter, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib
+    return None
+
+
+def blas_threads():
+    return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+class TestPoolBlasThreads:
+    def test_pool_worker_runs_one_blas_thread(self):
+        if bundled_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        parent_threads = blas_threads()
+        with ProcessPoolExecutor(max_workers=1,
+                                 initializer=forest_module._one_blas_thread) as pool:
+            assert pool.submit(blas_threads).result() == 1
+        assert blas_threads() == parent_threads
+
+    def test_pooled_encode_keeps_caller_threads(self):
+        if bundled_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        parent_threads = blas_threads()
+        ds = small_dataset()
+        forest = train_forest(ds, 2, 2, FAST_CFG, master_seed=3, workers=2)
+        encode_dataset(forest, ds.features, workers=2)
+        assert blas_threads() == parent_threads
+
+    def test_missing_library_or_setter_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(forest_module.glob, "glob",
+                            lambda pattern: ["/nonexistent/libscipy_openblas64_-x.so",
+                                             "libc.so.6"])
+        forest_module._one_blas_thread()
