@@ -12,7 +12,9 @@ count or scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import functools
 import glob
 import os
 import warnings
@@ -321,22 +323,59 @@ def _check_views(views):
 _POOL_ARGS = None
 
 
-def _one_blas_thread():
-    """Cap numpy's bundled OpenBLAS at one thread in this process.
+@functools.cache
+def _openblas_threads():
+    """(getter, setter) of numpy's bundled OpenBLAS thread count, or None.
 
-    Pool workers already run one per core; OpenBLAS's own threads on top of
-    them oversubscribe the cores.  Does nothing when numpy bundles no
-    OpenBLAS or the library lacks the setter.
+    None when numpy bundles no OpenBLAS or the library lacks either symbol.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_-*.so")):
         try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+            lib = ctypes.CDLL(path)
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        setter(1)
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return getter, setter
+    return None
+
+
+def _one_blas_thread():
+    """Cap numpy's bundled OpenBLAS at one thread in this process.
+
+    Pool workers already run one per core; OpenBLAS's own threads on top of
+    them oversubscribe the cores.  Does nothing without a bundled OpenBLAS.
+    """
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[1](1)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore the caller's count.
+
+    An encode's products are small (a few anchors or node features by one
+    batch), yet OpenBLAS splits each over all its threads and waits for the
+    slowest, so another process on any core stalls every product.  On a
+    2-core machine beside one busy loop, a 16-d, 24-tree forest encoded
+    about 3x slower with two threads and no slower with one.  Two threads
+    do encode 784-d batches about a quarter faster on a quiet machine.  The
+    count is process-wide: other threads' BLAS calls meanwhile run on one.
+    """
+    threads = _openblas_threads()
+    before = threads[0]() if threads is not None else 1
+    if before == 1:
+        yield
+        return
+    threads[1](1)
+    try:
+        yield
+    finally:
+        threads[1](before)
 
 
 def _pool_init(views, depth, cfg, master_seed, dominant):
@@ -357,7 +396,6 @@ _ENCODE_ARGS = None
 
 def _encode_init(trees, x, modality):
     global _ENCODE_ARGS
-    _one_blas_thread()
     _ENCODE_ARGS = (trees, x, modality)
 
 
@@ -446,7 +484,7 @@ def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
     The batch is validated, and for RBF maps its squared column norms taken,
     once per call.  Each tree then maps the batch through its own kernel (if
     any) and routes it before the next tree starts, so only one tree's
-    feature map is held at a time.
+    feature map is held at a time.  All of it runs on one OpenBLAS thread.
     """
     for tree in trees:
         if not 0 <= modality < tree.n_modalities:
@@ -462,19 +500,20 @@ def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
     x_sq = _column_sq_norms(x) if "rbf" in kinds else None
 
     rows = []
-    for tree in trees:
-        kc = tree.kernels[modality]
-        f = _kernel_map(x, x_sq, kc) if kc is not None else x
-        pos = np.zeros(f.shape[1], dtype=np.int64)
-        for _ in range(tree.depth - 1):
-            next_pos = np.empty_like(pos)
-            for p in np.unique(pos):
-                mask = pos == p
-                node = tree.nodes[p][modality]
-                go_left = node_route_many(node, f[:, mask])
-                next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
-            pos = next_pos
-        rows.append(pos - tree.internal_count)
+    with _single_blas_thread():
+        for tree in trees:
+            kc = tree.kernels[modality]
+            f = _kernel_map(x, x_sq, kc) if kc is not None else x
+            pos = np.zeros(f.shape[1], dtype=np.int64)
+            for _ in range(tree.depth - 1):
+                next_pos = np.empty_like(pos)
+                for p in np.unique(pos):
+                    mask = pos == p
+                    node = tree.nodes[p][modality]
+                    go_left = node_route_many(node, f[:, mask])
+                    next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
+                pos = next_pos
+            rows.append(pos - tree.internal_count)
     return rows
 
 

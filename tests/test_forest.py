@@ -469,8 +469,32 @@ class TestPoolBlasThreads:
         encode_dataset(forest, ds.features, workers=2)
         assert blas_threads() == parent_threads
 
+    def test_serial_encode_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        if bundled_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        parent_threads = blas_threads()
+        ds = small_dataset()
+        forest = train_forest(ds, 2, 2, FAST_CFG, master_seed=3)
+        seen = []
+
+        def route(node, x):
+            seen.append(blas_threads())
+            return node_route_many(node, x)
+
+        monkeypatch.setattr(forest_module, "node_route_many", route)
+        encode_dataset(forest, ds.features)
+        assert seen and set(seen) == {1}
+        assert blas_threads() == parent_threads
+
     def test_missing_library_or_setter_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(forest_module.glob, "glob",
                             lambda pattern: ["/nonexistent/libscipy_openblas64_-x.so",
                                              "libc.so.6"])
-        forest_module._one_blas_thread()
+        forest_module._openblas_threads.cache_clear()
+        try:
+            assert forest_module._openblas_threads() is None
+            forest_module._one_blas_thread()
+            with forest_module._single_blas_thread():
+                pass
+        finally:
+            forest_module._openblas_threads.cache_clear()
