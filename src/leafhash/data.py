@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -306,11 +307,19 @@ class _Reader:
             raise DataFormatError(f"string is not UTF-8: {exc}", offset=start) from exc
 
     def array(self):
+        start = self.base + self.pos
         ndim = self.u8()
         shape = tuple(self.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self._take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        need = 8 * math.prod(shape)  # Python ints: no overflow on huge shapes
+        left = len(self.buf) - self.pos
+        if need > left:
+            raise DataFormatError(
+                f"array of shape {shape} runs past the {left} bytes left", offset=start
+            )
+        try:
+            return np.frombuffer(self._take(need), dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # over 64 dimensions, or one past the index range
+            raise DataFormatError(f"bad array shape {shape}: {exc}", offset=start) from exc
 
     def done(self):
         if self.pos != len(self.buf):
@@ -382,16 +391,20 @@ def _write_kernel(w, kc):
 
 
 def _read_kernel(r):
+    start = r.base + r.pos
     code = r.u8()
-    if code == 0:
-        return None
-    if code == 1:
-        sigma = r.f64()
-        return KernelConfig(anchors=r.array(), kind="rbf", sigma=sigma)
-    if code == 2:
-        p, q = r.f64(), r.f64()
-        return KernelConfig(anchors=r.array(), kind="polynomial", p=p, q=q)
-    raise DataFormatError(f"unknown kernel code {code}", offset=r.base + r.pos - 1)
+    try:
+        if code == 0:
+            return None
+        if code == 1:
+            sigma = r.f64()
+            return KernelConfig(anchors=r.array(), kind="rbf", sigma=sigma)
+        if code == 2:
+            p, q = r.f64(), r.f64()
+            return KernelConfig(anchors=r.array(), kind="polynomial", p=p, q=q)
+    except InvalidInputError as exc:  # non-finite anchors, bad bandwidth
+        raise DataFormatError(f"bad kernel record: {exc}", offset=start) from exc
+    raise DataFormatError(f"unknown kernel code {code}", offset=start)
 
 
 def _write_net(w, net):
@@ -403,14 +416,18 @@ def _write_net(w, net):
 
 
 def _read_net(r):
+    start = r.base + r.pos
     n_layers = r.u8()
     layers = []
-    for _ in range(n_layers):
-        weight = r.array()
-        bias = r.array()
-        act = _ACT_NAMES.get(r.u8())
-        layers.append(DenseLayer(weight=weight, bias=bias, activation=act))
-    return DenseNet(layers=layers)
+    try:
+        for _ in range(n_layers):
+            weight = r.array()
+            bias = r.array()
+            act = _ACT_NAMES.get(r.u8())
+            layers.append(DenseLayer(weight=weight, bias=bias, activation=act))
+        return DenseNet(layers=layers)
+    except InvalidInputError as exc:  # unknown activation, bad shapes, no layers
+        raise DataFormatError(f"bad net record: {exc}", offset=start) from exc
 
 
 def _write_node(w, node):
@@ -497,6 +514,8 @@ def load_model(path):
     n_modalities = r.u8()
     n_trees = r.u32()
     depth = r.u8()
+    if not 2 <= depth <= 7:
+        raise DataFormatError(f"tree depth {depth} outside 2..7", offset=r.base + r.pos - 1)
     learner = _LEARNER_NAMES.get(r.u8())
     if learner is None:
         raise DataFormatError("unknown learner code", offset=r.base + r.pos - 1)

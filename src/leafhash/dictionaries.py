@@ -45,12 +45,32 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def omp(atoms, x, sparsity: int, tol: float = 1e-12) -> np.ndarray:
-    """Orthogonal matching pursuit codes, column by column.
+def _lstsq_stack(a, y):
+    """Minimum-norm least-squares solutions of a stack of systems.
 
-    Each code uses at most ``sparsity`` atoms; coding stops early once the
-    residual falls below ``tol`` relative to the column norm.  Ties in atom
-    selection resolve to the lowest index.
+    ``a`` is (n, r, k) and ``y`` is (r, n); returns the (n, k) solutions.
+    Singular values at or below ``eps * max(r, k)`` times the largest one
+    are dropped, the cutoff ``np.linalg.lstsq(rcond=None)`` applies, so a
+    rank-deficient system gets its minimum-norm solution.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(np.float64).eps * max(a.shape[1:]) * s[:, :1]
+    keep = s > cutoff
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    uty = np.matmul(y.T[:, None, :], u)[:, 0, :]
+    return np.matmul((inv_s * uty)[:, None, :], vt)[:, 0, :]
+
+
+def omp(atoms, x, sparsity: int, tol: float = 1e-12) -> np.ndarray:
+    """Orthogonal matching pursuit codes, all columns advancing together.
+
+    Each code uses at most ``sparsity`` atoms; a column stops early once its
+    residual falls to ``tol`` relative to its norm, and zero columns get zero
+    codes.  Every step scores the atoms against all unfinished residuals in
+    one product, adds each column's best atom to its support, and refits all
+    supports in one batched least-squares solve.  Ties in atom selection
+    resolve to the lowest index; they are ties of the computed scores, so
+    exactly duplicated atoms may be picked in either order.
     """
     d = np.asarray(atoms, dtype=np.float64)
     x = _as_matrix(x, "x")
@@ -58,25 +78,26 @@ def omp(atoms, x, sparsity: int, tol: float = 1e-12) -> np.ndarray:
     if sparsity < 1:
         raise InvalidInputError("sparsity must be >= 1")
     z = np.zeros((m, x.shape[1]))
-    for col in range(x.shape[1]):
-        y = x[:, col]
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:
-            continue
-        resid = y.copy()
-        support: list[int] = []
-        coef = None
-        for _ in range(min(sparsity, m)):
-            if np.linalg.norm(resid) <= tol * ynorm:
-                break
-            scores = np.abs(d.T @ resid)
-            scores[support] = -1.0
-            j = int(np.argmax(scores))
-            support.append(j)
-            coef, *_ = np.linalg.lstsq(d[:, support], y, rcond=None)
-            resid = y - d[:, support] @ coef
-        if coef is not None:
-            z[support, col] = coef
+    ynorm = np.linalg.norm(x, axis=0)
+    cols = np.flatnonzero(ynorm > 0.0)
+    y = x[:, cols]
+    resid = y
+    ynorm = ynorm[cols]
+    support = np.empty((cols.size, 0), dtype=np.intp)
+    for _ in range(min(sparsity, m)):
+        live = np.linalg.norm(resid, axis=0) > tol * ynorm
+        if not live.all():
+            cols, y, resid, ynorm, support = (
+                cols[live], y[:, live], resid[:, live], ynorm[live], support[live])
+        if cols.size == 0:
+            break
+        scores = np.abs(d.T @ resid)
+        np.put_along_axis(scores, support.T, -1.0, axis=0)
+        support = np.column_stack([support, np.argmax(scores, axis=0)])
+        sub = d.T[support].transpose(0, 2, 1)  # (columns, r, k)
+        coef = _lstsq_stack(sub, y)
+        resid = y - np.matmul(sub, coef[:, :, None])[:, :, 0].T
+        z[support, cols[:, None]] = coef
     return z
 
 
@@ -240,7 +261,8 @@ def train_split_node(
 
     Pipeline: optional kernel featurization, transform fitting (or net
     training for the neural learner), one k-SVD dictionary per group, residual
-    projectors.  An empty group yields a degenerate node.
+    projectors.  An empty group, or one whose features are all zero after the
+    transform or net, yields a degenerate node.
     """
     cfg = cfg or SplitConfig()
     rng = np.random.default_rng(rng)
@@ -282,6 +304,9 @@ def train_split_node(
         transform = fit_transform(x_pos, x_neg, cfg.optimizer)
         w = transform.w
         f_pos, f_neg = w @ x_pos, w @ x_neg
+    if not f_pos.any() or not f_neg.any():
+        # a group mapped entirely to zero leaves nothing to fit a dictionary to
+        return SplitNode(class_partition=dict(partition), degenerate=True)
 
     seed_pos = int(rng.integers(0, 2**63 - 1))
     seed_neg = int(rng.integers(0, 2**63 - 1))

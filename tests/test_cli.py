@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,19 @@ class TestEncode:
         err = capsys.readouterr().err
         assert rc == 2
         assert "10" in err and "5" in err  # names expected and actual dims
+
+    def test_corrupted_model_is_data_error(self, workspace, capsys):
+        raw = bytearray(workspace["model"].read_bytes())
+        raw[11] = 0  # depth byte: 6-byte magic, u8 modalities, u32 trees
+        raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[6:-4])))
+        bad = workspace["tmp"] / "depth0.fhsh"
+        bad.write_bytes(bytes(raw))
+        rc = main(["encode", "--model", str(bad),
+                   "--features", str(workspace["features"]),
+                   "--codes-out", str(workspace["tmp"] / "depth0.fhcd")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error:" in err and "depth" in err
 
     def test_empty_input_valid_header(self, workspace, capsys):
         empty = workspace["tmp"] / "empty.raw"

@@ -234,18 +234,18 @@ class TestModelContainer:
         assert all(np.array_equal(a, b) for a, b in zip(blocks, blocks2))
 
 
-_SAVED_MODEL = []
+_SAVED_MODELS = {}
 
 
-def saved_model_bytes():
-    """Bytes of one saved model, trained once for the whole module."""
-    if not _SAVED_MODEL:
-        _, forest, _, selection = trained_artifacts()
+def saved_model_bytes(learner="linear"):
+    """Bytes of one saved model per learner, trained once for the whole module."""
+    if learner not in _SAVED_MODELS:
+        _, forest, _, selection = trained_artifacts(learner)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.fhsh"
             save_model(forest, selection, path)
-            _SAVED_MODEL.append(path.read_bytes())
-    return _SAVED_MODEL[0]
+            _SAVED_MODELS[learner] = path.read_bytes()
+    return _SAVED_MODELS[learner]
 
 
 def config_span(raw):
@@ -306,6 +306,43 @@ class TestConfigStringDecoding:
             assert exc.offset == offset
 
 
+class TestModelDecoding:
+    def test_depth_zero_is_format_error_at_depth_byte(self):
+        raw = saved_model_bytes()
+        with pytest.raises(DataFormatError, match="depth") as info:
+            load_model_bytes(with_payload_bytes(raw, [(11, 0)]))
+        assert info.value.offset == 11
+
+    def test_huge_array_shape_is_format_error(self):
+        raw = saved_model_bytes("kernel")
+        # the first array is the first tree's anchors.  Before it: the
+        # selection record (flag, mode string, lambda flag and value, one
+        # chosen block and its gain), the tree seed, the kernel code and sigma
+        offset, length = config_span(raw)
+        selection = offset + 4 + length
+        (mode_length,) = struct.unpack_from("<I", raw, selection + 1)
+        anchors = selection + 1 + 4 + mode_length + 1 + 8 + 4 + 4 + 8 + 8 + 1 + 8
+        assert raw[anchors] == 2
+        # 2**61 rows: an element count that overflows int64
+        changes = list(enumerate(struct.pack("<Q", 2**61), start=anchors + 1))
+        with pytest.raises(DataFormatError, match="shape") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == anchors
+
+    @pytest.mark.parametrize("learner", ["kernel", "neural"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_payload_loads_or_raises_format_error(self, learner, data):
+        raw = saved_model_bytes(learner)
+        changes = data.draw(st.lists(
+            st.tuples(st.integers(6, len(raw) - 5), st.integers(0, 255)),
+            min_size=1, max_size=3))
+        try:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        except DataFormatError:
+            pass
+
+
 class TestCodesContainer:
     def test_round_trip(self, tmp_path, rng):
         _, _, blocks, selection = trained_artifacts()
@@ -327,6 +364,25 @@ class TestCodesContainer:
         assert labels is None
         assert loaded.words.shape == (4, 1)
         assert np.all(loaded.words >> np.uint64(36) == 0)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_payload_loads_or_raises_format_error(self, data):
+        rng = np.random.default_rng(0)
+        codes = PackedCodes(words=rng.integers(0, 2**36, size=(20, 1), dtype=np.uint64),
+                            length=36)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "codes.fhcd"
+            save_codes(codes, rng.integers(0, 5, 20), path)
+            raw = path.read_bytes()
+            changes = data.draw(st.lists(
+                st.tuples(st.integers(6, len(raw) - 5), st.integers(0, 255)),
+                min_size=1, max_size=3))
+            path.write_bytes(with_payload_bytes(raw, changes))
+            try:
+                load_codes(path)
+            except DataFormatError:
+                pass
 
     def test_count_mismatch_detected(self, tmp_path, rng):
         codes = PackedCodes(words=rng.integers(0, 100, size=(3, 1),

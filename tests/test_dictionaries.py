@@ -16,6 +16,7 @@ from leafhash import (
     residual_projector,
     train_split_node,
 )
+from leafhash import dictionaries
 from leafhash.dictionaries import node_route_many
 
 
@@ -25,7 +26,74 @@ def routing_consistency(node, x_pos, x_neg, kernel=None):
     return (left_neg.mean() + (1.0 - left_pos.mean())) / 2.0
 
 
+def reference_omp(atoms, x, sparsity, tol=1e-12):
+    """Column-by-column OMP with one ``lstsq`` per support step."""
+    d = np.asarray(atoms, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    m = d.shape[1]
+    z = np.zeros((m, x.shape[1]))
+    for col in range(x.shape[1]):
+        y = x[:, col]
+        ynorm = np.linalg.norm(y)
+        if ynorm == 0.0:
+            continue
+        resid = y.copy()
+        support = []
+        coef = None
+        for _ in range(min(sparsity, m)):
+            if np.linalg.norm(resid) <= tol * ynorm:
+                break
+            scores = np.abs(d.T @ resid)
+            scores[support] = -1.0
+            j = int(np.argmax(scores))
+            support.append(j)
+            coef, *_ = np.linalg.lstsq(d[:, support], y, rcond=None)
+            resid = y - d[:, support] @ coef
+        if coef is not None:
+            z[support, col] = coef
+    return z
+
+
+def omp_inputs(rng, r, m, n, n_atom_cols, n_zero_cols):
+    """Unit-norm atoms and samples; the first columns are scaled atoms,
+    the last ones are zero."""
+    atoms = rng.normal(size=(r, m))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    x = rng.normal(size=(r, n))
+    k = min(n_atom_cols, n)
+    x[:, :k] = atoms[:, rng.integers(0, m, k)] * rng.uniform(0.5, 3.0, k)
+    x[:, n - min(n_zero_cols, n - k):] = 0.0
+    return atoms, x, k
+
+
 class TestOmp:
+    @given(st.integers(2, 64), st.integers(1, 16), st.integers(1, 200), st.integers(1, 6),
+           st.integers(0, 10), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_by_column_reference(self, r, m, n, sparsity, n_atom_cols,
+                                                n_zero_cols, seed):
+        atoms, x, k = omp_inputs(np.random.default_rng(seed), r, m, n, n_atom_cols,
+                                 n_zero_cols)
+        want = reference_omp(atoms, x, sparsity)
+        got = omp(atoms, x, sparsity)
+        np.testing.assert_array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=1e-10,
+                                   atol=1e-10 * max(np.abs(want).max(), 1e-300))
+        assert np.all((got[:, :k] != 0).sum(axis=0) == 1)  # an atom stops at itself
+        assert not got[:, np.linalg.norm(x, axis=0) == 0].any()
+
+    @pytest.mark.parametrize("sparsity", [1, 3, 7])
+    def test_duplicated_atom_gives_reference_residuals(self, sparsity):
+        rng = np.random.default_rng(11)
+        atoms, x, _ = omp_inputs(rng, 8, 7, 60, 10, 2)
+        atoms[:, 6] = atoms[:, 0]
+        x[:, :5] = atoms[:, :1] * rng.uniform(0.5, 3.0, 5)
+        # either copy of the atom may be picked first, so compare residuals
+        want = np.linalg.norm(x - atoms @ reference_omp(atoms, x, sparsity), axis=0)
+        got = np.linalg.norm(x - atoms @ omp(atoms, x, sparsity), axis=0)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(x, axis=0).max())
+
     @given(st.integers(0, 3000), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_sparsity_bound(self, seed, sparsity):
@@ -68,6 +136,15 @@ class TestKsvd:
     def test_unit_norm_atoms(self, rng):
         d = ksvd_fit(rng.normal(size=(6, 30)), 4, 2, rng=1)
         np.testing.assert_allclose(np.linalg.norm(d.atoms, axis=0), 1.0, atol=1e-9)
+
+    def test_same_fit_as_with_reference_omp(self, monkeypatch):
+        x = np.random.default_rng(4).normal(size=(12, 80))
+        got = ksvd_fit(x, 6, 3, iters=10, rng=7)
+        monkeypatch.setattr(dictionaries, "omp", reference_omp)
+        want = ksvd_fit(x, 6, 3, iters=10, rng=7)
+        assert len(got.error_trace) == len(want.error_trace)
+        np.testing.assert_allclose(got.error_trace, want.error_trace, rtol=1e-10)
+        np.testing.assert_allclose(got.atoms, want.atoms, rtol=0, atol=1e-10)
 
     @given(st.integers(0, 3000))
     @settings(max_examples=20, deadline=None)

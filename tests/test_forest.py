@@ -253,6 +253,25 @@ class TestOtherLearners:
         ])
         assert agreement >= 0.5
 
+    def test_neural_group_mapped_to_zero_becomes_degenerate(self):
+        # three classes on random lines in the plane; a 6-unit ReLU net
+        # trained for 5 epochs maps one group at some node to all zeros
+        rng = np.random.default_rng(8)
+        lines = []
+        for _ in range(3):
+            v = rng.normal(size=(2, 1))
+            lines.append(v / np.linalg.norm(v) * rng.normal(size=(1, 12)))
+        ds = LabeledDataset(np.concatenate(lines, axis=1), np.repeat(np.arange(3), 12))
+        cfg = ForestConfig(split=SplitConfig(learner="neural", atoms=3, sparsity=1,
+                                             net_hidden=(6,), net_output_dim=4,
+                                             net=NetConfig(epochs=5)))
+        forest = train_forest(ds, 3, 4, cfg, 8, 1)
+        # a degenerate node with both groups in its partition was trained
+        assert any(node.degenerate and set(node.class_partition.values()) == {"neg", "pos"}
+                   for tree in forest.trees for per_mod in tree.nodes for node in per_mod)
+        blocks = encode_dataset(forest, ds.features)
+        assert all(np.all(b.sum(axis=0) == 1) for b in blocks)
+
     def test_polynomial_kernel_forest(self):
         ds = small_dataset(seed=3)
         cfg = ForestConfig(split=SplitConfig(learner="kernel", atoms=4,
