@@ -11,7 +11,8 @@ the final hash.  Three criteria are provided:
 - semi-supervised: the unsupervised gain plus lambda times the supervised
   gain, with lambda estimated as the ratio of the best single-block scores.
 
-All selectors are deterministic: score ties resolve to the lowest block index.
+All three run one greedy loop with two switchable gain terms, and all are
+deterministic: score ties resolve to the lowest block index.
 The greedy objective has diminishing returns, which keeps the greedy choice
 within (1 - 1/e) of the exhaustive optimum (checked against
 :func:`exhaustive_select` in the tests).
@@ -156,37 +157,27 @@ def set_mutual_information(cov: BlockCovariance, subset) -> float:
     return 0.5 * (logdet(subset) + logdet(rest) - logdet(list(range(m))))
 
 
-def greedy_unsupervised(bs: BlockSet, k: int, samples=None) -> SelectionResult:
-    """Pick k blocks greedily by the Gaussian entropy-difference score.
-
-    Near-optimality needs the pool to be comfortably larger than the
-    selection, hence the k <= M/2 precondition.
-    """
-    m = bs.n_blocks
-    if not 0 <= k <= m // 2:
-        raise InvalidInputError(f"k must be in [0, {m // 2}] for {m} blocks, got {k}")
-    cov = block_covariance(bs, samples)
-    chosen: list[int] = []
-    gains: list[float] = []
-    for _ in range(k):
-        best_y, best_gain = -1, -np.inf
-        for y in range(m):
-            if y in chosen:
-                continue
-            g = unsupervised_gain(cov, y, chosen)
-            if g > best_gain:
-                best_y, best_gain = y, g
-        chosen.append(best_y)
-        gains.append(best_gain)
-    return SelectionResult(chosen=chosen, gains=gains, mode="unsup")
+def _check_k(k: int, high: int, m: int):
+    if not 0 <= k <= high:
+        raise InvalidInputError(f"k must be in [0, {high}] for {m} blocks, got {k}")
 
 
-def _fold_ids(ids, leaf_count, rows):
-    """Joint code id per sample from the given block rows, densely relabeled."""
-    joint = np.zeros(ids.shape[1], dtype=np.int64)
-    for r in rows:
-        joint = joint * leaf_count + ids[r]
-        _, joint = np.unique(joint, return_inverse=True)
+def _labeled(bs: BlockSet, labels, labeled=None):
+    """Validated ``(leaf ids, labels)`` of the labeled columns (all by default)."""
+    if labels is None:
+        raise InvalidInputError("labels are required")
+    labels = np.asarray(labels)
+    if labels.shape[0] != bs.n_samples:
+        raise InvalidInputError("labels length does not match the block columns")
+    if labeled is None:
+        return bs.leaf_ids, labels
+    labeled = np.asarray(labeled)
+    return bs.leaf_ids[:, labeled], labels[labeled]
+
+
+def _fold(joint, ids_row, leaf_count):
+    """Joint code ids extended by one block's leaf ids, densely relabeled."""
+    _, joint = np.unique(joint * leaf_count + ids_row, return_inverse=True)
     return joint
 
 
@@ -208,51 +199,68 @@ def _mi_ids_labels(ids, labels) -> float:
     return h_b - h_cond
 
 
-def label_mi(blocks_subset, bs: BlockSet, labels) -> float:
-    """Plug-in mutual information (nats) between the concatenated codes of the
-    selected blocks and the class labels; empty selection gives 0."""
-    if labels is None:
-        raise InvalidInputError("labels are required")
-    labels = np.asarray(labels)
-    if labels.shape[0] != bs.n_samples:
-        raise InvalidInputError("labels length does not match the block columns")
-    subset = list(blocks_subset)
-    if not subset:
-        return 0.0
-    ids = _fold_ids(bs.leaf_ids, bs.leaf_count, subset)
-    return _mi_ids_labels(ids, labels)
+def _greedy(bs: BlockSet, k: int, cov, ids, labels, lam):
+    """The greedy loop behind every selector; returns ``(chosen, gains)``.
 
-
-def greedy_supervised(bs: BlockSet, labels, k: int, samples=None) -> SelectionResult:
-    """Pick k blocks greedily by label mutual-information gain."""
-    if labels is None:
-        raise InvalidInputError("labels are required for supervised selection")
-    labels = np.asarray(labels)
-    if labels.shape[0] != bs.n_samples:
-        raise InvalidInputError("labels length does not match the block columns")
-    if not 0 <= k <= bs.n_blocks:
-        raise InvalidInputError(f"k must be in [0, {bs.n_blocks}], got {k}")
-    ids_all = bs.leaf_ids if samples is None else bs.leaf_ids[:, np.asarray(samples)]
-    lab = labels if samples is None else labels[np.asarray(samples)]
-
+    A candidate scores ``unsupervised_gain`` when ``cov`` is given, plus
+    ``lam`` times its label-information gain on the ``ids`` columns when
+    ``labels`` are given.  Each step takes the best score, the lowest block
+    index on ties, and records that score as its gain.
+    """
     chosen: list[int] = []
     gains: list[float] = []
-    joint = np.zeros(ids_all.shape[1], dtype=np.int64)
+    joint = None if labels is None else np.zeros(ids.shape[1], dtype=np.int64)
     current_mi = 0.0
     for _ in range(k):
-        best_y, best_gain, best_joint = -1, -np.inf, None
+        best_y, best_score, best_joint, best_mi = -1, -np.inf, None, 0.0
         for y in range(bs.n_blocks):
             if y in chosen:
                 continue
-            cand = joint * bs.leaf_count + ids_all[y]
-            _, cand = np.unique(cand, return_inverse=True)
-            gain = _mi_ids_labels(cand, lab) - current_mi
-            if gain > best_gain:
-                best_y, best_gain, best_joint = y, gain, cand
+            score = unsupervised_gain(cov, y, chosen) if cov is not None else None
+            cand, mi_gain = None, 0.0
+            if labels is not None:
+                cand = _fold(joint, ids[y], bs.leaf_count)
+                mi_gain = _mi_ids_labels(cand, labels) - current_mi
+                # not 0.0 + ...: that would turn a -0.0 label gain into +0.0
+                score = lam * mi_gain if score is None else score + lam * mi_gain
+            if score > best_score:
+                best_y, best_score, best_joint, best_mi = y, score, cand, mi_gain
         chosen.append(best_y)
-        gains.append(best_gain)
+        gains.append(best_score)
         joint = best_joint
-        current_mi += best_gain
+        current_mi += best_mi
+    return chosen, gains
+
+
+def greedy_unsupervised(bs: BlockSet, k: int) -> SelectionResult:
+    """Pick k blocks greedily by the Gaussian entropy-difference score.
+
+    Near-optimality needs the pool to be comfortably larger than the
+    selection, hence the k <= M/2 precondition.
+    """
+    _check_k(k, bs.n_blocks // 2, bs.n_blocks)
+    chosen, gains = _greedy(bs, k, block_covariance(bs), None, None, None)
+    return SelectionResult(chosen=chosen, gains=gains, mode="unsup")
+
+
+def label_mi(blocks_subset, bs: BlockSet, labels) -> float:
+    """Plug-in mutual information (nats) between the concatenated codes of the
+    selected blocks and the class labels; empty selection gives 0."""
+    ids, labels = _labeled(bs, labels)
+    subset = list(blocks_subset)
+    if not subset:
+        return 0.0
+    joint = np.zeros(bs.n_samples, dtype=np.int64)
+    for y in subset:
+        joint = _fold(joint, ids[y], bs.leaf_count)
+    return _mi_ids_labels(joint, labels)
+
+
+def greedy_supervised(bs: BlockSet, labels, k: int) -> SelectionResult:
+    """Pick k blocks greedily by label mutual-information gain."""
+    ids, labels = _labeled(bs, labels)
+    _check_k(k, bs.n_blocks, bs.n_blocks)
+    chosen, gains = _greedy(bs, k, None, ids, labels, 1.0)
     return SelectionResult(chosen=chosen, gains=gains, mode="sup")
 
 
@@ -261,19 +269,10 @@ def estimate_lambda(bs: BlockSet, labels, unlabeled=None, labeled=None) -> float
     single-block unsupervised information to the best single-block label
     information.  Falls back to 0 (pure unsupervised) when no block carries
     label information."""
-    if labels is None:
-        raise InvalidInputError("labels are required to estimate lambda")
+    ids, lab = _labeled(bs, labels, labeled)
     cov = block_covariance(bs, unlabeled)
-    ids = bs.leaf_ids if labeled is None else bs.leaf_ids[:, np.asarray(labeled)]
-    lab = np.asarray(labels) if labeled is None else np.asarray(labels)[np.asarray(labeled)]
     m = bs.n_blocks
-    best_unsup = max(
-        0.5 * math.log(
-            max(conditional_variance(cov, y, []), _VAR_FLOOR)
-            / max(conditional_variance(cov, y, [i for i in range(m) if i != y]), _VAR_FLOOR)
-        )
-        for y in range(m)
-    )
+    best_unsup = max(unsupervised_gain(cov, y, []) for y in range(m))
     best_sup = max(_mi_ids_labels(ids[y], lab) for y in range(m))
     if best_sup <= 1e-12:
         return 0.0
@@ -292,39 +291,11 @@ def greedy_semisupervised(
     gain.  The two terms may be evaluated on different sample subsets
     (``unlabeled``/``labeled`` column indices); both default to all samples.
     """
-    m = bs.n_blocks
-    if not 0 <= k <= m // 2:
-        raise InvalidInputError(f"k must be in [0, {m // 2}] for {m} blocks, got {k}")
-    if labels is None:
-        raise InvalidInputError("labels are required for semi-supervised selection")
+    _check_k(k, bs.n_blocks // 2, bs.n_blocks)
+    ids, lab = _labeled(bs, labels, labeled)
     if lam is None:
         lam = estimate_lambda(bs, labels, unlabeled, labeled)
-    cov = block_covariance(bs, unlabeled)
-    ids_all = bs.leaf_ids if labeled is None else bs.leaf_ids[:, np.asarray(labeled)]
-    lab = np.asarray(labels) if labeled is None else np.asarray(labels)[np.asarray(labeled)]
-    if lab.shape[0] != ids_all.shape[1]:
-        raise InvalidInputError("labels length does not match the labeled columns")
-
-    chosen: list[int] = []
-    gains: list[float] = []
-    joint = np.zeros(ids_all.shape[1], dtype=np.int64)
-    current_mi = 0.0
-    for _ in range(k):
-        best = (-1, -np.inf, None, 0.0)
-        for y in range(m):
-            if y in chosen:
-                continue
-            cand = joint * bs.leaf_count + ids_all[y]
-            _, cand = np.unique(cand, return_inverse=True)
-            mi_gain = _mi_ids_labels(cand, lab) - current_mi
-            score = unsupervised_gain(cov, y, chosen) + lam * mi_gain
-            if score > best[1]:
-                best = (y, score, cand, mi_gain)
-        y, score, cand, mi_gain = best
-        chosen.append(y)
-        gains.append(score)
-        joint = cand
-        current_mi += mi_gain
+    chosen, gains = _greedy(bs, k, block_covariance(bs, unlabeled), ids, lab, lam)
     return SelectionResult(chosen=chosen, gains=gains, mode="semi", lam=float(lam))
 
 
@@ -338,8 +309,7 @@ def exhaustive_select(bs: BlockSet, labels, k: int, mode: str) -> SelectionResul
     m = bs.n_blocks
     if mode not in ("unsup", "sup"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if not 0 <= k <= m:
-        raise InvalidInputError(f"k must be in [0, {m}], got {k}")
+    _check_k(k, m, m)
     n_subsets = math.comb(m, k)
     if n_subsets > _EXHAUSTIVE_LIMIT:
         raise InvalidInputError(

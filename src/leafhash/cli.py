@@ -205,7 +205,6 @@ def cmd_train(args) -> int:
     blocks = encode_dataset(forest, ds.features, workers=workers)
     bs = BlockSet.from_blocks(blocks)
     selection = select_blocks(bs, ds.labels, k, mode, lam)
-    forest.selection = selection
     dio.save_model(forest, selection, model_out)
 
     _emit("trees", n_trees)
@@ -217,11 +216,10 @@ def cmd_train(args) -> int:
     if selection.lam is not None:
         _emit("lambda", selection.lam)
     for i, tree in enumerate(forest.trees):
-        if tree.node_stats:
-            initial = float(np.mean([s[1] for s in tree.node_stats]))
-            final = float(np.mean([s[2] for s in tree.node_stats]))
-        else:
-            initial = final = 0.0
+        traces = [node.transform.loss_trace for per_mod in tree.nodes
+                  for node in per_mod if node.transform is not None]
+        initial = float(np.mean([t[0] for t in traces])) if traces else 0.0
+        final = float(np.mean([t[-1] for t in traces])) if traces else 0.0
         _emit(f"tree_{i:03d}_initial_loss", initial)
         _emit(f"tree_{i:03d}_final_loss", final)
     _emit("selected_blocks", ",".join(str(i) for i in selection.chosen))

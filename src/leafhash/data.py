@@ -6,8 +6,8 @@ File formats owned here:
   files are detected by content and decompressed transparently.
 - Delimited text matrices (rows are feature dimensions, columns are samples)
   and a raw little-endian float64 format with a (rows, cols) header.
-- "FHSH01" binary model container and "FHCD01" packed-codes file, both with a
-  trailing CRC32; round-trips are bit-exact.
+- "FHSH02" binary model container and "FHCD01" packed-codes file, both with a
+  trailing CRC32; round-trips are bit-exact for everything serving reads.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
-from .lowrank import KernelConfig, OptimizerConfig, Transform
+from .lowrank import KernelConfig, OptimizerConfig
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
 from .forest import Forest, ForestConfig, HashTree, LabeledDataset
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
-MODEL_MAGIC = b"FHSH01"
+MODEL_MAGIC = b"FHSH02"
 CODES_MAGIC = b"FHCD01"
 
 _IDX_IMAGES = 0x00000803
@@ -317,9 +317,12 @@ class _Reader:
                 f"array of shape {shape} runs past the {left} bytes left", offset=start
             )
         try:
-            return np.frombuffer(self._take(need), dtype="<f8").reshape(shape).copy()
+            out = np.frombuffer(self._take(need), dtype="<f8").reshape(shape).copy()
         except ValueError as exc:  # over 64 dimensions, or one past the index range
             raise DataFormatError(f"bad array shape {shape}: {exc}", offset=start) from exc
+        if not np.all(np.isfinite(out)):
+            raise DataFormatError("array holds non-finite entries", offset=start)
+        return out
 
     def done(self):
         if self.pos != len(self.buf):
@@ -439,9 +442,8 @@ def _write_node(w, node):
         w.u8(1 if side == "pos" else 0)
     if node.degenerate:
         return
-    w.u8(1 if node.transform is not None else 0)
-    if node.transform is not None:
-        w.array(node.transform.w)
+    # a linear or kernel node's transform is folded into both projectors, so
+    # serving never reads it and it is not stored
     w.u8(1 if node.net is not None else 0)
     if node.net is not None:
         _write_net(w, node.net)
@@ -458,12 +460,11 @@ def _read_node(r):
         partition[cls] = "pos" if r.u8() else "neg"
     if degenerate:
         return SplitNode(class_partition=partition, degenerate=True)
-    transform = Transform(w=r.array()) if r.u8() else None
     net = _read_net(r) if r.u8() else None
     proj_pos = r.array()
     proj_neg = r.array()
-    return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, transform=transform,
-                     net=net, class_partition=partition)
+    return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, net=net,
+                     class_partition=partition)
 
 
 def _config_to_json(cfg: ForestConfig) -> str:
@@ -485,7 +486,7 @@ def _config_from_json(text: str, offset: int) -> ForestConfig:
 
 
 def save_model(forest: Forest, selection, path):
-    """Write the forest and its block selection as one FHSH01 container."""
+    """Write the forest and its block selection as one FHSH02 container."""
     w = _Writer()
     w.u8(len(forest.feature_dims))
     w.u32(forest.n_trees)
@@ -508,7 +509,7 @@ def save_model(forest: Forest, selection, path):
 
 
 def load_model(path):
-    """Read an FHSH01 container; returns ``(forest, selection)``."""
+    """Read an FHSH02 container; returns ``(forest, selection)``."""
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
     n_modalities = r.u8()
@@ -538,7 +539,7 @@ def load_model(path):
         )
     r.done()
     forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
-                    feature_dims=feature_dims, config=config, selection=selection)
+                    feature_dims=feature_dims, config=config)
     return forest, selection
 
 

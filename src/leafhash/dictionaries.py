@@ -209,23 +209,27 @@ class SplitConfig:
             raise InvalidInputError("atoms, sparsity and ksvd_iters must be >= 1")
 
 
-def _node_features(node: SplitNode, x, kernel: KernelConfig | None):
-    f = _as_matrix(x, "x")
+def _residuals(node: SplitNode, f, kernel: KernelConfig | None):
+    """(e_neg, e_pos) for every column of the already validated ``f``."""
     if kernel is not None:
         f = kernel_featurize(f, kernel)
     if node.net is not None:
         f = net_forward(node.net, f)
-    return f
+    return _column_norms(node.proj_neg @ f), _column_norms(node.proj_pos @ f)
+
+
+def _column_norms(a):
+    """``np.linalg.norm(a, axis=0)``, the same arithmetic, with ``a`` squared
+    in place instead of into a second temporary of its size."""
+    np.multiply(a, a, out=a)
+    return np.sqrt(np.add.reduce(a, axis=0))
 
 
 def node_residuals(node: SplitNode, x, kernel: KernelConfig | None = None):
     """Vectorized (e_neg, e_pos) for every column of ``x``."""
     if node.degenerate:
         raise InvalidInputError("degenerate node has no residuals")
-    f = _node_features(node, x, kernel)
-    e_neg = np.linalg.norm(node.proj_neg @ f, axis=0)
-    e_pos = np.linalg.norm(node.proj_pos @ f, axis=0)
-    return e_neg, e_pos
+    return _residuals(node, _as_matrix(x, "x"), kernel)
 
 
 def node_route_many(node: SplitNode, x, kernel: KernelConfig | None = None) -> np.ndarray:
@@ -237,7 +241,7 @@ def node_route_many(node: SplitNode, x, kernel: KernelConfig | None = None) -> n
     x = _as_matrix(x, "x")
     if node.degenerate:
         return np.ones(x.shape[1], dtype=bool)
-    e_neg, e_pos = node_residuals(node, x, kernel)
+    e_neg, e_pos = _residuals(node, x, kernel)
     return e_neg < e_pos
 
 

@@ -19,7 +19,7 @@ import glob
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +103,7 @@ class HashTree:
 
     ``nodes[p][m]`` is the split node at breadth-first internal position ``p``
     for modality ``m``; ``kernels[m]`` is that modality's per-tree feature map
-    (None for linear/neural learners).  ``node_stats`` keeps (position,
-    initial loss, final loss) triples for reporting; it is not serialized.
+    (None for linear/neural learners).
     """
 
     depth: int
@@ -113,7 +112,6 @@ class HashTree:
     tree_seed: int
     kernels: tuple[KernelConfig | None, ...]
     feature_dims: tuple[int, ...]
-    node_stats: list[tuple[int, float, float]] = field(default_factory=list)
 
     @property
     def leaf_count(self) -> int:
@@ -138,7 +136,6 @@ class Forest:
     learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
-    selection: object | None = None  # SelectionResult, filled by aggregation
 
     @property
     def n_trees(self) -> int:
@@ -247,7 +244,6 @@ def train_tree(
 
     internal = 2 ** (depth - 1) - 1
     nodes: list[list[SplitNode] | None] = [None] * internal
-    stats: list[tuple[int, float, float]] = []
     min_samples = 2 * (cfg.split.sparsity + 1)
 
     def build(pos, sample_idx):
@@ -269,9 +265,8 @@ def train_tree(
             partition = {c: "neg" for c in group_neg}
             partition.update({c: "pos" for c in group_pos})
             neg_mask = np.isin(arriving, sorted(group_neg))
-            per_mod = []
-            for mod, f in enumerate(feats):
-                node = train_split_node(
+            per_mod = [
+                train_split_node(
                     f[:, sample_idx[~neg_mask]],
                     f[:, sample_idx[neg_mask]],
                     partition,
@@ -279,10 +274,8 @@ def train_tree(
                     kernel=None,  # features are already mapped
                     rng=int(rng.integers(0, 2**63 - 1)),
                 )
-                per_mod.append(node)
-                if node.transform is not None and node.transform.loss_trace is not None:
-                    tr = node.transform.loss_trace
-                    stats.append((pos, float(tr[0]), float(tr[-1])))
+                for f in feats
+            ]
             nodes[pos] = per_mod
             go_left = node_route_many(per_mod[dominant], feats[dominant][:, sample_idx])
             left_idx, right_idx = sample_idx[go_left], sample_idx[~go_left]
@@ -299,7 +292,6 @@ def train_tree(
         tree_seed=int(tree_seed),
         kernels=kernels,
         feature_dims=tuple(v.feature_dim for v in views),
-        node_stats=stats,
     )
 
 
@@ -510,7 +502,9 @@ def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
                 for p in np.unique(pos):
                     mask = pos == p
                     node = tree.nodes[p][modality]
-                    go_left = node_route_many(node, f[:, mask])
+                    # a node that takes the whole batch routes it uncopied
+                    whole = mask.all() and f.flags.c_contiguous
+                    go_left = node_route_many(node, f if whole else f[:, mask])
                     next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
                 pos = next_pos
             rows.append(pos - tree.internal_count)

@@ -49,7 +49,6 @@ class Transform:
     """
 
     w: np.ndarray
-    init_kind: str = "identity"
     loss_trace: np.ndarray | None = None
     converged: bool = True
 
@@ -115,6 +114,27 @@ def _norm_and_subgrad(a, rel_threshold):
     return float(s.sum()), u[:, keep] @ vt[keep, :]
 
 
+def _split_loss(a_pos, a_neg, a_both) -> float:
+    """The split loss of already transformed class matrices and their
+    concatenation, from singular values alone."""
+    return (
+        float(np.linalg.svd(a_pos, compute_uv=False).sum())
+        + float(np.linalg.svd(a_neg, compute_uv=False).sum())
+        - float(np.linalg.svd(a_both, compute_uv=False).sum())
+    )
+
+
+def _split_subgrads(a_pos, a_neg, a_both, rel_threshold):
+    """``(loss, g_pos, g_neg, g_both)``: the nuclear-norm subgradient of each
+    term of the split loss, one full SVD each.  The loss sums those SVDs'
+    singular values, so it may differ from :func:`_split_loss` at rounding
+    level."""
+    lp, gp = _norm_and_subgrad(a_pos, rel_threshold)
+    ln, gn = _norm_and_subgrad(a_neg, rel_threshold)
+    lc, gc = _norm_and_subgrad(a_both, rel_threshold)
+    return lp + ln - lc, gp, gn, gc
+
+
 def lowrank_loss(w, x_pos, x_neg) -> float:
     """Split loss of transform ``w`` on the two class matrices.
 
@@ -130,7 +150,8 @@ def lowrank_loss(w, x_pos, x_neg) -> float:
             f"got {x_pos.shape[0]} and {x_neg.shape[0]}"
         )
     both = np.concatenate([x_pos, x_neg], axis=1)
-    return nuclear_norm(w @ x_pos) + nuclear_norm(w @ x_neg) - nuclear_norm(w @ both)
+    return _split_loss(*(_as_matrix(w @ x, "transformed class matrix")
+                         for x in (x_pos, x_neg, both)))
 
 
 def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform:
@@ -158,19 +179,11 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
     both = np.concatenate([x_pos, x_neg], axis=1)
     radius = np.sqrt(s_dim)  # Frobenius norm of the identity
 
-    def loss_of(w):
-        return (
-            float(np.linalg.svd(w @ x_pos, compute_uv=False).sum())
-            + float(np.linalg.svd(w @ x_neg, compute_uv=False).sum())
-            - float(np.linalg.svd(w @ both, compute_uv=False).sum())
-        )
-
     def grad_of(w):
-        lp, gp = _norm_and_subgrad(w @ x_pos, cfg.sv_threshold)
-        ln, gn = _norm_and_subgrad(w @ x_neg, cfg.sv_threshold)
-        lc, gc = _norm_and_subgrad(w @ both, cfg.sv_threshold)
-        grad = gp @ x_pos.T + gn @ x_neg.T - gc @ both.T
-        return lp + ln - lc, grad
+        loss, gp, gn, gc = _split_subgrads(
+            w @ x_pos, w @ x_neg, w @ both, cfg.sv_threshold
+        )
+        return loss, gp @ x_pos.T + gn @ x_neg.T - gc @ both.T
 
     w = np.eye(s_dim)
     loss, grad = grad_of(w)
@@ -182,7 +195,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
             w_new = w - step * direction
             if project:
                 w_new *= radius / np.linalg.norm(w_new)
-            loss_new = loss_of(w_new)
+            loss_new = _split_loss(w_new @ x_pos, w_new @ x_neg, w_new @ both)
             if loss_new <= loss:
                 return w_new, loss_new, step
             step *= 0.5
@@ -233,9 +246,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
 
     # not converged only when the budget ran out while still descending
     converged = stalled or iters_used < cfg.max_iters
-    return Transform(
-        w=w, init_kind="identity", loss_trace=np.asarray(trace), converged=converged
-    )
+    return Transform(w=w, loss_trace=np.asarray(trace), converged=converged)
 
 
 @dataclass(frozen=True)
@@ -258,6 +269,8 @@ class KernelConfig:
         object.__setattr__(self, "anchors", anchors)
         if self.kind not in ("rbf", "polynomial"):
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        if not np.all(np.isfinite([self.sigma, self.p, self.q])):
+            raise InvalidInputError("kernel constants sigma, p and q must be finite")
         if self.kind == "rbf" and self.sigma <= 0:
             raise InvalidInputError("rbf bandwidth sigma must be positive")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .lowrank import _as_matrix, _norm_and_subgrad
+from .lowrank import _as_matrix, _split_loss, _split_subgrads
 
 _MIN_STEP = 1e-14
 _ACTIVATIONS = ("relu", "identity")
@@ -71,10 +71,7 @@ def net_forward(net: DenseNet, x) -> np.ndarray:
         raise InvalidInputError(
             f"input dimension {h.shape[0]} does not match net ({net.input_dim})"
         )
-    for layer in net.layers:
-        z = layer.weight @ h + layer.bias[:, None]
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
-    return h
+    return _forward_trace(net, h)[1]
 
 
 def _forward_trace(net, x):
@@ -102,16 +99,10 @@ def lowrank_loss_layer(f_pos, f_neg, sv_threshold: float = 1e-3):
         raise InvalidInputError("feature blocks must share their row dimension")
     n_pos = f_pos.shape[1]
     both = np.concatenate([f_pos, f_neg], axis=1)
-    _, gp = _norm_and_subgrad(f_pos, sv_threshold)
-    _, gn = _norm_and_subgrad(f_neg, sv_threshold)
-    _, gc = _norm_and_subgrad(both, sv_threshold)
+    _, gp, gn, gc = _split_subgrads(f_pos, f_neg, both, sv_threshold)
     # the loss value goes through the same SVD path as the plain loss
     # evaluation, so the two agree bit-for-bit
-    loss = (
-        float(np.linalg.svd(f_pos, compute_uv=False).sum())
-        + float(np.linalg.svd(f_neg, compute_uv=False).sum())
-        - float(np.linalg.svd(both, compute_uv=False).sum())
-    )
+    loss = _split_loss(f_pos, f_neg, both)
     return loss, gp - gc[:, :n_pos], gn - gc[:, n_pos:]
 
 
@@ -129,8 +120,9 @@ def _loss_and_param_grads(net, x_both, n_pos, sv_threshold):
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
-            z = layer.weight @ inputs[i] + layer.bias[:, None]
-            delta = delta * (z > 0)
+            # a relu layer is never the last, so its output is the next
+            # layer's input, and relu(z) > 0 exactly where z > 0
+            delta = delta * (inputs[i + 1] > 0)
         grads[i] = (delta @ inputs[i].T, delta.sum(axis=1))
         delta = layer.weight.T @ delta
     return loss, grads
@@ -292,8 +284,7 @@ def grad_check(net: DenseNet, x_pos, x_neg, eps: float = 1e-5) -> float:
 
     def total_loss():
         _, feats = _forward_trace(net, x_both)
-        loss, _, _ = lowrank_loss_layer(feats[:, :n_pos], feats[:, n_pos:])
-        return loss
+        return _split_loss(feats[:, :n_pos], feats[:, n_pos:], feats)
 
     _, grads = _loss_and_param_grads(net, x_both, n_pos, 1e-3)
     worst = 0.0

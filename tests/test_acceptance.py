@@ -191,7 +191,6 @@ def mnist_forest(features, labels, n_trees, bits, rng_seed):
     blocks = lh.encode_dataset(forest, ds.features)
     bs = lh.BlockSet.from_blocks(blocks)
     selection = lh.greedy_semisupervised(bs, ds.labels, bits // 2)
-    forest.selection = selection
     return forest, selection
 
 

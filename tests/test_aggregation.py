@@ -213,25 +213,55 @@ class TestGreedySemiSupervised:
         semi = greedy_semisupervised(bs, labels, 3, lam=1e6)
         assert semi.chosen == greedy_supervised(bs, labels, 3).chosen
 
-    def test_matches_hand_computed_scores(self, rng):
-        bs, labels = treelike_blockset(6, 80, 3, 0.1, rng)
-        lam = 0.5
-        cov = block_covariance(bs)
-        chosen = []
-        for _ in range(2):
+    @given(mode=st.sampled_from(["unsup", "sup", "semi", "semi-subsets"]),
+           m=st.integers(4, 8), n=st.integers(30, 100), classes=st.integers(2, 4),
+           flip=st.floats(0.0, 0.3), lam=st.floats(0.0, 4.0), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_hand_computed_scores(self, mode, m, n, classes, flip, lam, seed):
+        # every selector against a greedy loop rebuilt from the public scores
+        bs, labels = treelike_blockset(m, n, classes, flip, np.random.default_rng(seed))
+        k = m // 2
+        unlabeled = labeled = None
+        if mode == "semi-subsets":
+            unlabeled, labeled = np.arange(n // 2), np.arange(n // 2, n)
+            lam = estimate_lambda(bs, labels, unlabeled, labeled)
+        cov = block_covariance(bs, unlabeled) if mode != "sup" else None
+        lab_bs, lab = bs, labels
+        if labeled is not None:
+            lab_bs = BlockSet.from_blocks([b[:, labeled] for b in bs.blocks])
+            lab = labels[labeled]
+
+        chosen, gains = [], []
+        for _ in range(k):
             best_y, best_score = -1, -np.inf
-            current_mi = label_mi(chosen, bs, labels)
-            for y in range(6):
+            current_mi = label_mi(chosen, lab_bs, lab)
+            for y in range(m):
                 if y in chosen:
                     continue
-                score = unsupervised_gain(cov, y, chosen) + lam * (
-                    label_mi(chosen + [y], bs, labels) - current_mi
-                )
+                mi_gain = label_mi(chosen + [y], lab_bs, lab) - current_mi
+                if mode == "unsup":
+                    score = unsupervised_gain(cov, y, chosen)
+                elif mode == "sup":
+                    score = mi_gain
+                else:
+                    score = unsupervised_gain(cov, y, chosen) + lam * mi_gain
                 if score > best_score:
                     best_y, best_score = y, score
             chosen.append(best_y)
-        result = greedy_semisupervised(bs, labels, 2, lam=lam)
+            gains.append(best_score)
+
+        if mode == "unsup":
+            result = greedy_unsupervised(bs, k)
+        elif mode == "sup":
+            result = greedy_supervised(bs, labels, k)
+        elif mode == "semi":
+            result = greedy_semisupervised(bs, labels, k, lam=lam)
+        else:
+            result = greedy_semisupervised(bs, labels, k, unlabeled=unlabeled,
+                                           labeled=labeled)
+            assert result.lam == lam
         assert result.chosen == chosen
+        np.testing.assert_allclose(result.gains, gains, rtol=0, atol=1e-12)
 
     def test_records_lambda(self, rng):
         bs, labels = treelike_blockset(6, 80, 3, 0.1, rng)

@@ -219,9 +219,11 @@ class TestModelContainer:
         path = tmp_path / "model.fhsh"
         save_model(forest, selection, path)
         raw = path.read_bytes()
-        path.write_bytes(b"FHSH02" + raw[6:])
-        with pytest.raises(DataFormatError, match="version"):
-            load_model(path)
+        # FHSH01, the version before, stored each node's transform as well
+        for magic in (b"FHSH03", b"FHSH01"):
+            path.write_bytes(magic + raw[6:])
+            with pytest.raises(DataFormatError, match="version"):
+                load_model(path)
 
     def test_gzipped_model_loads(self, tmp_path):
         ds, forest, blocks, selection = trained_artifacts()
@@ -329,6 +331,29 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == anchors
 
+    def test_nan_projector_is_format_error_at_array(self):
+        raw = saved_model_bytes("kernel")
+        forest, _ = load_model_bytes(raw)
+        node = forest.trees[0].nodes[0][0]
+        assert not node.degenerate
+        at = raw.index(np.ascontiguousarray(node.proj_pos, "<f8").tobytes())
+        changes = list(enumerate(struct.pack("<d", np.nan), start=at))
+        with pytest.raises(DataFormatError, match="non-finite") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        # the record starts with its u8 ndim and two u64 dimensions
+        assert info.value.offset == at - 1 - 2 * 8
+
+    def test_nan_sigma_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        forest, _ = load_model_bytes(raw)
+        # the first tree's kernel record: its u8 kind code, then sigma
+        at = raw.index(struct.pack("<d", forest.trees[0].kernels[0].sigma))
+        assert raw[at - 1] == 1
+        changes = list(enumerate(struct.pack("<d", np.nan), start=at))
+        with pytest.raises(DataFormatError, match="kernel") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == at - 1
+
     @pytest.mark.parametrize("learner", ["kernel", "neural"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -338,9 +363,22 @@ class TestModelDecoding:
             st.tuples(st.integers(6, len(raw) - 5), st.integers(0, 255)),
             min_size=1, max_size=3))
         try:
-            load_model_bytes(with_payload_bytes(raw, changes))
+            forest, _ = load_model_bytes(with_payload_bytes(raw, changes))
         except DataFormatError:
-            pass
+            return
+        for tree in forest.trees:
+            for kc in tree.kernels:
+                if kc is not None:
+                    assert np.isfinite([kc.sigma, kc.p, kc.q]).all()
+                    assert np.isfinite(kc.anchors).all()
+            for node in (n for per_mod in tree.nodes for n in per_mod):
+                if node.degenerate:
+                    continue
+                arrays = [node.proj_pos, node.proj_neg]
+                if node.net is not None:
+                    arrays += [a for layer in node.net.layers
+                               for a in (layer.weight, layer.bias)]
+                assert all(np.isfinite(a).all() for a in arrays)
 
 
 class TestCodesContainer:

@@ -210,6 +210,17 @@ class TestNodeRoute:
         x = rng.normal(size=3)
         assert node_route(node, x) == node_route(node, x)
 
+    @given(seed=st.integers(0, 10_000), rows=st.integers(1, 40), n=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_residuals_are_norms_of_projections(self, seed, rows, n):
+        # the in-place column norms must match np.linalg.norm bit for bit
+        rng = np.random.default_rng(seed)
+        node = self._node(rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5)))
+        x = rng.normal(size=(5, n)) * 10.0 ** rng.integers(-3, 4)
+        e_neg, e_pos = dictionaries.node_residuals(node, x)
+        np.testing.assert_array_equal(e_neg, np.linalg.norm(node.proj_neg @ x, axis=0))
+        np.testing.assert_array_equal(e_pos, np.linalg.norm(node.proj_pos @ x, axis=0))
+
 
 class TestTrainSplitNode:
     def test_orthogonal_subspace_consistency(self):

@@ -204,6 +204,13 @@ class TestKernelFeaturize:
         with pytest.raises(InvalidInputError):
             KernelConfig(anchors=rng.normal(size=(2, 3)), kind="rbf", sigma=0.0)
 
+    @pytest.mark.parametrize("constants", [
+        {"sigma": np.inf}, {"sigma": np.nan}, {"p": np.nan}, {"q": -np.inf},
+    ])
+    def test_non_finite_constants_rejected(self, rng, constants):
+        with pytest.raises(InvalidInputError, match="finite"):
+            KernelConfig(anchors=rng.normal(size=(2, 3)), **constants)
+
 
 class TestPrincipalAngles:
     def test_orthogonal_lines(self):
