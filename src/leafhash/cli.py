@@ -216,8 +216,10 @@ def cmd_train(args) -> int:
     if selection.lam is not None:
         _emit("lambda", selection.lam)
     for i, tree in enumerate(forest.trees):
-        traces = [node.transform.loss_trace for per_mod in tree.nodes
-                  for node in per_mod if node.transform is not None]
+        # a neural node keeps its trace on its net, the others on the transform
+        fitted = [node.net if node.net is not None else node.transform
+                  for per_mod in tree.nodes for node in per_mod]
+        traces = [f.loss_trace for f in fitted if f is not None]
         initial = float(np.mean([t[0] for t in traces])) if traces else 0.0
         final = float(np.mean([t[-1] for t in traces])) if traces else 0.0
         _emit(f"tree_{i:03d}_initial_loss", initial)

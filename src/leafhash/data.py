@@ -49,7 +49,10 @@ def _read_file(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise DataFormatError(f"corrupt gzip stream: {exc}") from exc
     return raw
 
 
@@ -92,8 +95,16 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
 
 
 def _load_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"csv file is not UTF-8: {exc.reason}",
+                              offset=exc.start) from exc
+    # universal newlines, as text-mode reading splits them
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln.strip() for ln in text.split("\n")]
     rows = [ln for ln in lines if ln]
     if not rows:
         raise DataFormatError("csv file is empty")

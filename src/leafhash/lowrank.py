@@ -66,7 +66,10 @@ class OptimizerConfig:
     vectors).  The first ``geometry_iters`` iterations keep W on the fixed
     Frobenius sphere of the identity, so the loss can only fall by rotating
     the class subspaces apart; the remaining budget descends freely (the loss
-    is 1-homogeneous in W, so free descent also sheds the residual scale).
+    is 1-homogeneous in W, so free descent also sheds the residual scale, and
+    its radial step ``W <- cW`` takes its loss ``c L(W)`` analytically).  The
+    descent runs on the QR-reduced s x s factors of the class matrices, so
+    these settings see the same singular values as on the full matrices.
     """
 
     max_iters: int = 500
@@ -135,6 +138,15 @@ def _split_subgrads(a_pos, a_neg, a_both, rel_threshold):
     return lp + ln - lc, gp, gn, gc
 
 
+def _reduced(x):
+    """``R'`` from a thin QR ``X' = QR`` when ``x`` has more columns than rows,
+    else ``x`` itself.  ``||W R'||_* = ||W X||_*`` for every W, and a
+    subgradient ``G_R`` of the former maps back as ``G_R R = G X'``."""
+    if x.shape[1] <= x.shape[0]:
+        return x
+    return np.linalg.qr(x.T, mode="r").T
+
+
 def lowrank_loss(w, x_pos, x_neg) -> float:
     """Split loss of transform ``w`` on the two class matrices.
 
@@ -159,11 +171,18 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
 
     W starts at the identity.  Each iteration steps along the normalized
     subgradient; a step that would increase the loss is rejected and the step
-    size halved, so the recorded trace never increases.  During the geometry
-    phase W is renormalized to the identity's Frobenius norm after every
-    accepted step; afterwards descent is unconstrained, with the radial
-    direction (pure shrinkage, always a strict descent direction for positive
-    loss) as fallback when the subgradient stalls at a nonsmooth point.
+    size halved.  During the geometry phase W is renormalized to the
+    identity's Frobenius norm after every accepted step; afterwards descent is
+    unconstrained, with the radial direction (pure shrinkage, always a strict
+    descent direction for positive loss) taken when it wins.  The loss is
+    1-homogeneous in W, so a radial step ``W <- cW`` scales the loss by ``c``
+    exactly and costs no SVD.  The trace records each accepted loss, the one
+    the next step is compared against, so it never increases.
+
+    The descent runs on reduced factors: each class matrix with more columns
+    than rows is replaced once by its s x s factor ``R'`` from a thin QR
+    ``X' = QR`` (:func:`_reduced`).  That keeps the loss and maps the
+    subgradient back exactly, so every SVD is at most s x s.
 
     Stops on relative loss change below ``cfg.rel_tol`` after the geometry
     phase, a vanishing subgradient, or an exhausted step size; if
@@ -177,6 +196,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
         raise InvalidInputError("class matrices must share their row dimension")
     s_dim = x_pos.shape[0]
     both = np.concatenate([x_pos, x_neg], axis=1)
+    x_pos, x_neg, both = _reduced(x_pos), _reduced(x_neg), _reduced(both)
     radius = np.sqrt(s_dim)  # Frobenius norm of the identity
 
     def grad_of(w):
@@ -224,21 +244,21 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
             w_new, loss_new, step = line_search(w, loss, grad / gnorm, step, project)
             if not project and loss > 0:
                 # radial shrinkage is a strict descent direction by the
-                # 1-homogeneity of the loss in W; take it when it wins.  The
+                # 1-homogeneity of the loss in W, L(cW) = c L(W), which also
+                # gives its loss without an SVD; take it when it wins.  The
                 # step is capped at half the current norm so W can only decay
                 # geometrically (never jump to exactly zero past the floor).
                 w_norm = float(np.linalg.norm(w))
-                w_rad, loss_rad, _ = line_search(
-                    w, loss, w / w_norm, min(cfg.step_size, 0.5 * w_norm), project
-                )
-                if w_rad is not None and (w_new is None or loss_rad < loss_new):
-                    w_new, loss_new = w_rad, loss_rad
+                rad_step = min(cfg.step_size, 0.5 * w_norm)
+                c = 1.0 - rad_step / w_norm
+                if rad_step > _MIN_STEP and (w_new is None or c * loss < loss_new):
+                    w_new, loss_new = c * w, c * loss
             if w_new is None:
                 stalled = True
                 break
             drop = loss - loss_new
-            w = w_new
-            loss, grad = grad_of(w)
+            w, loss = w_new, loss_new
+            _, grad = grad_of(w)
             trace.append(loss)
             if not project and drop <= cfg.rel_tol * max(abs(loss), 1e-12):
                 stalled = True

@@ -11,6 +11,7 @@ from leafhash import (
     save_labels,
     save_matrix,
 )
+from leafhash import cli, train_forest
 from leafhash.cli import main
 
 TRAIN_ARGS = ["--trees", "16", "--depth", "2", "--learner", "linear",
@@ -83,6 +84,41 @@ class TestTrain:
         rc = main(["train", "--bits", "8"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_neural_report_averages_net_traces(self, workspace, capsys, monkeypatch):
+        forests = []
+
+        def keep_forest(*args, **kwargs):
+            forests.append(train_forest(*args, **kwargs))
+            return forests[-1]
+
+        monkeypatch.setattr(cli, "train_forest", keep_forest)
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]),
+                   "--model-out", str(workspace["tmp"] / "neural.fhsh"),
+                   "--trees", "4", "--depth", "2", "--learner", "neural",
+                   "--bits", "4", "--seed", "3", "--atoms", "4", "--sparsity", "2"])
+        report = parse_report(capsys.readouterr().out)
+        assert rc == 0
+        for i, tree in enumerate(forests[0].trees):
+            traces = [node.net.loss_trace for per_mod in tree.nodes
+                      for node in per_mod if node.net is not None]
+            for key, pick in (("initial", 0), ("final", -1)):
+                value = report[f"tree_{i:03d}_{key}_loss"]
+                assert value == f"{np.mean([t[pick] for t in traces]):.6g}"
+                assert float(value) != 0.0
+
+    def test_undecodable_csv_is_data_error(self, workspace, capsys):
+        raw = bytearray(workspace["features"].read_bytes())
+        raw[10] = 0xFF
+        bad = workspace["tmp"] / "bad_utf8.csv"
+        bad.write_bytes(bytes(raw))
+        rc = main(["train", "--features", str(bad),
+                   "--labels", str(workspace["labels"]),
+                   "--model-out", str(workspace["tmp"] / "bad_utf8.fhsh"), *TRAIN_ARGS])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error:" in err and "byte offset 10" in err
 
     def test_config_file_and_flag_precedence(self, workspace, capsys):
         cfg_path = workspace["tmp"] / "run.cfg"

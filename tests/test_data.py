@@ -139,6 +139,52 @@ class TestLoadMatrix:
             load_matrix(path, "csv")
 
 
+def _valid_input_files():
+    """One small valid file per loader and format: (bytes, loader) pairs."""
+    m = np.random.default_rng(0).normal(size=(3, 4))
+    csv = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+    raw = struct.pack("<QQ", *m.shape) + m.astype("<f8").tobytes()
+    images = struct.pack(">IIII", IMAGES_MAGIC, 3, 2, 2) + bytes(range(0, 240, 20))
+    labels = struct.pack(">II", LABELS_MAGIC, 5) + bytes([3, 1, 4, 1, 5])
+    return [
+        (csv.encode(), lambda p: load_matrix(p, "csv")),
+        (raw, lambda p: load_matrix(p, "raw-f64")),
+        (images, load_idx),
+        (gzip.compress(images, mtime=0), load_idx),
+        (labels, load_idx),
+        (labels, load_labels),
+        (gzip.compress(labels, mtime=0), load_labels),
+        (b"3\n1\n4\n1\n5\n", load_labels),
+    ]
+
+
+class TestMutatedInputFiles:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_loads_or_raises_format_error(self, data):
+        raw, loader = data.draw(st.sampled_from(_valid_input_files()))
+        changes = data.draw(st.lists(
+            st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+            min_size=1, max_size=3))
+        mutated = bytearray(raw)
+        for pos, value in changes:
+            mutated[pos] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(bytes(mutated))
+            try:
+                loader(path)
+            except DataFormatError:
+                pass
+
+    def test_undecodable_csv_byte_is_format_error_at_offset(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(DataFormatError, match="UTF-8") as err:
+            load_matrix(path, "csv")
+        assert err.value.offset == 6
+
+
 class TestGenSynthetic:
     def test_subspace_rank(self):
         ds = gen_synthetic(SyntheticSpec(kind="subspaces", intrinsic_dim=3,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafhash import lowrank
 from leafhash import (
     InvalidInputError,
     KernelConfig,
@@ -29,6 +30,30 @@ def small_matrices(max_dim=6):
         st.integers(0, 10_000),
         st.integers(1, max_dim),
         st.integers(1, max_dim),
+    )
+
+
+def class_matrix(rng, s, n, rank, zero_cols=0, duplicate=False):
+    """An s x n class matrix of the given rank, optionally with zero columns
+    and an exact duplicate column."""
+    x = rng.normal(size=(s, rank)) @ rng.normal(size=(rank, n))
+    x[:, :zero_cols] = 0.0
+    if duplicate and n > 1:
+        x[:, -1] = x[:, 0]
+    return x
+
+
+@st.composite
+def class_pairs(draw, min_cols=1):
+    """Two class matrices, wide (N > s) or narrow (N <= s), possibly
+    rank-deficient, with zero and duplicate columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = draw(st.integers(2, 6))
+    return tuple(
+        class_matrix(rng, s, n, draw(st.integers(1, s)),
+                     zero_cols=draw(st.integers(0, n // 3)),
+                     duplicate=draw(st.booleans()))
+        for n in (draw(st.integers(min_cols, 14)), draw(st.integers(min_cols, 14)))
     )
 
 
@@ -164,11 +189,100 @@ class TestFitTransform:
         assert np.degrees(angle) >= 80.0
         assert fit.loss_trace[-1] <= 0.05 * fit.loss_trace[0]
 
+    @given(class_pairs(), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_trace_never_rises(self, pair, geometry_iters):
+        # the trace holds the losses the descent compared, so it falls exactly
+        fit = fit_transform(*pair, OptimizerConfig(max_iters=60,
+                                                   geometry_iters=geometry_iters))
+        assert np.all(np.diff(fit.loss_trace) <= 0)
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(InvalidInputError):
             OptimizerConfig(sv_threshold=-1.0)
+
+
+def _parallel(a, b):
+    """Whether ``a`` is a multiple of ``b`` up to rounding."""
+    coef = np.sum(a * b) / np.sum(b * b)
+    return np.linalg.norm(a - coef * b) <= 1e-12 * np.linalg.norm(a)
+
+
+class TestFitTransformReduction:
+    """The descent runs on QR-reduced factors of the class matrices."""
+
+    @given(class_pairs(min_cols=7), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_reduced_loss_and_subgradients_match_full(self, pair, seed):
+        x_pos, x_neg = pair
+        s = x_pos.shape[0]
+        w = np.random.default_rng(seed).normal(size=(s, s))
+        full = [x_pos, x_neg, np.concatenate(pair, axis=1)]
+        reduced = [lowrank._reduced(x) for x in full]
+        assert all(r.shape == (s, s) for r in reduced)
+
+        loss = lowrank._split_loss(*(w @ x for x in full))
+        loss_r = lowrank._split_loss(*(w @ r for r in reduced))
+        scale = sum(nuclear_norm(w @ x) for x in full)
+        assert abs(loss - loss_r) <= 1e-12 * scale
+
+        _, *grads = lowrank._split_subgrads(*(w @ x for x in full), 1e-3)
+        _, *grads_r = lowrank._split_subgrads(*(w @ r for r in reduced), 1e-3)
+        for x, r, g, g_r in zip(full, reduced, grads, grads_r):
+            np.testing.assert_allclose(
+                g_r @ r.T, g @ x.T, rtol=0, atol=1e-10 * max(1.0, np.linalg.norm(x))
+            )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(0, 20))
+    @settings(max_examples=25, deadline=None)
+    def test_narrow_inputs_are_not_reduced(self, seed, s, geometry_iters):
+        rng = np.random.default_rng(seed)
+        n_pos = int(rng.integers(1, s))
+        x_pos = rng.normal(size=(s, n_pos))
+        x_neg = rng.normal(size=(s, int(rng.integers(1, s - n_pos + 1))))
+        cfg = OptimizerConfig(max_iters=30, geometry_iters=geometry_iters)
+        fit = fit_transform(x_pos, x_neg, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lowrank, "_reduced", lambda x: x)
+            unreduced = fit_transform(x_pos, x_neg, cfg)
+        assert np.array_equal(fit.w, unreduced.w)
+        assert np.array_equal(fit.loss_trace, unreduced.loss_trace)
+
+    def test_svd_budget_of_a_free_descent(self, rng, monkeypatch):
+        # the class spans overlap, so the descent ends by shrinking W
+        s = 6
+        x_pos = class_matrix(rng, s, 40, 4, zero_cols=3)
+        x_neg = class_matrix(rng, s, 30, 4, duplicate=True)
+        svd_shapes, iterates, evaluated = [], [], []
+        svd, split_loss, split_subgrads = (
+            np.linalg.svd, lowrank._split_loss, lowrank._split_subgrads)
+
+        def counting_svd(a, *args, **kwargs):
+            svd_shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def counting_loss(a_pos, a_neg, a_both):
+            evaluated.append((a_pos, iterates[-1]))
+            return split_loss(a_pos, a_neg, a_both)
+
+        def counting_subgrads(a_pos, *args):
+            iterates.append(a_pos)
+            return split_subgrads(a_pos, *args)
+
+        monkeypatch.setattr(lowrank.np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(lowrank, "_split_loss", counting_loss)
+        monkeypatch.setattr(lowrank, "_split_subgrads", counting_subgrads)
+        fit = fit_transform(x_pos, x_neg,
+                            OptimizerConfig(max_iters=40, geometry_iters=0))
+
+        assert all(r <= s and c <= s for r, c in svd_shapes)
+        assert len(iterates) == len(fit.loss_trace)
+        assert len(svd_shapes) == 3 * (len(iterates) + len(evaluated))
+        # radial steps were taken, and no line search evaluated one
+        assert any(_parallel(b, a) for a, b in zip(iterates, iterates[1:]))
+        assert not any(_parallel(a, current) for a, current in evaluated)
 
 
 class TestKernelFeaturize:
