@@ -379,14 +379,19 @@ def _write_selection(w, selection):
         w.f64(float(g))
 
 
-def _read_selection(r):
+def _read_selection(r, n_trees):
     if r.u8() == 0:
         return None
     mode = r.string()
     has_lam = r.u8()
     lam = r.f64()
     k = r.u32()
+    start = r.base + r.pos
     chosen = [r.u32() for _ in range(k)]
+    if any(c >= n_trees for c in chosen):
+        raise DataFormatError(
+            f"selection names block {max(chosen)} of a {n_trees}-tree forest", offset=start
+        )
     gains = [r.f64() for _ in range(k)]
     return SelectionResult(chosen=chosen, gains=gains, mode=mode,
                            lam=lam if has_lam else None)
@@ -535,7 +540,7 @@ def load_model(path):
     feature_dims = tuple(r.u32() for _ in range(n_modalities))
     config_offset = r.base + r.pos
     config = _config_from_json(r.string(), config_offset)
-    selection = _read_selection(r)
+    selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
     trees = []
     for _ in range(n_trees):

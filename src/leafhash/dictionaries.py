@@ -218,11 +218,11 @@ def _residuals(node: SplitNode, f, kernel: KernelConfig | None):
     return _column_norms(node.proj_neg @ f), _column_norms(node.proj_pos @ f)
 
 
-def _column_norms(a):
-    """``np.linalg.norm(a, axis=0)``, the same arithmetic, with ``a`` squared
-    in place instead of into a second temporary of its size."""
+def _column_norms(a, axis=0):
+    """``np.linalg.norm(a, axis=axis)``, the same arithmetic, with ``a``
+    squared in place instead of into a second temporary of its size."""
     np.multiply(a, a, out=a)
-    return np.sqrt(np.add.reduce(a, axis=0))
+    return np.sqrt(np.add.reduce(a, axis=axis))
 
 
 def node_residuals(node: SplitNode, x, kernel: KernelConfig | None = None):

@@ -19,7 +19,7 @@ import glob
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +29,17 @@ from .lowrank import (
     _as_matrix,
     _column_sq_norms,
     _kernel_map,
+    _KernelStack,
     kernel_featurize,
     median_bandwidth,
 )
-from .dictionaries import SplitConfig, SplitNode, node_route_many, train_split_node
+from .dictionaries import (
+    SplitConfig,
+    SplitNode,
+    _column_norms,
+    node_route_many,
+    train_split_node,
+)
 
 _MAX_SUPPORTED_DEPTH = 6
 
@@ -136,6 +143,9 @@ class Forest:
     learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
+    # encode groups per modality (see _held_groups): built on the first
+    # encode, derived from the trees, so neither serialized nor compared
+    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -386,15 +396,15 @@ def _pool_train(index):
 _ENCODE_ARGS = None
 
 
-def _encode_init(trees, x, modality):
+def _encode_init(trees, x, modality, groups):
     global _ENCODE_ARGS
-    _ENCODE_ARGS = (trees, x, modality)
+    _ENCODE_ARGS = (trees, x, modality, groups)
 
 
 def _encode_slice(bounds):
-    trees, x, modality = _ENCODE_ARGS
+    trees, x, modality, groups = _ENCODE_ARGS
     start, stop = bounds
-    return _leaf_rows(trees[start:stop], x, modality)
+    return _leaf_rows(trees, x, modality, [g for g in groups if start <= g.start < stop])
 
 
 def train_multimodal_forest(
@@ -470,14 +480,106 @@ def train_forest(
     )
 
 
-def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
-    """Leaf index (breadth-first, 0-based) of every column of ``x`` per tree.
+@dataclass(frozen=True)
+class _TreeGroup:
+    """Trees ``start:stop`` of a list, encoded together (see :func:`_tree_groups`).
 
-    The batch is validated, and for RBF maps its squared column norms taken,
-    once per call.  Each tree then maps the batch through its own kernel (if
-    any) and routes it before the next tree starts, so only one tree's
-    feature map is held at a time.  All of it runs on one OpenBLAS thread.
+    A group of one tree has no stacks: its tree maps the batch through its own
+    kernel (if any) and routes it alone.  A larger group maps the batch
+    through all its trees' anchors at once (``kernels``) and routes every
+    root with one matmul per side over the roots' stacked projectors
+    (``proj_neg``/``proj_pos``, trees x r x anchors).
     """
+
+    start: int
+    stop: int
+    kernels: _KernelStack | None = None
+    proj_neg: np.ndarray | None = None
+    proj_pos: np.ndarray | None = None
+
+    def root_residuals(self, f):
+        """(e_neg, e_pos), each trees x N, of every root for the group map
+        ``f``: per tree, the arithmetic of ``node_residuals`` on its rows."""
+        f = f.reshape(self.stop - self.start, -1, f.shape[1])
+        return (_column_norms(np.matmul(self.proj_neg, f), axis=1),
+                _column_norms(np.matmul(self.proj_pos, f), axis=1))
+
+
+def _stack_key(tree, modality):
+    """What a tree must share with its neighbours to be stacked with them, or
+    None when it is encoded alone: no kernel, a degenerate root, or arrays
+    whose shapes do not fit the map (which the tree alone rejects)."""
+    kc, root = tree.kernels[modality], tree.nodes[0][modality]
+    if kc is None or root.degenerate:
+        return None
+    shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
+    d, a = tree.feature_dims[modality], kc.n_anchors
+    if kc.anchors.shape[0] != d or any(s[1:] != (a,) for s in shapes[1:]):
+        return None
+    poly = (kc.p, kc.q) if kc.kind == "polynomial" else None
+    return kc.kind, poly, shapes
+
+
+def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
+    """Split ``trees`` into runs of consecutive trees that encode together.
+
+    A run shares its kernel kind (and ``p``, ``q``), anchor shape and root
+    projector shapes, and holds at most max(d, one tree's anchors) anchors, so
+    its map is no larger than the batch, or than one tree's map.  The runs
+    depend only on the trees.
+    """
+    runs, start = [], 0
+    while start < len(trees):
+        key = _stack_key(trees[start], modality)
+        stop = start + 1
+        if key is not None:
+            per_tree = trees[start].kernels[modality].n_anchors
+            cap = max(trees[start].feature_dims[modality], per_tree)
+            while (stop < len(trees) and (stop - start + 1) * per_tree <= cap
+                   and _stack_key(trees[stop], modality) == key):
+                stop += 1
+        runs.append((start, stop))
+        start = stop
+
+    # every stack's rows are rows of one block: freed whole with the groups,
+    # it does not leave a heap fragment per group behind
+    stacked = [trees[i].kernels[modality] for a, b in runs if b - a > 1 for i in range(a, b)]
+    if stacked:
+        block = np.empty((sum(kc.n_anchors for kc in stacked), stacked[0].anchors.shape[0]))
+    groups, row = [], 0
+    for start, stop in runs:
+        if stop - start == 1:
+            groups.append(_TreeGroup(start, stop))
+            continue
+        kernels = [t.kernels[modality] for t in trees[start:stop]]
+        roots = [t.nodes[0][modality] for t in trees[start:stop]]
+        height = sum(kc.n_anchors for kc in kernels)
+        groups.append(_TreeGroup(
+            start, stop,
+            kernels=_KernelStack.of(kernels, out=block[row:row + height]),
+            proj_neg=np.stack([r.proj_neg for r in roots]),
+            proj_pos=np.stack([r.proj_pos for r in roots])))
+        row += height
+    return groups
+
+
+def _held_groups(forest: Forest, modality: int) -> list[_TreeGroup]:
+    """The forest's encode groups for ``modality``, built on its first encode.
+
+    They hold copies of the kernels' anchors and root projectors, so they are
+    built again once any tree's kernel or root node is another object than
+    the one they were built from (a tree replaced or retrained).
+    """
+    members = [m for t in forest.trees for m in (t.kernels[modality], t.nodes[0][modality])]
+    held = forest._groups.get(modality)
+    if (held is None or len(held[0]) != len(members)
+            or not all(a is b for a, b in zip(held[0], members))):
+        held = (members, _tree_groups(forest.trees, modality))
+        forest._groups[modality] = held
+    return held[1]
+
+
+def _check_batch(trees, x, modality: int):
     for tree in trees:
         if not 0 <= modality < tree.n_modalities:
             raise InvalidInputError(f"modality {modality} out of range")
@@ -486,6 +588,37 @@ def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
                 f"feature dimension {x.shape[0]} does not match tree "
                 f"({tree.feature_dims[modality]})"
             )
+
+
+def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
+    """Leaf of every column of ``f``, the tree's feature map of the batch,
+    from its node ``pos`` at ``level`` (0 at the root) down."""
+    for _ in range(level, tree.depth - 1):
+        next_pos = np.empty_like(pos)
+        for p in np.unique(pos):
+            mask = pos == p
+            node = tree.nodes[p][modality]
+            # a node that takes the whole batch routes it uncopied
+            whole = mask.all() and f.flags.c_contiguous
+            go_left = node_route_many(node, f if whole else f[:, mask])
+            next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
+        pos = next_pos
+    return pos - tree.internal_count
+
+
+def _leaf_rows(trees, x, modality: int, groups) -> list[np.ndarray]:
+    """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
+    tree of ``groups``, some or all of ``_tree_groups(trees, modality)``.
+
+    ``x`` is already checked against the trees (:func:`_check_batch`).  The
+    batch is validated, and for RBF maps its squared column norms taken, once
+    per call.  The trees are then encoded one group at a time, so only one
+    group's feature map is held at a time.  A one-tree group maps the batch
+    through its tree's kernel (if any) and routes it.  A larger group makes
+    one stacked anchors-by-N product and routes its roots with one matmul
+    per side; deeper levels route per tree.  All of it runs on one OpenBLAS
+    thread.
+    """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     if kinds:
         x = _as_matrix(x, "x")
@@ -493,21 +626,21 @@ def _leaf_rows(trees, x, modality: int) -> list[np.ndarray]:
 
     rows = []
     with _single_blas_thread():
-        for tree in trees:
-            kc = tree.kernels[modality]
-            f = _kernel_map(x, x_sq, kc) if kc is not None else x
-            pos = np.zeros(f.shape[1], dtype=np.int64)
-            for _ in range(tree.depth - 1):
-                next_pos = np.empty_like(pos)
-                for p in np.unique(pos):
-                    mask = pos == p
-                    node = tree.nodes[p][modality]
-                    # a node that takes the whole batch routes it uncopied
-                    whole = mask.all() and f.flags.c_contiguous
-                    go_left = node_route_many(node, f if whole else f[:, mask])
-                    next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
-                pos = next_pos
-            rows.append(pos - tree.internal_count)
+        for group in groups:
+            members = trees[group.start:group.stop]
+            if group.kernels is None:
+                (tree,) = members
+                kc = tree.kernels[modality]
+                f = _kernel_map(x, x_sq, kc) if kc is not None else x
+                rows.append(_descend(tree, f, modality, np.zeros(f.shape[1], np.int64), 0))
+                continue
+            # the roots would reject a non-finite map (an overflowing
+            # polynomial, say) in node_route_many; so does the group
+            f = _as_matrix(group.kernels.map(x, x_sq), "feature map")
+            e_neg, e_pos = group.root_residuals(f)
+            maps = f.reshape(len(members), -1, f.shape[1])
+            for tree, f_tree, go_left in zip(members, maps, e_neg < e_pos):
+                rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
     return rows
 
 
@@ -518,7 +651,9 @@ def _as_batch(x) -> np.ndarray:
 
 def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
     """One-hot leaf code (length 2^(depth-1), uint8) for a single point."""
-    (leaf,) = _leaf_rows([tree], _as_batch(x), modality)
+    x = _as_batch(x)
+    _check_batch([tree], x, modality)
+    (leaf,) = _leaf_rows([tree], x, modality, _tree_groups([tree], modality))
     if leaf.size != 1:
         raise InvalidInputError("encode_tree takes a single point; use encode_dataset")
     out = np.zeros(tree.leaf_count, dtype=np.uint8)
@@ -529,24 +664,30 @@ def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
 def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> list[np.ndarray]:
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
-    Every column of every block is exactly 1-sparse.  ``workers`` spreads
-    contiguous slices of the trees over processes; results are identical for
-    any worker count.
+    Every column of every block is exactly 1-sparse.  The trees are encoded
+    in groups (see :func:`_leaf_rows`), whose stacks the forest holds from
+    its first encode on.  ``workers`` spreads contiguous slices of the
+    trees, cut only at group boundaries, over processes, which encode with
+    the forest's groups; results are identical for any worker count.
     """
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
-    if workers > 1 and len(trees) > 1:
-        step = -(-len(trees) // workers)
-        slices = [(start, start + step) for start in range(0, len(trees), step)]
+    _check_batch(trees, x, modality)
+    groups = _held_groups(forest, modality)
+    if workers > 1 and len(groups) > 1:
+        bounds = [g.start for g in groups] + [len(trees)]
+        cuts = sorted({min(bounds, key=lambda b: abs(b - i * len(trees) / workers))
+                       for i in range(workers + 1)})
+        slices = list(zip(cuts, cuts[1:]))
         with ProcessPoolExecutor(
             max_workers=len(slices),
             initializer=_encode_init,
-            initargs=(trees, x, modality),
+            initargs=(trees, x, modality, groups),
         ) as pool:
             leaf_rows = [row for rows in pool.map(_encode_slice, slices) for row in rows]
     else:
-        leaf_rows = _leaf_rows(trees, x, modality)
+        leaf_rows = _leaf_rows(trees, x, modality, groups)
     blocks = []
     for tree, leaves in zip(trees, leaf_rows):
         block = np.zeros((tree.leaf_count, n), dtype=np.uint8)

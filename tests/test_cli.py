@@ -3,16 +3,19 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafhash import (
     SyntheticSpec,
     gen_synthetic,
     load_codes,
+    load_model,
     save_labels,
     save_matrix,
 )
 from leafhash import cli, train_forest
 from leafhash.cli import main
+from leafhash.forest import _tree_groups
 
 TRAIN_ARGS = ["--trees", "16", "--depth", "2", "--learner", "linear",
               "--bits", "8", "--mode", "semi", "--seed", "3",
@@ -251,3 +254,62 @@ class TestEnvOverride:
         assert rc == 0
         assert "precision@0" in report
         assert "precision@2" not in report
+
+
+SMALL_TRAIN_ARGS = ["--trees", "4", "--depth", "2", "--learner", "linear", "--bits", "4",
+                    "--seed", "3", "--atoms", "4", "--sparsity", "2"]
+
+
+@pytest.fixture(scope="module")
+def kernel_model(workspace):
+    """A kernel model whose 4-anchor trees encode in stacked groups (d = 10)."""
+    model = workspace["tmp"] / "kernel.fhsh"
+    rc = main(["train", "--features", str(workspace["features"]),
+               "--labels", str(workspace["labels"]), "--model-out", str(model),
+               "--trees", "4", "--depth", "3", "--learner", "kernel", "--anchors", "4",
+               "--bits", "8", "--seed", "3", "--atoms", "2", "--sparsity", "1"])
+    assert rc == 0
+    forest, _ = load_model(model)
+    assert [g.stop - g.start for g in _tree_groups(forest.trees, 0)] == [2, 2]
+    return model
+
+
+def with_crc(raw):
+    """A container with its trailing CRC32 recomputed over the payload."""
+    return raw[:-4] + struct.pack("<I", zlib.crc32(bytes(raw[6:-4])))
+
+
+class TestMutatedInputs:
+    """The exit code for a damaged input file is 0, 2 or 3, never 1 (usage),
+    and no exception escapes ``main``."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_exit_code_is_success_data_or_numeric(self, workspace, kernel_model, data):
+        files = {"features": workspace["features"], "labels": workspace["labels"],
+                 "model": workspace["model"], "kernel-model": kernel_model,
+                 "codes": workspace["codes"]}
+        kind = data.draw(st.sampled_from(sorted(files)))
+        raw = bytearray(files[kind].read_bytes())
+        framed = kind in ("model", "kernel-model", "codes")
+        # a container's 6-byte magic and CRC stay; its payload changes
+        lo, hi = (6, len(raw) - 5) if framed else (0, len(raw) - 1)
+        changes = data.draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(0, 255)),
+                                     min_size=1, max_size=3))
+        for pos, value in changes:
+            raw[pos] = value
+        mutated = workspace["tmp"] / f"mutated-{kind}"
+        mutated.write_bytes(bytes(with_crc(raw) if framed else raw))
+        files[kind] = mutated
+
+        out = workspace["tmp"] / "mutated-out"
+        if kind in ("features", "labels"):
+            argv = ["train", "--features", str(files["features"]),
+                    "--labels", str(files["labels"]), "--model-out", str(out),
+                    *SMALL_TRAIN_ARGS]
+        elif kind == "codes":
+            argv = ["eval", "--gallery", str(files["codes"]), "--queries", str(mutated)]
+        else:
+            argv = ["encode", "--model", str(mutated), "--features", str(files["features"]),
+                    "--labels", str(files["labels"]), "--codes-out", str(out)]
+        assert main(argv) in (0, 2, 3)

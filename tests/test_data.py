@@ -377,6 +377,20 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == anchors
 
+    def test_selected_block_past_the_forest_is_format_error(self):
+        raw = saved_model_bytes()
+        forest, selection = load_model_bytes(raw)
+        offset, length = config_span(raw)
+        selection_at = offset + 4 + length
+        (mode_length,) = struct.unpack_from("<I", raw, selection_at + 1)
+        # flag, mode string, lambda flag and value, u32 count, then the blocks
+        chosen = selection_at + 1 + 4 + mode_length + 1 + 8 + 4
+        assert struct.unpack_from("<I", raw, chosen)[0] == selection.chosen[0]
+        changes = list(enumerate(struct.pack("<I", forest.n_trees), start=chosen))
+        with pytest.raises(DataFormatError, match="selection") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == chosen
+
     def test_nan_projector_is_format_error_at_array(self):
         raw = saved_model_bytes("kernel")
         forest, _ = load_model_bytes(raw)

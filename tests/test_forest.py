@@ -11,6 +11,7 @@ from leafhash import (
     Forest,
     ForestConfig,
     InvalidInputError,
+    KernelConfig,
     LabeledDataset,
     NetConfig,
     OptimizerConfig,
@@ -27,7 +28,7 @@ from leafhash import (
     train_tree,
 )
 from leafhash import forest as forest_module
-from leafhash.dictionaries import node_route_many
+from leafhash.dictionaries import node_residuals, node_route_many
 from leafhash.forest import HashTree, tree_seed_for
 
 FAST_CFG = ForestConfig(split=SplitConfig(learner="linear", atoms=4, sparsity=2))
@@ -442,6 +443,133 @@ class TestEncodeUnchanged:
             encode_dataset(forest, x)
         with pytest.raises(InvalidInputError):
             encode_tree(forest.trees[0], x[:, col % n])
+
+
+def per_tree_leaves_and_margins(tree, x, modality):
+    """Leaf of every column, one tree at a time as in :func:`per_tree_leaves`,
+    and the smallest relative margin |e_neg - e_pos| / max(e_neg, e_pos) met on
+    its path (inf when only degenerate nodes routed it)."""
+    kc = tree.kernels[modality]
+    f = kernel_featurize(x, kc) if kc is not None else x
+    pos = np.zeros(f.shape[1], dtype=np.int64)
+    margin = np.full(f.shape[1], np.inf)
+    for _ in range(tree.depth - 1):
+        next_pos = np.empty_like(pos)
+        for p in np.unique(pos):
+            mask = pos == p
+            node = tree.nodes[p][modality]
+            go_left = node_route_many(node, f[:, mask])
+            if not node.degenerate:
+                e_neg, e_pos = node_residuals(node, f[:, mask])
+                scale = np.maximum(np.maximum(e_neg, e_pos), 1e-300)
+                margin[mask] = np.minimum(margin[mask], np.abs(e_neg - e_pos) / scale)
+            next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
+        pos = next_pos
+    return pos - tree.internal_count, margin
+
+
+def grouped_config(kind, anchors):
+    return ForestConfig(split=SplitConfig(learner="kernel", **TINY_SPLIT), kernel_kind=kind,
+                        anchor_count=anchors, poly_p=1.0, poly_q=2.0)
+
+
+def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False):
+    """An untrained depth-2 kernel tree: only its shapes and constants count."""
+    kc = KernelConfig(anchors=np.ones((dim, anchors)), kind=kind, p=1.0, q=q)
+    root = (SplitNode(degenerate=True) if degenerate_root
+            else SplitNode(proj_pos=np.eye(anchors), proj_neg=np.eye(anchors)))
+    return HashTree(depth=2, nodes=[[root]], learner="kernel", tree_seed=0,
+                    kernels=(kc,), feature_dims=(dim,))
+
+
+def group_sizes(trees):
+    return [g.stop - g.start for g in forest_module._tree_groups(trees, 0)]
+
+
+class TestGroupedEncode:
+    """Kernel trees with d >= 2 x anchors are encoded in stacked groups."""
+
+    def test_groups_depend_only_on_the_trees(self):
+        # serve-784's shape: 784 anchors per group of 16-anchor trees
+        assert group_sizes([fake_kernel_tree(784, 16) for _ in range(128)]) == [49, 49, 30]
+        # 64 anchors over 16 dimensions: one tree per group
+        assert group_sizes([fake_kernel_tree(16, 64) for _ in range(24)]) == [1] * 24
+        mixed = [fake_kernel_tree(8, 2), fake_kernel_tree(8, 2, kind="polynomial"),
+                 fake_kernel_tree(8, 2, kind="polynomial"),
+                 fake_kernel_tree(8, 2, kind="polynomial", q=3.0),
+                 fake_kernel_tree(8, 2, degenerate_root=True),
+                 fake_kernel_tree(8, 2), fake_kernel_tree(8, 2)]
+        assert group_sizes(mixed) == [1, 2, 1, 1, 2]
+
+    @given(kind=st.sampled_from(["rbf", "polynomial"]), two_views=st.booleans(),
+           depth=st.integers(2, 4), anchors=st.integers(2, 4), extra=st.integers(0, 6),
+           n_trees=st.integers(2, 5), seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           scale=st.sampled_from([0.1, 1.0, 5.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_encode_matches_per_tree_encode(self, kind, two_views, depth, anchors,
+                                                    extra, n_trees, seed, n, scale):
+        dim = 2 * anchors + extra
+        dims = (dim + 1, dim) if two_views else (dim,)
+        modality = len(dims) - 1
+        views = encode_views(seed, dims)
+        forest = train_multimodal_forest(views, 0, n_trees, depth,
+                                         grouped_config(kind, anchors), master_seed=seed)
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([views[modality].features[:, : n // 2],
+                            scale * rng.normal(size=(dim, n - n // 2))], axis=1)
+
+        groups = forest_module._tree_groups(forest.trees, modality)
+        stacked = [g for g in groups if g.kernels is not None]
+        if not any(t.nodes[0][modality].degenerate for t in forest.trees):
+            assert stacked
+        x_sq = np.sum(x**2, axis=0)
+        for group in stacked:
+            members = forest.trees[group.start:group.stop]
+            f = group.kernels.map(x, x_sq)
+            maps = f.reshape(len(members), -1, n)
+            e_neg, e_pos = group.root_residuals(f)
+            for tree, f_tree, neg, pos in zip(members, maps, e_neg, e_pos):
+                alone = kernel_featurize(x, tree.kernels[modality])
+                assert np.max(np.abs(f_tree - alone)) <= 1e-12 * np.max(np.abs(alone))
+                ref_neg, ref_pos = node_residuals(tree.nodes[0][modality], f_tree)
+                np.testing.assert_array_equal(neg, ref_neg)
+                np.testing.assert_array_equal(pos, ref_pos)
+
+        blocks = encode_dataset(forest, x, modality=modality)
+        for tree, block in zip(forest.trees, blocks):
+            leaves, margin = per_tree_leaves_and_margins(tree, x, modality)
+            clear = margin > 1e-9
+            np.testing.assert_array_equal(block.argmax(axis=0)[clear], leaves[clear])
+        pooled = encode_dataset(forest, x, modality=modality, workers=2)
+        for block, other in zip(blocks, pooled):
+            np.testing.assert_array_equal(block, other)
+
+    def test_groups_are_held_until_a_tree_changes(self):
+        (view,) = encode_views(5, (12,))
+        forest = train_forest(view, 5, 3, grouped_config("rbf", 4), master_seed=5)
+        other = train_forest(view, 5, 3, grouped_config("rbf", 4), master_seed=6)
+        x = view.features
+        first = encode_dataset(forest, x)
+        held = forest_module._held_groups(forest, 0)
+        assert [g.stop - g.start for g in held] == [3, 2]
+        assert forest_module._held_groups(forest, 0) is held
+
+        forest.trees[1] = other.trees[1]
+        replaced = encode_dataset(forest, x)
+        assert forest_module._held_groups(forest, 0) is not held
+        fresh = Forest(trees=list(forest.trees), master_seed=5, depth=3, learner="kernel",
+                       feature_dims=(12,), config=forest.config)
+        for block, expected in zip(replaced, encode_dataset(fresh, x)):
+            np.testing.assert_array_equal(block, expected)
+        for i in (0, 2, 3, 4):
+            np.testing.assert_array_equal(replaced[i], first[i])
+
+    def test_overflowing_group_map_rejected(self):
+        (view,) = encode_views(5, (12,))
+        forest = train_forest(view, 3, 2, grouped_config("polynomial", 4), master_seed=5)
+        assert group_sizes(forest.trees) == [3]
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+            encode_dataset(forest, np.full((12, 2), 1e200))
 
 
 _NONFINITE_FORESTS = {}
