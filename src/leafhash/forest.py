@@ -396,15 +396,18 @@ def _pool_train(index):
 _ENCODE_ARGS = None
 
 
-def _encode_init(trees, x, modality, groups):
+def _encode_init(trees, x, modality):
     global _ENCODE_ARGS
-    _ENCODE_ARGS = (trees, x, modality, groups)
+    _ENCODE_ARGS = (trees, x, modality)
 
 
 def _encode_slice(bounds):
-    trees, x, modality, groups = _ENCODE_ARGS
+    """Leaves of trees ``start:stop``, cut at group boundaries: their groups
+    are the forest's, built here so no stack crosses the pipe."""
+    trees, x, modality = _ENCODE_ARGS
     start, stop = bounds
-    return _leaf_rows(trees, x, modality, [g for g in groups if start <= g.start < stop])
+    trees = trees[start:stop]
+    return _leaf_rows(trees, x, modality, _tree_groups(trees, modality))
 
 
 def train_multimodal_forest(
@@ -505,12 +508,20 @@ class _TreeGroup:
                 _column_norms(np.matmul(self.proj_pos, f), axis=1))
 
 
+# most anchors one group stacks.  16 of serve-784's 16-anchor trees fill a
+# group; on a 2-core machine their stacked rows (1.6 MB at d = 784) encoded
+# as fast as groups of 32 or 49 trees, and a 128-tree forest makes 8 groups,
+# so a pool of up to 8 workers still gets even slices of trees.
+GROUP_ANCHORS = 256
+
+
 def _stack_key(tree, modality):
     """What a tree must share with its neighbours to be stacked with them, or
-    None when it is encoded alone: no kernel, a degenerate root, or arrays
-    whose shapes do not fit the map (which the tree alone rejects)."""
+    None when it is encoded alone: no kernel, a degenerate root or one with
+    a net (whose output, not the map, is what it routes), or arrays whose
+    shapes do not fit the map (which the tree alone rejects)."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
-    if kc is None or root.degenerate:
+    if kc is None or root.degenerate or root.net is not None:
         return None
     shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
     d, a = tree.feature_dims[modality], kc.n_anchors
@@ -524,9 +535,11 @@ def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
     """Split ``trees`` into runs of consecutive trees that encode together.
 
     A run shares its kernel kind (and ``p``, ``q``), anchor shape and root
-    projector shapes, and holds at most max(d, one tree's anchors) anchors, so
-    its map is no larger than the batch, or than one tree's map.  The runs
-    depend only on the trees.
+    projector shapes.  A run of more than one tree holds at most
+    min(d, ``GROUP_ANCHORS``) anchors, so its map is no larger than the
+    batch.  The runs depend only on the trees, so codes do not depend on how
+    a pool slices them, and a run ends where its first tree and those after
+    it say: cut at a run boundary, the list's tail splits into the same runs.
     """
     runs, start = [], 0
     while start < len(trees):
@@ -534,7 +547,7 @@ def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
         stop = start + 1
         if key is not None:
             per_tree = trees[start].kernels[modality].n_anchors
-            cap = max(trees[start].feature_dims[modality], per_tree)
+            cap = min(trees[start].feature_dims[modality], GROUP_ANCHORS)
             while (stop < len(trees) and (stop - start + 1) * per_tree <= cap
                    and _stack_key(trees[stop], modality) == key):
                 stop += 1
@@ -653,7 +666,7 @@ def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
     """One-hot leaf code (length 2^(depth-1), uint8) for a single point."""
     x = _as_batch(x)
     _check_batch([tree], x, modality)
-    (leaf,) = _leaf_rows([tree], x, modality, _tree_groups([tree], modality))
+    (leaf,) = _leaf_rows([tree], x, modality, [_TreeGroup(0, 1)])
     if leaf.size != 1:
         raise InvalidInputError("encode_tree takes a single point; use encode_dataset")
     out = np.zeros(tree.leaf_count, dtype=np.uint8)
@@ -667,8 +680,8 @@ def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> li
     Every column of every block is exactly 1-sparse.  The trees are encoded
     in groups (see :func:`_leaf_rows`), whose stacks the forest holds from
     its first encode on.  ``workers`` spreads contiguous slices of the
-    trees, cut only at group boundaries, over processes, which encode with
-    the forest's groups; results are identical for any worker count.
+    trees, cut only at group boundaries, over processes; each process builds
+    its slice's groups.  Results are identical for any worker count.
     """
     x = _as_batch(x)
     n = x.shape[1]
@@ -683,7 +696,7 @@ def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> li
         with ProcessPoolExecutor(
             max_workers=len(slices),
             initializer=_encode_init,
-            initargs=(trees, x, modality, groups),
+            initargs=(trees, x, modality),
         ) as pool:
             leaf_rows = [row for rows in pool.map(_encode_slice, slices) for row in rows]
     else:

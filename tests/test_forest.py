@@ -29,6 +29,7 @@ from leafhash import (
 )
 from leafhash import forest as forest_module
 from leafhash.dictionaries import node_residuals, node_route_many
+from leafhash.network import DenseLayer, DenseNet
 from leafhash.forest import HashTree, tree_seed_for
 
 FAST_CFG = ForestConfig(split=SplitConfig(learner="linear", atoms=4, sparsity=2))
@@ -473,11 +474,24 @@ def grouped_config(kind, anchors):
                         anchor_count=anchors, poly_p=1.0, poly_q=2.0)
 
 
-def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False):
-    """An untrained depth-2 kernel tree: only its shapes and constants count."""
-    kc = KernelConfig(anchors=np.ones((dim, anchors)), kind=kind, p=1.0, q=q)
-    root = (SplitNode(degenerate=True) if degenerate_root
-            else SplitNode(proj_pos=np.eye(anchors), proj_neg=np.eye(anchors)))
+def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False,
+                     net_root=False, anchor_rng=None):
+    """An untrained depth-2 kernel tree: only its shapes and constants count,
+    unless ``anchor_rng`` draws its anchors.  A ``net_root`` reverses the
+    order of the map's rows, and its projectors keep the first half of the
+    rows (``proj_neg``) or the rest."""
+    anchor_rows = (np.ones((dim, anchors)) if anchor_rng is None
+                   else anchor_rng.normal(size=(dim, anchors)))
+    kc = KernelConfig(anchors=anchor_rows, kind=kind, p=1.0, q=q)
+    if degenerate_root:
+        root = SplitNode(degenerate=True)
+    elif net_root:
+        keep = np.arange(anchors) < anchors // 2
+        reverse = DenseLayer(np.eye(anchors)[::-1], np.zeros(anchors), "identity")
+        root = SplitNode(proj_neg=np.diag(keep * 1.0), proj_pos=np.diag(~keep * 1.0),
+                         net=DenseNet([reverse]))
+    else:
+        root = SplitNode(proj_pos=np.eye(anchors), proj_neg=np.eye(anchors))
     return HashTree(depth=2, nodes=[[root]], learner="kernel", tree_seed=0,
                     kernels=(kc,), feature_dims=(dim,))
 
@@ -490,8 +504,10 @@ class TestGroupedEncode:
     """Kernel trees with d >= 2 x anchors are encoded in stacked groups."""
 
     def test_groups_depend_only_on_the_trees(self):
-        # serve-784's shape: 784 anchors per group of 16-anchor trees
-        assert group_sizes([fake_kernel_tree(784, 16) for _ in range(128)]) == [49, 49, 30]
+        # serve-784's shape: GROUP_ANCHORS = 256 anchors per group of
+        # 16-anchor trees, 8 groups for a pool of up to 8 workers
+        assert group_sizes([fake_kernel_tree(784, 16) for _ in range(128)]) == [16] * 8
+        assert group_sizes([fake_kernel_tree(784, 16) for _ in range(40)]) == [16, 16, 8]
         # 64 anchors over 16 dimensions: one tree per group
         assert group_sizes([fake_kernel_tree(16, 64) for _ in range(24)]) == [1] * 24
         mixed = [fake_kernel_tree(8, 2), fake_kernel_tree(8, 2, kind="polynomial"),
@@ -500,6 +516,27 @@ class TestGroupedEncode:
                  fake_kernel_tree(8, 2, degenerate_root=True),
                  fake_kernel_tree(8, 2), fake_kernel_tree(8, 2)]
         assert group_sizes(mixed) == [1, 2, 1, 1, 2]
+        # a root with a net routes the net's output, not the map: alone
+        with_net = [fake_kernel_tree(8, 2), fake_kernel_tree(8, 2, net_root=True),
+                    fake_kernel_tree(8, 2), fake_kernel_tree(8, 2)]
+        assert group_sizes(with_net) == [1, 1, 2]
+
+    def test_kernel_tree_with_a_net_root_routes_through_its_net(self):
+        rng = np.random.default_rng(4)
+        trees = [fake_kernel_tree(8, 4, net_root=net, anchor_rng=rng)
+                 for net in (False, True, True, False)]
+        forest = Forest(trees=trees, master_seed=0, depth=2, learner="kernel",
+                        feature_dims=(8,), config=ForestConfig())
+        x = rng.normal(size=(8, 30))
+        for tree, block in zip(trees, encode_dataset(forest, x)):
+            expected = np.where(node_route_many(tree.nodes[0][0],
+                                                kernel_featurize(x, tree.kernels[0])), 0, 1)
+            np.testing.assert_array_equal(block.argmax(axis=0), expected)
+        # the nets change routes, so a grouped root that skipped its net shows
+        for tree in trees[1:3]:
+            root, f = tree.nodes[0][0], kernel_featurize(x, tree.kernels[0])
+            no_net = SplitNode(proj_neg=root.proj_neg, proj_pos=root.proj_pos)
+            assert np.any(node_route_many(no_net, f) != node_route_many(root, f))
 
     @given(kind=st.sampled_from(["rbf", "polynomial"]), two_views=st.booleans(),
            depth=st.integers(2, 4), anchors=st.integers(2, 4), extra=st.integers(0, 6),
