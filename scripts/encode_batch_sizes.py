@@ -8,8 +8,9 @@ encodes batches of one size until a quarter second has passed, so load from
 elsewhere on the machine hits every size alike.  One warm-up call comes first,
 so the forest's first-encode set-up is not timed.  ``--workers`` passes a
 worker count to ``encode_dataset``, whose pool start-up is then timed with
-each call.  Prints one JSON line: the median and quartiles of the points/s
-of the repetitions, per N.
+each call.  Prints one JSON line: the saved model's size in bytes, the
+forest's distinct and total kernel anchors, and the median and quartiles of
+the points/s of the repetitions, per N.
 
     PYTHONPATH=src python scripts/encode_batch_sizes.py [--seed 0] [--reps 7] \
         [--workers 1] [--sizes 1,4,16,64,250,1000]
@@ -17,7 +18,9 @@ of the repetitions, per N.
 
 import argparse
 import json
+import os
 import statistics
+import tempfile
 import time
 
 import numpy as np
@@ -48,6 +51,21 @@ def encode_rate(forest, pool, n, workers):
         elapsed = time.perf_counter() - start
         if elapsed >= MIN_SECONDS:
             return points / elapsed
+
+
+def model_bytes(forest):
+    """Size of the forest saved as a model file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.fhsh")
+        lh.save_model(forest, None, path)
+        return os.path.getsize(path)
+
+
+def anchor_counts(forest):
+    """(distinct, total) kernel anchors of the forest, distinct by exact bytes."""
+    columns = [col.tobytes() for t in forest.trees for kc in t.kernels if kc is not None
+               for col in kc.anchors.T]
+    return len(set(columns)), len(columns)
 
 
 def main():
@@ -84,8 +102,10 @@ def main():
     for n, r in rates.items():
         q1, median, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0],) * 3
         summary[str(n)] = {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
+    distinct, total = anchor_counts(forest)
     print(json.dumps({"seed": args.seed, "reps": args.reps, "workers": args.workers,
-                      "fit_s": round(fit_s, 2),
+                      "fit_s": round(fit_s, 2), "model_bytes": model_bytes(forest),
+                      "anchors_distinct": distinct, "anchors_total": total,
                       "pts_per_s": summary}))
 
 

@@ -6,8 +6,10 @@ File formats owned here:
   files are detected by content and decompressed transparently.
 - Delimited text matrices (rows are feature dimensions, columns are samples)
   and a raw little-endian float64 format with a (rows, cols) header.
-- "FHSH02" binary model container and "FHCD01" packed-codes file, both with a
-  trailing CRC32; round-trips are bit-exact for everything serving reads.
+- "FHSH03" binary model container and "FHCD01" packed-codes file, both with a
+  trailing CRC32; round-trips are bit-exact for everything serving reads.  A
+  model stores each modality's distinct kernel anchors once, as one pool
+  (``forest.anchor_pool``), and each kernel tree's anchors as indices into it.
 """
 
 from __future__ import annotations
@@ -25,11 +27,19 @@ from .errors import DataFormatError, InvalidInputError
 from .lowrank import KernelConfig, OptimizerConfig
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
-from .forest import Forest, ForestConfig, HashTree, LabeledDataset
+from .forest import (
+    AnchorPool,
+    Forest,
+    ForestConfig,
+    HashTree,
+    LabeledDataset,
+    _held_pool,
+    _hold_pool,
+)
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
-MODEL_MAGIC = b"FHSH02"
+MODEL_MAGIC = b"FHSH03"
 CODES_MAGIC = b"FHCD01"
 
 _IDX_IMAGES = 0x00000803
@@ -271,6 +281,10 @@ class _Writer:
         self.u32(len(enc))
         self.buf += enc
 
+    def u32s(self, a):
+        self.u32(len(a))
+        self.buf += np.asarray(a, dtype="<u4").tobytes()
+
     def array(self, a):
         a = np.ascontiguousarray(a, dtype="<f8")
         self.u8(a.ndim)
@@ -316,6 +330,15 @@ class _Reader:
             return self._take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"string is not UTF-8: {exc}", offset=start) from exc
+
+    def u32s(self, offset):
+        """A u32 count and that many u32s; ``offset`` locates the record
+        they belong to for error reports."""
+        n = self.u32()
+        left = len(self.buf) - self.pos
+        if 4 * n > left:
+            raise DataFormatError(f"{n} indices run past the {left} bytes left", offset=offset)
+        return np.frombuffer(self._take(4 * n), dtype="<u4").astype(np.intp)
 
     def array(self):
         start = self.base + self.pos
@@ -397,7 +420,10 @@ def _read_selection(r, n_trees):
                            lam=lam if has_lam else None)
 
 
-def _write_kernel(w, kc):
+def _write_kernel(w, kc, pool, idx, first):
+    """A kernel record: its kind code and constants, then its anchors as
+    indices into ``pool``, the modality's pool, which the modality's
+    ``first`` kernel record writes before them."""
     w.u8(_KERNEL_CODES[None if kc is None else kc.kind])
     if kc is None:
         return
@@ -406,24 +432,42 @@ def _write_kernel(w, kc):
     else:
         w.f64(kc.p)
         w.f64(kc.q)
-    w.array(kc.anchors)
+    if first:
+        w.array(pool.rows.T)
+    w.u32s(idx)
 
 
-def _read_kernel(r):
+def _read_kernel(r, pools, modality):
+    """A kernel record; reads the modality's pool into ``pools``, as rows,
+    when it is the modality's first.  Returns ``(kernel, indices)``, both
+    None for a tree without a kernel."""
     start = r.base + r.pos
     code = r.u8()
+    if code == 0:
+        return None, None
+    if code == 1:
+        consts = {"kind": "rbf", "sigma": r.f64()}
+    elif code == 2:
+        consts = {"kind": "polynomial", "p": r.f64(), "q": r.f64()}
+    else:
+        raise DataFormatError(f"unknown kernel code {code}", offset=start)
+    if modality not in pools:
+        pool = r.array()
+        if pool.ndim != 2 or pool.size == 0:
+            raise DataFormatError(f"anchor pool of shape {pool.shape} holds no anchors",
+                                  offset=start)
+        pools[modality] = np.ascontiguousarray(pool.T)
+    rows = pools[modality]
+    idx = r.u32s(start)
+    if idx.size and idx.max() >= rows.shape[0]:
+        raise DataFormatError(
+            f"anchor index {idx.max()} past a pool of {rows.shape[0]}", offset=start)
     try:
-        if code == 0:
-            return None
-        if code == 1:
-            sigma = r.f64()
-            return KernelConfig(anchors=r.array(), kind="rbf", sigma=sigma)
-        if code == 2:
-            p, q = r.f64(), r.f64()
-            return KernelConfig(anchors=r.array(), kind="polynomial", p=p, q=q)
-    except InvalidInputError as exc:  # non-finite anchors, bad bandwidth
+        # C order, as training draws them: their squared norms then round alike
+        anchors = np.ascontiguousarray(rows[idx].T)
+        return KernelConfig(anchors=anchors, **consts), idx
+    except InvalidInputError as exc:  # no anchors, bad bandwidth or constants
         raise DataFormatError(f"bad kernel record: {exc}", offset=start) from exc
-    raise DataFormatError(f"unknown kernel code {code}", offset=start)
 
 
 def _write_net(w, net):
@@ -502,7 +546,13 @@ def _config_from_json(text: str, offset: int) -> ForestConfig:
 
 
 def save_model(forest: Forest, selection, path):
-    """Write the forest and its block selection as one FHSH02 container."""
+    """Write the forest and its block selection as one FHSH03 container.
+
+    Each modality with a kernel tree stores its anchor pool once, in its
+    first kernel record; every kernel record stores its anchors as indices
+    into the pool.
+    """
+    pools = [_held_pool(forest, m) for m in range(len(forest.feature_dims))]
     w = _Writer()
     w.u8(len(forest.feature_dims))
     w.u32(forest.n_trees)
@@ -513,10 +563,15 @@ def save_model(forest: Forest, selection, path):
         w.u32(dim)
     w.string(_config_to_json(forest.config))
     _write_selection(w, selection)
-    for tree in forest.trees:
+    written = set()
+    for t, tree in enumerate(forest.trees):
         w.i64(tree.tree_seed)
-        for kc in tree.kernels:
-            _write_kernel(w, kc)
+        for m, kc in enumerate(tree.kernels):
+            pool = pools[m]
+            _write_kernel(w, kc, pool, None if pool is None else pool.indices[t],
+                          kc is not None and m not in written)
+            if kc is not None:
+                written.add(m)
         for per_mod in tree.nodes:
             for node in per_mod:
                 _write_node(w, node)
@@ -525,7 +580,11 @@ def save_model(forest: Forest, selection, path):
 
 
 def load_model(path):
-    """Read an FHSH02 container; returns ``(forest, selection)``."""
+    """Read an FHSH03 container; returns ``(forest, selection)``.
+
+    The forest holds the anchor pools it was read with, so its first encode
+    does not build them again.
+    """
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
     n_modalities = r.u8()
@@ -542,10 +601,11 @@ def load_model(path):
     config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
-    trees = []
+    trees, pools, indices = [], {}, []
     for _ in range(n_trees):
         tree_seed = r.i64()
-        kernels = tuple(_read_kernel(r) for _ in range(n_modalities))
+        kernels, tree_indices = zip(*(_read_kernel(r, pools, m) for m in range(n_modalities)))
+        indices.append(tree_indices)
         nodes = []
         for _ in range(internal):
             nodes.append([_read_node(r) for _ in range(n_modalities)])
@@ -556,6 +616,8 @@ def load_model(path):
     r.done()
     forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
                     feature_dims=feature_dims, config=config)
+    for m, rows in pools.items():
+        _hold_pool(forest, m, AnchorPool.of(trees, m, rows, [i[m] for i in indices]))
     return forest, selection
 
 

@@ -29,7 +29,9 @@ from .lowrank import (
     _as_matrix,
     _column_sq_norms,
     _kernel_map,
-    _KernelStack,
+    _poly_of_products,
+    _rbf_distances,
+    _rbf_of_distances,
     kernel_featurize,
     median_bandwidth,
 )
@@ -143,9 +145,9 @@ class Forest:
     learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
-    # encode groups per modality (see _held_groups): built on the first
-    # encode, derived from the trees, so neither serialized nor compared
-    _groups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # anchor pool and encode groups per modality (see _held_encode): derived
+    # from the trees, so neither serialized nor compared
+    _encode: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -396,18 +398,20 @@ def _pool_train(index):
 _ENCODE_ARGS = None
 
 
-def _encode_init(trees, x, modality):
+def _encode_init(trees, x, modality, pool):
     global _ENCODE_ARGS
-    _ENCODE_ARGS = (trees, x, modality)
+    _ENCODE_ARGS = (trees, x, modality, pool)
 
 
 def _encode_slice(bounds):
     """Leaves of trees ``start:stop``, cut at group boundaries: their groups
-    are the forest's, built here so no stack crosses the pipe."""
-    trees, x, modality = _ENCODE_ARGS
+    are the forest's, built here so no stack crosses the pipe, and they map
+    the batch through the forest's whole pool, as the calling process does."""
+    trees, x, modality, pool = _ENCODE_ARGS
     start, stop = bounds
     trees = trees[start:stop]
-    return _leaf_rows(trees, x, modality, _tree_groups(trees, modality))
+    indices = pool.indices[start:stop] if pool is not None else None
+    return _leaf_rows(trees, x, modality, _tree_groups(trees, modality, indices), pool)
 
 
 def train_multimodal_forest(
@@ -484,21 +488,100 @@ def train_forest(
 
 
 @dataclass(frozen=True)
+class AnchorPool:
+    """The distinct kernel anchors of one modality of a forest.
+
+    Every kernel tree draws its anchors from the same training columns, so a
+    forest's anchors repeat.  ``rows`` (P, d) holds each distinct anchor
+    (by exact bytes) once, as a row, in order of first occurrence over the
+    trees.  ``indices[t]`` gives tree ``t``'s anchors, in order, as rows of
+    it (None for a tree without a kernel).  ``sq_norms`` holds each row's
+    squared norm from the ``anchor_sq_norms`` of the first tree that has
+    it, so a pooled RBF map adds the same norms as that tree's own map.
+    """
+
+    rows: np.ndarray
+    indices: tuple
+    sq_norms: np.ndarray
+
+    @classmethod
+    def of(cls, trees, modality: int, rows, indices) -> "AnchorPool":
+        """The pool of ``rows`` with ``indices`` (aligned with ``trees``),
+        taking its squared norms from the trees' kernels."""
+        sq_norms = np.zeros(rows.shape[0])
+        known = np.zeros(rows.shape[0], dtype=bool)
+        # huge anchors square to inf here, silently: their maps are checked
+        # when a batch is encoded
+        with np.errstate(over="ignore"):
+            for tree, idx in zip(trees, indices):
+                if idx is None or known[idx].all():
+                    continue
+                new = ~known[idx]
+                sq_norms[idx[new]] = tree.kernels[modality].anchor_sq_norms[new]
+                known[idx] = True
+        return cls(rows=rows, indices=tuple(indices), sq_norms=sq_norms)
+
+
+def anchor_pool(trees, modality: int) -> AnchorPool | None:
+    """The pool of the trees' kernel anchors for ``modality``, or None when
+    no tree has a kernel there.  Both ``save_model`` and encoding use it."""
+    seen, rows, indices = {}, [], []
+    for tree in trees:
+        kc = tree.kernels[modality]
+        if kc is None:
+            indices.append(None)
+            continue
+        if rows and kc.anchors.shape[0] != rows[0].size:
+            raise InvalidInputError(f"kernel anchors of modality {modality} differ in dimension")
+        idx = np.empty(kc.n_anchors, dtype=np.intp)
+        for j, row in enumerate(np.ascontiguousarray(kc.anchors.T)):
+            idx[j] = seen.setdefault(row.tobytes(), len(seen))
+            if idx[j] == len(rows):
+                rows.append(row)
+        indices.append(idx)
+    if not rows:
+        return None
+    return AnchorPool.of(trees, modality, np.stack(rows), indices)
+
+
+def _pool_maps(pool: AnchorPool, x, x_sq, rbf: bool):
+    """``(products, distances)`` of a validated batch against every row of
+    the pool: ``a'x`` (P x N) and, for RBF maps, the clipped squared
+    distances (else None).  Each stacked group takes its rows of them."""
+    products = pool.rows @ x
+    distances = _rbf_distances(pool.sq_norms, x_sq, 2.0 * products) if rbf else None
+    return products, distances
+
+
+@dataclass(frozen=True)
 class _TreeGroup:
     """Trees ``start:stop`` of a list, encoded together (see :func:`_tree_groups`).
 
     A group of one tree has no stacks: its tree maps the batch through its own
-    kernel (if any) and routes it alone.  A larger group maps the batch
-    through all its trees' anchors at once (``kernels``) and routes every
-    root with one matmul per side over the roots' stacked projectors
+    kernel (if any) and routes it alone.  A larger group takes its trees'
+    maps from the pool's (:func:`_pool_maps`): rows ``take`` of the pool,
+    tree by tree, then ``denom`` (an RBF group's ``2 sigma^2`` per row, a
+    column) or ``poly`` (a polynomial group's ``p`` and ``q``).  It routes
+    every root with one matmul per side over the roots' stacked projectors
     (``proj_neg``/``proj_pos``, trees x r x anchors).
     """
 
     start: int
     stop: int
-    kernels: _KernelStack | None = None
+    take: np.ndarray | None = None
+    denom: np.ndarray | None = None
+    poly: tuple[float, float] | None = None
     proj_neg: np.ndarray | None = None
     proj_pos: np.ndarray | None = None
+
+    def kernel_map(self, products, distances) -> np.ndarray:
+        """The group's trees' maps, one row per anchor, from the pool's
+        :func:`_pool_maps` of the batch: :func:`_kernel_map`'s steps in its
+        order.  Each row equals its tree's own map up to the rounding of the
+        pool's product, which is blocked differently."""
+        if self.poly is None:
+            return _rbf_of_distances(distances[self.take], self.denom)
+        return _poly_of_products(products[self.take], *self.poly)
 
     def root_residuals(self, f):
         """(e_neg, e_pos), each trees x N, of every root for the group map
@@ -509,9 +592,9 @@ class _TreeGroup:
 
 
 # most anchors one group stacks.  16 of serve-784's 16-anchor trees fill a
-# group; on a 2-core machine their stacked rows (1.6 MB at d = 784) encoded
-# as fast as groups of 32 or 49 trees, and a 128-tree forest makes 8 groups,
-# so a pool of up to 8 workers still gets even slices of trees.
+# group; on a 2-core machine groups of 16 encoded as fast as groups of 32 or
+# 49 trees, and a 128-tree forest makes 8 groups, so up to 8 worker
+# processes still get even slices of trees.
 GROUP_ANCHORS = 256
 
 
@@ -531,7 +614,7 @@ def _stack_key(tree, modality):
     return kc.kind, poly, shapes
 
 
-def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
+def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     """Split ``trees`` into runs of consecutive trees that encode together.
 
     A run shares its kernel kind (and ``p``, ``q``), anchor shape and root
@@ -540,6 +623,8 @@ def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
     batch.  The runs depend only on the trees, so codes do not depend on how
     a pool slices them, and a run ends where its first tree and those after
     it say: cut at a run boundary, the list's tail splits into the same runs.
+    ``indices`` are the trees' rows in their forest's pool
+    (``AnchorPool.indices``, aligned with ``trees``; None without a pool).
     """
     runs, start = [], 0
     while start < len(trees):
@@ -554,42 +639,72 @@ def _tree_groups(trees, modality: int) -> list[_TreeGroup]:
         runs.append((start, stop))
         start = stop
 
-    # every stack's rows are rows of one block: freed whole with the groups,
-    # it does not leave a heap fragment per group behind
-    stacked = [trees[i].kernels[modality] for a, b in runs if b - a > 1 for i in range(a, b)]
-    if stacked:
-        block = np.empty((sum(kc.n_anchors for kc in stacked), stacked[0].anchors.shape[0]))
-    groups, row = [], 0
+    groups = []
     for start, stop in runs:
         if stop - start == 1:
             groups.append(_TreeGroup(start, stop))
             continue
         kernels = [t.kernels[modality] for t in trees[start:stop]]
         roots = [t.nodes[0][modality] for t in trees[start:stop]]
-        height = sum(kc.n_anchors for kc in kernels)
+        rbf = kernels[0].kind == "rbf"
+        denom = np.repeat([2.0 * kc.sigma**2 for kc in kernels],
+                          [kc.n_anchors for kc in kernels])
         groups.append(_TreeGroup(
             start, stop,
-            kernels=_KernelStack.of(kernels, out=block[row:row + height]),
+            take=np.concatenate(indices[start:stop]),
+            denom=denom[:, None] if rbf else None,
+            poly=None if rbf else (kernels[0].p, kernels[0].q),
             proj_neg=np.stack([r.proj_neg for r in roots]),
             proj_pos=np.stack([r.proj_pos for r in roots])))
-        row += height
     return groups
 
 
-def _held_groups(forest: Forest, modality: int) -> list[_TreeGroup]:
-    """The forest's encode groups for ``modality``, built on its first encode.
+@dataclass
+class _Held:
+    """A forest's encode state for one modality (see :func:`_held_encode`)."""
 
-    They hold copies of the kernels' anchors and root projectors, so they are
-    built again once any tree's kernel or root node is another object than
-    the one they were built from (a tree replaced or retrained).
-    """
-    members = [m for t in forest.trees for m in (t.kernels[modality], t.nodes[0][modality])]
-    held = forest._groups.get(modality)
-    if (held is None or len(held[0]) != len(members)
-            or not all(a is b for a, b in zip(held[0], members))):
-        held = (members, _tree_groups(forest.trees, modality))
-        forest._groups[modality] = held
-    return held[1]
+    members: list
+    pool: AnchorPool | None
+    groups: list[_TreeGroup] | None = None
+
+
+def _members(trees, modality: int) -> list:
+    return [m for t in trees for m in (t.kernels[modality], t.nodes[0][modality])]
+
+
+def _held(forest: Forest, modality: int) -> _Held:
+    """The forest's held state for ``modality``, built again from its trees
+    when any tree's kernel or root node is another object than the one it
+    was built from (a tree replaced or retrained)."""
+    members = _members(forest.trees, modality)
+    held = forest._encode.get(modality)
+    if (held is None or len(held.members) != len(members)
+            or not all(a is b for a, b in zip(held.members, members))):
+        held = _Held(members, anchor_pool(forest.trees, modality))
+        forest._encode[modality] = held
+    return held
+
+
+def _held_pool(forest: Forest, modality: int) -> AnchorPool | None:
+    """The forest's anchor pool for ``modality`` (:func:`anchor_pool`),
+    built once and held with the forest."""
+    return _held(forest, modality).pool
+
+
+def _hold_pool(forest: Forest, modality: int, pool: AnchorPool | None):
+    """Hand ``forest`` the pool of its trees' anchors for ``modality``, such
+    as one read from a model file, so it is not built again."""
+    forest._encode[modality] = _Held(_members(forest.trees, modality), pool)
+
+
+def _held_encode(forest: Forest, modality: int):
+    """``(pool, groups)`` of the forest for ``modality``: its anchor pool and
+    its encode groups, built on its first encode and held with it."""
+    held = _held(forest, modality)
+    if held.groups is None:
+        indices = held.pool.indices if held.pool is not None else None
+        held.groups = _tree_groups(forest.trees, modality, indices)
+    return held.pool, held.groups
 
 
 def _check_batch(trees, x, modality: int):
@@ -619,29 +734,37 @@ def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
     return pos - tree.internal_count
 
 
-def _leaf_rows(trees, x, modality: int, groups) -> list[np.ndarray]:
+def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
-    tree of ``groups``, some or all of ``_tree_groups(trees, modality)``.
+    tree of ``groups``, some or all of the groups of ``trees``
+    (:func:`_tree_groups`).
 
     ``x`` is already checked against the trees (:func:`_check_batch`).  The
     batch is validated, and for RBF maps its squared column norms taken, once
-    per call.  The trees are then encoded one group at a time, so only one
-    group's feature map is held at a time.  A one-tree group maps the batch
-    through its tree's kernel (if any) and routes it.  A larger group makes
-    one stacked anchors-by-N product and routes its roots with one matmul
-    per side; deeper levels route per tree.  All of it runs on one OpenBLAS
-    thread.
+    per call.  When a group stacks trees, the batch is mapped through the
+    whole anchor ``pool`` of the trees' forest once (:func:`_pool_maps`):
+    one pool-by-N product, and for RBF maps the clipped squared distances.
+    The trees are then encoded one group at a time, so only one group's
+    feature map is held at a time.  A one-tree group maps the batch through
+    its tree's kernel (if any) and routes it.  A larger group takes its rows
+    of the pool's map, finishes its trees' maps, and routes its roots with
+    one matmul per side; deeper levels route per tree.  All of it runs on
+    one OpenBLAS thread.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     if kinds:
         x = _as_matrix(x, "x")
     x_sq = _column_sq_norms(x) if "rbf" in kinds else None
+    stacked = [g for g in groups if g.take is not None]
 
     rows = []
     with _single_blas_thread():
+        if stacked:
+            products, distances = _pool_maps(pool, x, x_sq,
+                                             any(g.poly is None for g in stacked))
         for group in groups:
             members = trees[group.start:group.stop]
-            if group.kernels is None:
+            if group.take is None:
                 (tree,) = members
                 kc = tree.kernels[modality]
                 f = _kernel_map(x, x_sq, kc) if kc is not None else x
@@ -649,7 +772,7 @@ def _leaf_rows(trees, x, modality: int, groups) -> list[np.ndarray]:
                 continue
             # the roots would reject a non-finite map (an overflowing
             # polynomial, say) in node_route_many; so does the group
-            f = _as_matrix(group.kernels.map(x, x_sq), "feature map")
+            f = _as_matrix(group.kernel_map(products, distances), "feature map")
             e_neg, e_pos = group.root_residuals(f)
             maps = f.reshape(len(members), -1, f.shape[1])
             for tree, f_tree, go_left in zip(members, maps, e_neg < e_pos):
@@ -678,16 +801,17 @@ def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> li
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
     Every column of every block is exactly 1-sparse.  The trees are encoded
-    in groups (see :func:`_leaf_rows`), whose stacks the forest holds from
-    its first encode on.  ``workers`` spreads contiguous slices of the
-    trees, cut only at group boundaries, over processes; each process builds
-    its slice's groups.  Results are identical for any worker count.
+    in groups through the forest's anchor pool (see :func:`_leaf_rows`),
+    both held by the forest from its first encode on.  ``workers`` spreads
+    contiguous slices of the trees, cut only at group boundaries, over
+    processes; each process builds its slice's groups and maps the batch
+    through the whole pool.  Results are identical for any worker count.
     """
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
     _check_batch(trees, x, modality)
-    groups = _held_groups(forest, modality)
+    pool, groups = _held_encode(forest, modality)
     if workers > 1 and len(groups) > 1:
         bounds = [g.start for g in groups] + [len(trees)]
         cuts = sorted({min(bounds, key=lambda b: abs(b - i * len(trees) / workers))
@@ -696,11 +820,11 @@ def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> li
         with ProcessPoolExecutor(
             max_workers=len(slices),
             initializer=_encode_init,
-            initargs=(trees, x, modality),
-        ) as pool:
-            leaf_rows = [row for rows in pool.map(_encode_slice, slices) for row in rows]
+            initargs=(trees, x, modality, pool),
+        ) as executor:
+            leaf_rows = [row for rows in executor.map(_encode_slice, slices) for row in rows]
     else:
-        leaf_rows = _leaf_rows(trees, x, modality, groups)
+        leaf_rows = _leaf_rows(trees, x, modality, groups, pool)
     blocks = []
     for tree, leaves in zip(trees, leaf_rows):
         block = np.zeros((tree.leaf_count, n), dtype=np.uint8)

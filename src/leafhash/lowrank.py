@@ -332,69 +332,39 @@ def _kernel_map(x, x_sq, kc: KernelConfig) -> np.ndarray:
             f"({kc.anchors.shape[0]})"
         )
     if kc.kind == "rbf":
-        # (a_sq + x_sq) - (2a)'x, clip at 0, negate, divide by 2 sigma^2, exp:
-        # this exact order keeps maps, and so codes, bit-identical across
-        # releases; do not fold or reorder the steps
-        sq = np.add(kc.anchor_sq_norms[:, None], x_sq[None, :])
-        np.subtract(sq, 2.0 * kc.anchors.T @ x, out=sq)
-        np.maximum(sq, 0.0, out=sq)
-        np.negative(sq, out=sq)
-        np.divide(sq, 2.0 * kc.sigma**2, out=sq)
-        return np.exp(sq, out=sq)
-    out = kc.anchors.T @ x
-    out += kc.p
-    out **= kc.q
+        sq = _rbf_distances(kc.anchor_sq_norms, x_sq, 2.0 * kc.anchors.T @ x)
+        return _rbf_of_distances(sq, 2.0 * kc.sigma**2)
+    return _poly_of_products(kc.anchors.T @ x, kc.p, kc.q)
+
+
+# The RBF map is (a_sq + x_sq) - (2a)'x, clip at 0, negate, divide by
+# 2 sigma^2, exp.  This exact order keeps maps, and so codes, bit-identical
+# across releases; do not fold or reorder the steps.  The first half
+# (_rbf_distances) depends only on the anchors, so a pool of anchors shared
+# by many kernels takes it once for all of them.
+
+def _rbf_distances(anchor_sq, x_sq, doubled_products) -> np.ndarray:
+    """Squared distances of every anchor (row) to every point (column), from
+    the anchors' squared norms, the points' and the ``(2a)'x`` products:
+    ``(a_sq + x_sq) - (2a)'x``, clipped at 0.  A new array."""
+    sq = np.add(anchor_sq[:, None], x_sq[None, :])
+    np.subtract(sq, doubled_products, out=sq)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _rbf_of_distances(sq, denom) -> np.ndarray:
+    """``exp(-sq / denom)`` in place in ``sq``, where ``denom`` is ``2 sigma^2``
+    (a scalar, or a column of one per row)."""
+    np.negative(sq, out=sq)
+    np.divide(sq, denom, out=sq)
+    return np.exp(sq, out=sq)
+
+
+def _poly_of_products(out, p, q) -> np.ndarray:
+    """``(a'x + p)^q`` in place in ``out``, the products ``a'x``."""
+    out += p
+    out **= q
     return out
-
-
-@dataclass(frozen=True)
-class _KernelStack:
-    """Several kernel maps of one kind as a single map: their anchors stacked.
-
-    ``rows`` (K, d) holds every anchor of every kernel as a row, in kernel
-    order, doubled for RBF maps (the ``2a'`` of :func:`_kernel_map`), so one
-    product reads a batch once for all of them.  ``anchor_sq`` and ``denom``
-    (``2 sigma^2``, a column) are the RBF constants of each row.  Polynomial
-    kernels stack only with equal ``p`` and ``q``.
-    """
-
-    kind: str
-    rows: np.ndarray
-    anchor_sq: np.ndarray | None = None
-    denom: np.ndarray | None = None
-    p: float = 0.0
-    q: float = 1.0
-
-    @classmethod
-    def of(cls, kernels, out) -> "_KernelStack":
-        """The stack of ``kernels``, all of one kind, with its rows written to
-        ``out``, a (K, d) array."""
-        first = kernels[0]
-        rows = np.concatenate([kc.anchors.T for kc in kernels], out=out)
-        if first.kind == "polynomial":
-            return cls(kind="polynomial", rows=rows, p=first.p, q=first.q)
-        rows *= 2.0
-        denom = np.repeat([2.0 * kc.sigma**2 for kc in kernels],
-                          [kc.n_anchors for kc in kernels])
-        return cls(kind="rbf", rows=rows, denom=denom[:, None],
-                   anchor_sq=np.concatenate([kc.anchor_sq_norms for kc in kernels]))
-
-    def map(self, x, x_sq) -> np.ndarray:
-        """The stacked kernels' maps of an already validated ``x`` with the
-        anchors' dimension, one row per anchor: :func:`_kernel_map`'s steps in
-        its order, with one product.  Each row equals its kernel's own map up
-        to the rounding of that product, which is blocked differently."""
-        if self.kind == "rbf":
-            sq = np.add(self.anchor_sq[:, None], x_sq[None, :])
-            np.subtract(sq, self.rows @ x, out=sq)
-            np.maximum(sq, 0.0, out=sq)
-            np.negative(sq, out=sq)
-            np.divide(sq, self.denom, out=sq)
-            return np.exp(sq, out=sq)
-        out = self.rows @ x
-        out += self.p
-        out **= self.q
-        return out
 
 
 def median_bandwidth(x, rng, max_pairs: int = 1000) -> float:

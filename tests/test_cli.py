@@ -15,7 +15,7 @@ from leafhash import (
 )
 from leafhash import cli, train_forest
 from leafhash.cli import main
-from leafhash.forest import _tree_groups
+from leafhash.forest import _held_encode, _held_pool
 
 TRAIN_ARGS = ["--trees", "16", "--depth", "2", "--learner", "linear",
               "--bits", "8", "--mode", "semi", "--seed", "3",
@@ -262,7 +262,8 @@ SMALL_TRAIN_ARGS = ["--trees", "4", "--depth", "2", "--learner", "linear", "--bi
 
 @pytest.fixture(scope="module")
 def kernel_model(workspace):
-    """A kernel model whose 4-anchor trees encode in stacked groups (d = 10)."""
+    """A kernel model whose 4-anchor trees encode in stacked groups (d = 10),
+    with its anchors stored once in a pool."""
     model = workspace["tmp"] / "kernel.fhsh"
     rc = main(["train", "--features", str(workspace["features"]),
                "--labels", str(workspace["labels"]), "--model-out", str(model),
@@ -270,8 +271,21 @@ def kernel_model(workspace):
                "--bits", "8", "--seed", "3", "--atoms", "2", "--sparsity", "1"])
     assert rc == 0
     forest, _ = load_model(model)
-    assert [g.stop - g.start for g in _tree_groups(forest.trees, 0)] == [2, 2]
+    pool, groups = _held_encode(forest, 0)
+    assert [g.stop - g.start for g in groups] == [2, 2]
+    assert pool.rows.shape == (16, 10)
     return model
+
+
+def kernel_index_span(model):
+    """(first, last) byte offset of the last tree's anchor index record (a
+    u32 count and its indices) in a pooled kernel model."""
+    raw = model.read_bytes()
+    forest, _ = load_model(model)
+    idx = _held_pool(forest, 0).indices[-1]
+    record = struct.pack("<I", idx.size) + idx.astype("<u4").tobytes()
+    at = raw.rindex(record)
+    return at, at + len(record) - 1
 
 
 def with_crc(raw):
@@ -289,11 +303,14 @@ class TestMutatedInputs:
         files = {"features": workspace["features"], "labels": workspace["labels"],
                  "model": workspace["model"], "kernel-model": kernel_model,
                  "codes": workspace["codes"]}
-        kind = data.draw(st.sampled_from(sorted(files)))
+        kind = data.draw(st.sampled_from(sorted(files) + ["kernel-model-indices"]))
+        # a pooled model's anchor indices are a few bytes of it: hit them often
+        span = kernel_index_span(kernel_model) if kind == "kernel-model-indices" else None
+        kind = "kernel-model" if span else kind
         raw = bytearray(files[kind].read_bytes())
         framed = kind in ("model", "kernel-model", "codes")
         # a container's 6-byte magic and CRC stay; its payload changes
-        lo, hi = (6, len(raw) - 5) if framed else (0, len(raw) - 1)
+        lo, hi = span or ((6, len(raw) - 5) if framed else (0, len(raw) - 1))
         changes = data.draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(0, 255)),
                                      min_size=1, max_size=3))
         for pos, value in changes:

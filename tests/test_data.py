@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafhash import forest as forest_module
 from leafhash import (
     BlockSet,
     DataFormatError,
@@ -225,13 +226,16 @@ class TestGenSynthetic:
 
 
 def trained_artifacts(learner="linear", seed=1):
+    """A small trained forest, its blocks and selection.  ``kernel-stacked``
+    is a kernel forest of 3-anchor trees, which encode in stacked groups."""
     ds = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=8,
                                      intrinsic_dim=2, noise=0.02,
                                      samples_per_class=30, seed=2))
+    stacked = learner == "kernel-stacked"
     cfg = ForestConfig(
-        split=SplitConfig(learner=learner, atoms=3, sparsity=2, net_hidden=(8,),
-                          net_output_dim=6, net=NetConfig(epochs=30)),
-        anchor_count=20,
+        split=SplitConfig(learner="kernel" if stacked else learner, atoms=3, sparsity=2,
+                          net_hidden=(8,), net_output_dim=6, net=NetConfig(epochs=30)),
+        anchor_count=3 if stacked else 20,
     )
     forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
     blocks = encode_dataset(forest, ds.features)
@@ -265,8 +269,8 @@ class TestModelContainer:
         path = tmp_path / "model.fhsh"
         save_model(forest, selection, path)
         raw = path.read_bytes()
-        # FHSH01, the version before, stored each node's transform as well
-        for magic in (b"FHSH03", b"FHSH01"):
+        # FHSH02, the version before, stored every tree's anchors in full
+        for magic in (b"FHSH04", b"FHSH02"):
             path.write_bytes(magic + raw[6:])
             with pytest.raises(DataFormatError, match="version"):
                 load_model(path)
@@ -306,6 +310,28 @@ def config_span(raw):
     offset = 6 + 15 + 4 * raw[6]
     (length,) = struct.unpack_from("<I", raw, offset)
     return offset, length
+
+
+def first_kernel_record(raw):
+    """(offset of the first tree's kernel record, offset of its anchor pool)
+    in a saved single-view RBF kernel model.
+
+    Before the record: the selection record (flag, mode string, lambda flag
+    and value, one chosen block and its gain) and the tree seed.  The record
+    is the u8 kernel code and sigma, the pool array, then the indices.
+    """
+    offset, length = config_span(raw)
+    selection = offset + 4 + length
+    (mode_length,) = struct.unpack_from("<I", raw, selection + 1)
+    record = selection + 1 + 4 + mode_length + 1 + 8 + 4 + 4 + 8 + 8
+    assert raw[record] == 1
+    return record, record + 1 + 8
+
+
+def pool_shape(raw, pool_at):
+    """((d, P), offset of the u32 index count after it) of a pool array."""
+    d, size = struct.unpack_from("<QQ", raw, pool_at + 1)
+    return (d, size), pool_at + 1 + 16 + 8 * d * size
 
 
 def with_payload_bytes(raw, changes):
@@ -363,13 +389,8 @@ class TestModelDecoding:
 
     def test_huge_array_shape_is_format_error(self):
         raw = saved_model_bytes("kernel")
-        # the first array is the first tree's anchors.  Before it: the
-        # selection record (flag, mode string, lambda flag and value, one
-        # chosen block and its gain), the tree seed, the kernel code and sigma
-        offset, length = config_span(raw)
-        selection = offset + 4 + length
-        (mode_length,) = struct.unpack_from("<I", raw, selection + 1)
-        anchors = selection + 1 + 4 + mode_length + 1 + 8 + 4 + 4 + 8 + 8 + 1 + 8
+        # the first array is the anchor pool, in the first tree's kernel record
+        anchors = first_kernel_record(raw)[1]
         assert raw[anchors] == 2
         # 2**61 rows: an element count that overflows int64
         changes = list(enumerate(struct.pack("<Q", 2**61), start=anchors + 1))
@@ -414,18 +435,79 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == at - 1
 
-    @pytest.mark.parametrize("learner", ["kernel", "neural"])
+    def test_anchor_index_past_the_pool_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        record, pool_at = first_kernel_record(raw)
+        (_, pool_size), count_at = pool_shape(raw, pool_at)
+        changes = list(enumerate(struct.pack("<I", pool_size), start=count_at + 4))
+        with pytest.raises(DataFormatError, match="past a pool") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == record
+
+    def test_index_count_past_the_payload_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        record, pool_at = first_kernel_record(raw)
+        _, count_at = pool_shape(raw, pool_at)
+        changes = list(enumerate(struct.pack("<I", len(raw)), start=count_at))
+        with pytest.raises(DataFormatError, match="indices run past") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == record
+
+    def test_empty_pool_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        record, pool_at = first_kernel_record(raw)
+        # a pool of no columns: its anchors' bytes are then read as what follows
+        changes = list(enumerate(struct.pack("<Q", 0), start=pool_at + 9))
+        with pytest.raises(DataFormatError, match="pool") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == record
+
+    def test_pool_is_stored_once_and_held_by_the_loaded_forest(self):
+        _, forest, _, selection = trained_artifacts("kernel")
+        raw = saved_model_bytes("kernel")
+        (_, pool_size), _ = pool_shape(raw, first_kernel_record(raw)[1])
+        total = sum(t.kernels[0].n_anchors for t in forest.trees)
+        distinct = {c.tobytes() for t in forest.trees for c in t.kernels[0].anchors.T}
+        assert pool_size == len(distinct) < total
+        loaded, _ = load_model_bytes(raw)
+        pool = forest_module._held_pool(loaded, 0)
+        assert pool.rows.shape[0] == pool_size
+        assert forest_module._held_pool(loaded, 0) is pool
+        for tree, idx in zip(loaded.trees, pool.indices):
+            np.testing.assert_array_equal(pool.rows[idx], tree.kernels[0].anchors.T)
+
+    def test_linear_and_neural_models_write_no_pool(self):
+        for learner in ("linear", "neural"):
+            raw = saved_model_bytes(learner)
+            forest, _ = load_model_bytes(raw)
+            assert forest_module._held_pool(forest, 0) is None
+            # every tree's kernel record is its one u8 "no kernel" code
+            assert all(t.kernels == (None,) for t in forest.trees)
+
+    @pytest.mark.parametrize("learner", ["kernel", "kernel-stacked", "neural"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_mutated_payload_loads_or_raises_format_error(self, learner, data):
         raw = saved_model_bytes(learner)
+        if learner == "neural":
+            spans = [(6, len(raw) - 5)]
+        else:
+            # the whole payload, or only the first kernel record's indices
+            record, pool_at = first_kernel_record(raw)
+            _, count_at = pool_shape(raw, pool_at)
+            spans = [(6, len(raw) - 5), (count_at, count_at + 4 + 4 * 3)]
+        lo, hi = data.draw(st.sampled_from(spans))
         changes = data.draw(st.lists(
-            st.tuples(st.integers(6, len(raw) - 5), st.integers(0, 255)),
-            min_size=1, max_size=3))
+            st.tuples(st.integers(lo, hi), st.integers(0, 255)), min_size=1, max_size=3))
         try:
             forest, _ = load_model_bytes(with_payload_bytes(raw, changes))
         except DataFormatError:
             return
+        pool = forest_module._held_pool(forest, 0)
+        if pool is not None:
+            for tree, idx in zip(forest.trees, pool.indices):
+                if idx is not None:
+                    np.testing.assert_array_equal(pool.rows[idx], tree.kernels[0].anchors.T)
         for tree in forest.trees:
             for kc in tree.kernels:
                 if kc is not None:

@@ -22,7 +22,9 @@ from leafhash import (
     encode_tree,
     gen_synthetic,
     kernel_featurize,
+    load_model,
     partition_classes,
+    save_model,
     train_forest,
     train_multimodal_forest,
     train_tree,
@@ -497,7 +499,8 @@ def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False,
 
 
 def group_sizes(trees):
-    return [g.stop - g.start for g in forest_module._tree_groups(trees, 0)]
+    indices = forest_module.anchor_pool(trees, 0).indices
+    return [g.stop - g.start for g in forest_module._tree_groups(trees, 0, indices)]
 
 
 class TestGroupedEncode:
@@ -555,14 +558,16 @@ class TestGroupedEncode:
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
 
-        groups = forest_module._tree_groups(forest.trees, modality)
-        stacked = [g for g in groups if g.kernels is not None]
+        pool = forest_module.anchor_pool(forest.trees, modality)
+        groups = forest_module._tree_groups(forest.trees, modality, pool.indices)
+        stacked = [g for g in groups if g.take is not None]
         if not any(t.nodes[0][modality].degenerate for t in forest.trees):
             assert stacked
         x_sq = np.sum(x**2, axis=0)
+        pool_maps = forest_module._pool_maps(pool, x, x_sq, kind == "rbf")
         for group in stacked:
             members = forest.trees[group.start:group.stop]
-            f = group.kernels.map(x, x_sq)
+            f = group.kernel_map(*pool_maps)
             maps = f.reshape(len(members), -1, n)
             e_neg, e_pos = group.root_residuals(f)
             for tree, f_tree, neg, pos in zip(members, maps, e_neg, e_pos):
@@ -587,13 +592,15 @@ class TestGroupedEncode:
         other = train_forest(view, 5, 3, grouped_config("rbf", 4), master_seed=6)
         x = view.features
         first = encode_dataset(forest, x)
-        held = forest_module._held_groups(forest, 0)
-        assert [g.stop - g.start for g in held] == [3, 2]
-        assert forest_module._held_groups(forest, 0) is held
+        held = forest_module._held_encode(forest, 0)
+        assert [g.stop - g.start for g in held[1]] == [3, 2]
+        kept = forest_module._held_encode(forest, 0)
+        assert kept[0] is held[0] and kept[1] is held[1]
 
         forest.trees[1] = other.trees[1]
         replaced = encode_dataset(forest, x)
-        assert forest_module._held_groups(forest, 0) is not held
+        again = forest_module._held_encode(forest, 0)
+        assert again[0] is not held[0] and again[1] is not held[1]
         fresh = Forest(trees=list(forest.trees), master_seed=5, depth=3, learner="kernel",
                        feature_dims=(12,), config=forest.config)
         for block, expected in zip(replaced, encode_dataset(fresh, x)):
@@ -607,6 +614,124 @@ class TestGroupedEncode:
         assert group_sizes(forest.trees) == [3]
         with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
             encode_dataset(forest, np.full((12, 2), 1e200))
+
+
+def shared_anchor_forest(seed, kind, n_views, depth, n_trees):
+    """Kernel trees whose anchors are columns of one small point set per view.
+
+    Each tree draws 2 (trees 0-2) or 3 anchors with replacement from 4
+    points, and tree 0 repeats its first anchor, so the pool dedups within
+    and across trees.  Runs of trees with equal anchor counts stack, up to
+    d = 8 anchors; a degenerate root on the last tree, and a root with a net
+    on tree 2 of a 6-tree forest, make one-tree groups."""
+    rng = np.random.default_rng(seed)
+    dims = (8, 9)[:n_views]
+    points = [rng.normal(size=(d, 4)) for d in dims]
+    internal = 2 ** (depth - 1) - 1
+    trees = []
+    for t in range(n_trees):
+        a = 2 if t < 3 else 3
+        kernels, nodes = [], [[] for _ in range(internal)]
+        for d, pts in zip(dims, points):
+            cols = rng.integers(0, 4, size=a)
+            if t == 0:
+                cols[1] = cols[0]
+            consts = ({"sigma": float(rng.uniform(0.5, 3.0))} if kind == "rbf"
+                      else {"p": 1.0, "q": 2.0})
+            kernels.append(KernelConfig(anchors=pts[:, cols].copy(), kind=kind, **consts))
+            for pos in range(internal):
+                if pos == 0 and t == n_trees - 1:
+                    nodes[pos].append(SplitNode(degenerate=True))
+                    continue
+                net = (DenseNet([DenseLayer(np.eye(a)[::-1], np.zeros(a), "identity")])
+                       if pos == 0 and t == 2 and n_trees == 6 else None)
+                nodes[pos].append(SplitNode(proj_pos=rng.normal(size=(2, a)),
+                                            proj_neg=rng.normal(size=(2, a)), net=net,
+                                            class_partition={0: "neg", 1: "pos"}))
+        trees.append(HashTree(depth=depth, nodes=nodes, learner="kernel", tree_seed=t,
+                              kernels=tuple(kernels), feature_dims=dims))
+    forest = Forest(trees=trees, master_seed=seed, depth=depth, learner="kernel",
+                    feature_dims=dims, config=ForestConfig())
+    return forest, points
+
+
+def pools_equal(a, b):
+    return (np.array_equal(a.rows, b.rows) and np.array_equal(a.sq_norms, b.sq_norms)
+            and len(a.indices) == len(b.indices)
+            and all((i is None and j is None) or np.array_equal(i, j)
+                    for i, j in zip(a.indices, b.indices)))
+
+
+class TestAnchorPool:
+    """Each modality's kernel anchors are stored, and mapped, once per forest."""
+
+    def test_pool_dedups_in_order_of_first_occurrence(self):
+        forest, points = shared_anchor_forest(7, "rbf", 1, 2, 5)
+        pool = forest_module.anchor_pool(forest.trees, 0)
+        seen = []
+        for tree, idx in zip(forest.trees, pool.indices):
+            anchors = tree.kernels[0].anchors
+            np.testing.assert_array_equal(pool.rows[idx], anchors.T)
+            np.testing.assert_array_equal(pool.sq_norms[idx], tree.kernels[0].anchor_sq_norms)
+            for i in idx:
+                if i not in seen:
+                    seen.append(i)
+        assert seen == list(range(pool.rows.shape[0])) and pool.rows.shape[0] <= 4
+        first = pool.indices[0]
+        assert first[0] == first[1]
+
+    def test_anchors_of_two_dimensions_rejected(self, tmp_path):
+        forest, _ = shared_anchor_forest(3, "rbf", 1, 2, 5)
+        forest.trees[1].kernels = (KernelConfig(anchors=np.ones((7, 2)), kind="rbf"),)
+        with pytest.raises(InvalidInputError, match="differ in dimension"):
+            save_model(forest, None, tmp_path / "model.fhsh")
+        with pytest.raises(InvalidInputError):
+            encode_dataset(forest, np.zeros((8, 3)))
+
+    def test_no_pool_without_a_kernel(self):
+        forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
+        assert forest_module.anchor_pool(forest.trees, 0) is None
+        assert forest_module._held_encode(forest, 0)[0] is None
+
+    @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["rbf", "polynomial"]),
+           n_views=st.integers(1, 2), depth=st.integers(2, 3), n_trees=st.integers(5, 7),
+           n=st.integers(1, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_pooled_forest_round_trips_and_encodes_alike(self, tmp_path_factory, seed,
+                                                          kind, n_views, depth, n_trees, n):
+        forest, points = shared_anchor_forest(seed, kind, n_views, depth, n_trees)
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("pool") / "model.fhsh"
+        save_model(forest, None, path)
+        loaded, _ = load_model(path)
+        for modality, pts in enumerate(points):
+            x = np.concatenate([pts, rng.normal(size=(pts.shape[0], n))], axis=1)
+            for tree, other in zip(forest.trees, loaded.trees):
+                a, b = tree.kernels[modality], other.kernels[modality]
+                np.testing.assert_array_equal(a.anchors, b.anchors)
+                assert (a.kind, a.sigma, a.p, a.q) == (b.kind, b.sigma, b.p, b.q)
+            held = forest_module._held_pool(loaded, modality)
+            built = forest_module.anchor_pool(loaded.trees, modality)
+            assert pools_equal(held, built)
+            assert pools_equal(held, forest_module.anchor_pool(forest.trees, modality))
+
+            blocks = encode_dataset(forest, x, modality=modality)
+            for other in (encode_dataset(loaded, x, modality=modality),
+                          encode_dataset(forest, x, modality=modality, workers=2),
+                          encode_dataset(loaded, x, modality=modality, workers=3)):
+                for block, block_other in zip(blocks, other):
+                    np.testing.assert_array_equal(block, block_other)
+
+            pool, groups = forest_module._held_encode(forest, modality)
+            stacked = [g for g in groups if g.take is not None]
+            assert stacked and len(stacked) < len(groups)
+            pool_maps = forest_module._pool_maps(pool, x, np.sum(x**2, axis=0), kind == "rbf")
+            for group in stacked:
+                f = group.kernel_map(*pool_maps)
+                members = forest.trees[group.start:group.stop]
+                for tree, f_tree in zip(members, f.reshape(len(members), -1, x.shape[1])):
+                    alone = kernel_featurize(x, tree.kernels[modality])
+                    assert np.max(np.abs(f_tree - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
 _NONFINITE_FORESTS = {}
