@@ -6,14 +6,12 @@ subspace data shaped like MNIST, then times ``encode_dataset`` on batches of
 N points for each N.  Every repetition visits all batch sizes in turn and
 encodes batches of one size until a quarter second has passed, so load from
 elsewhere on the machine hits every size alike.  One warm-up call comes first,
-so the forest's first-encode set-up is not timed.  ``--workers`` passes a
-worker count to ``encode_dataset``, whose pool start-up is then timed with
-each call.  Prints one JSON line: the saved model's size in bytes, the
-forest's distinct and total kernel anchors, and the median and quartiles of
-the points/s of the repetitions, per N.
+so the forest's first-encode set-up is not timed.  Prints one JSON line: the
+saved model's size in bytes, the forest's distinct and total kernel anchors,
+and the median and quartiles of the points/s of the repetitions, per N.
 
     PYTHONPATH=src python scripts/encode_batch_sizes.py [--seed 0] [--reps 7] \
-        [--workers 1] [--sizes 1,4,16,64,250,1000]
+        [--sizes 1,4,16,64,250,1000]
 """
 
 import argparse
@@ -39,13 +37,13 @@ def subspace_points(per_class, rng, bases):
                              np.repeat(np.arange(CLASSES), per_class))
 
 
-def encode_rate(forest, pool, n, workers):
+def encode_rate(forest, pool, n):
     """Points per second over batches of ``n`` columns of ``pool``."""
     points, calls = 0, 0
     start = time.perf_counter()
     while True:
         at = (calls * n) % (pool.shape[1] - n + 1)
-        lh.encode_dataset(forest, pool[:, at:at + n], workers=workers)
+        lh.encode_dataset(forest, pool[:, at:at + n])
         points += n
         calls += 1
         elapsed = time.perf_counter() - start
@@ -72,7 +70,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--reps", type=int, default=7)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--sizes", default=",".join(map(str, SIZES)),
                     help="comma-separated batch sizes (default: %(default)s)")
     args = ap.parse_args()
@@ -97,13 +94,13 @@ def main():
     rates = {n: [] for n in sizes}
     for _ in range(args.reps):
         for n in sizes:
-            rates[n].append(encode_rate(forest, pool, n, args.workers))
+            rates[n].append(encode_rate(forest, pool, n))
     summary = {}
     for n, r in rates.items():
         q1, median, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0],) * 3
         summary[str(n)] = {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
     distinct, total = anchor_counts(forest)
-    print(json.dumps({"seed": args.seed, "reps": args.reps, "workers": args.workers,
+    print(json.dumps({"seed": args.seed, "reps": args.reps,
                       "fit_s": round(fit_s, 2), "model_bytes": model_bytes(forest),
                       "anchors_distinct": distinct, "anchors_total": total,
                       "pts_per_s": summary}))

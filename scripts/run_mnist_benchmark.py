@@ -55,7 +55,7 @@ def train_and_select(features, labels, trees, bits, seed, workers):
     start = time.perf_counter()
     forest = lh.train_forest(ds, trees, 2, cfg, master_seed=seed, workers=workers)
     print(f"  trained {trees} trees in {time.perf_counter() - start:.0f}s")
-    blocks = lh.encode_dataset(forest, ds.features, workers=workers)
+    blocks = lh.encode_dataset(forest, ds.features)
     selection = lh.greedy_semisupervised(lh.BlockSet.from_blocks(blocks),
                                          ds.labels, bits // 2)
     print(f"  selected blocks {selection.chosen} (lambda={selection.lam:.3g})")
@@ -71,10 +71,10 @@ def protocol_a(data, args):
         data["train_images"][:, subset], data["train_labels"][subset],
         args.trees, 36, args.seed, args.workers)
     gallery = lh.pack_codes(
-        lh.encode_dataset(forest, data["train_images"], workers=args.workers),
+        lh.encode_dataset(forest, data["train_images"]),
         selection.chosen)
     queries = lh.pack_codes(
-        lh.encode_dataset(forest, data["test_images"], workers=args.workers),
+        lh.encode_dataset(forest, data["test_images"]),
         selection.chosen)
     idx = lh.HammingIndex(codes=gallery, labels=data["train_labels"])
     p, r = lh.precision_recall_at_radius(idx, queries, data["test_labels"], 0)
@@ -92,11 +92,9 @@ def protocol_b(data, args):
     gallery_idx = rng.choice(data["train_labels"].size, size=10_000, replace=False)
     query_idx = rng.choice(data["test_labels"].size, size=1_000, replace=False)
     gallery = lh.pack_codes(
-        lh.encode_dataset(forest, data["train_images"][:, gallery_idx],
-                          workers=args.workers), selection.chosen)
+        lh.encode_dataset(forest, data["train_images"][:, gallery_idx]), selection.chosen)
     queries = lh.pack_codes(
-        lh.encode_dataset(forest, data["test_images"][:, query_idx],
-                          workers=args.workers), selection.chosen)
+        lh.encode_dataset(forest, data["test_images"][:, query_idx]), selection.chosen)
     idx = lh.HammingIndex(codes=gallery, labels=data["train_labels"][gallery_idx])
     value = lh.mean_average_precision(idx, queries, data["test_labels"][query_idx])
     print(f"  map={value:.4f}")

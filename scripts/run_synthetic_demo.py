@@ -50,9 +50,9 @@ def main():
     print(f"trained {args.trees} trees of depth {args.depth} in "
           f"{time.perf_counter() - start:.1f}s")
 
-    blocks = lh.encode_dataset(forest, train.features, workers=args.workers)
+    blocks = lh.encode_dataset(forest, train.features)
     bs = lh.BlockSet.from_blocks(blocks)
-    query_blocks = lh.encode_dataset(forest, query.features, workers=args.workers)
+    query_blocks = lh.encode_dataset(forest, query.features)
 
     for mode in ("unsup", "sup", "semi"):
         selection = lh.select_blocks(bs, train.labels, k, mode)

@@ -96,9 +96,6 @@ def _load_features(path, fmt):
 def _add_common(sub):
     sub.add_argument("--config", type=str, default=None,
                      help="config file of key=value lines")
-    sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="parallel worker processes")
 
 
 def build_parser() -> _Parser:
@@ -107,6 +104,9 @@ def build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="train a forest, aggregate, write a model")
     _add_common(tr)
+    tr.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    tr.add_argument("--workers", type=int, default=None,
+                    help="worker processes for tree training")
     tr.add_argument("--features", type=str, default=None, help="training feature file")
     tr.add_argument("--labels", type=str, default=None, help="training label file")
     tr.add_argument("--format", type=str, default=None, choices=["idx", "csv", "raw-f64"])
@@ -202,7 +202,7 @@ def cmd_train(args) -> int:
     )
 
     forest = train_forest(ds, n_trees, depth, cfg, master_seed=seed, workers=workers)
-    blocks = encode_dataset(forest, ds.features, workers=workers)
+    blocks = encode_dataset(forest, ds.features)
     bs = BlockSet.from_blocks(blocks)
     selection = select_blocks(bs, ds.labels, k, mode, lam)
     dio.save_model(forest, selection, model_out)
@@ -239,7 +239,6 @@ def cmd_encode(args) -> int:
     fmt = get("format", str, "csv")
     labels_path = get("labels", str, None)
     codes_out = _require(get("codes-out", str, None), "codes-out")
-    workers = get("workers", int, 1)
 
     forest, selection = dio.load_model(model_path)
     if selection is None:
@@ -257,7 +256,7 @@ def cmd_encode(args) -> int:
             selection.chosen,
         )
     else:
-        blocks = encode_dataset(forest, features, workers=workers)
+        blocks = encode_dataset(forest, features)
         codes = pack_codes(blocks, selection.chosen)
     dio.save_codes(codes, labels, codes_out)
     _emit("count", len(codes))

@@ -323,7 +323,7 @@ def _check_views(views):
 
 
 # Process-pool plumbing: workers receive the shared inputs once through the
-# initializer and then only tree indices (or index ranges) per task.
+# initializer and then only tree indices per task.
 _POOL_ARGS = None
 
 
@@ -395,25 +395,6 @@ def _pool_train(index):
     )
 
 
-_ENCODE_ARGS = None
-
-
-def _encode_init(trees, x, modality, pool):
-    global _ENCODE_ARGS
-    _ENCODE_ARGS = (trees, x, modality, pool)
-
-
-def _encode_slice(bounds):
-    """Leaves of trees ``start:stop``, cut at group boundaries: their groups
-    are the forest's, built here so no stack crosses the pipe, and they map
-    the batch through the forest's whole pool, as the calling process does."""
-    trees, x, modality, pool = _ENCODE_ARGS
-    start, stop = bounds
-    trees = trees[start:stop]
-    indices = pool.indices[start:stop] if pool is not None else None
-    return _leaf_rows(trees, x, modality, _tree_groups(trees, modality, indices), pool)
-
-
 def train_multimodal_forest(
     views,
     dominant: int,
@@ -442,7 +423,7 @@ def train_multimodal_forest(
     trees: list[HashTree | None] = [None] * n_trees
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, n_trees),
             initializer=_pool_init,
             initargs=(views, depth, cfg, master_seed, dominant),
         ) as pool:
@@ -593,8 +574,7 @@ class _TreeGroup:
 
 # most anchors one group stacks.  16 of serve-784's 16-anchor trees fill a
 # group; on a 2-core machine groups of 16 encoded as fast as groups of 32 or
-# 49 trees, and a 128-tree forest makes 8 groups, so up to 8 worker
-# processes still get even slices of trees.
+# 49 trees.
 GROUP_ANCHORS = 256
 
 
@@ -620,10 +600,7 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     A run shares its kernel kind (and ``p``, ``q``), anchor shape and root
     projector shapes.  A run of more than one tree holds at most
     min(d, ``GROUP_ANCHORS``) anchors, so its map is no larger than the
-    batch.  The runs depend only on the trees, so codes do not depend on how
-    a pool slices them, and a run ends where its first tree and those after
-    it say: cut at a run boundary, the list's tail splits into the same runs.
-    ``indices`` are the trees' rows in their forest's pool
+    batch.  ``indices`` are the trees' rows in their forest's pool
     (``AnchorPool.indices``, aligned with ``trees``; None without a pool).
     """
     runs, start = [], 0
@@ -736,8 +713,7 @@ def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
 
 def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
-    tree of ``groups``, some or all of the groups of ``trees``
-    (:func:`_tree_groups`).
+    of ``trees``, encoded in their ``groups`` (:func:`_tree_groups`).
 
     ``x`` is already checked against the trees (:func:`_check_batch`).  The
     batch is validated, and for RBF maps its squared column norms taken, once
@@ -797,36 +773,20 @@ def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
     return out
 
 
-def encode_dataset(forest: Forest, x, modality: int = 0, workers: int = 1) -> list[np.ndarray]:
+def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
     Every column of every block is exactly 1-sparse.  The trees are encoded
     in groups through the forest's anchor pool (see :func:`_leaf_rows`),
-    both held by the forest from its first encode on.  ``workers`` spreads
-    contiguous slices of the trees, cut only at group boundaries, over
-    processes; each process builds its slice's groups and maps the batch
-    through the whole pool.  Results are identical for any worker count.
+    both held by the forest from its first encode on.
     """
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
     _check_batch(trees, x, modality)
     pool, groups = _held_encode(forest, modality)
-    if workers > 1 and len(groups) > 1:
-        bounds = [g.start for g in groups] + [len(trees)]
-        cuts = sorted({min(bounds, key=lambda b: abs(b - i * len(trees) / workers))
-                       for i in range(workers + 1)})
-        slices = list(zip(cuts, cuts[1:]))
-        with ProcessPoolExecutor(
-            max_workers=len(slices),
-            initializer=_encode_init,
-            initargs=(trees, x, modality, pool),
-        ) as executor:
-            leaf_rows = [row for rows in executor.map(_encode_slice, slices) for row in rows]
-    else:
-        leaf_rows = _leaf_rows(trees, x, modality, groups, pool)
     blocks = []
-    for tree, leaves in zip(trees, leaf_rows):
+    for tree, leaves in zip(trees, _leaf_rows(trees, x, modality, groups, pool)):
         block = np.zeros((tree.leaf_count, n), dtype=np.uint8)
         block[leaves, np.arange(n)] = 1
         blocks.append(block)

@@ -203,10 +203,10 @@ def test_criterion_5_mnist_reduced_training():
                                      data["train_labels"][train_idx],
                                      n_trees=128, bits=36, rng_seed=0)
     gallery_codes = lh.pack_codes(
-        lh.encode_dataset(forest, data["train_images"], workers=WORKERS),
+        lh.encode_dataset(forest, data["train_images"]),
         selection.chosen)
     query_codes = lh.pack_codes(
-        lh.encode_dataset(forest, data["test_images"], workers=WORKERS),
+        lh.encode_dataset(forest, data["test_images"]),
         selection.chosen)
     idx = lh.HammingIndex(codes=gallery_codes, labels=data["train_labels"])
     precision, recall = lh.precision_recall_at_radius(

@@ -245,6 +245,23 @@ class TestEval:
                 assert len(mantissa) <= 6
 
 
+class TestTrainOnlyOptions:
+    def test_seed_and_workers_are_train_flags(self, workspace, capsys):
+        encode = ["encode", "--model", str(workspace["model"]),
+                  "--features", str(workspace["features"]),
+                  "--codes-out", str(workspace["tmp"] / "workers.fhcd")]
+        evaluate = ["eval", "--gallery", str(workspace["codes"]),
+                    "--queries", str(workspace["codes"])]
+        assert main([*encode, "--workers", "2"]) == 1
+        assert main([*evaluate, "--seed", "3"]) == 1
+        # keys a subcommand does not read stay ignored in a shared config file
+        config = workspace["tmp"] / "shared.cfg"
+        config.write_text("seed=3\nworkers=2\n")
+        assert main([*encode, "--config", str(config)]) == 0
+        assert main([*evaluate, "--config", str(config)]) == 0
+        capsys.readouterr()
+
+
 class TestEnvOverride:
     def test_env_variable_between_flag_and_config(self, workspace, capsys, monkeypatch):
         monkeypatch.setenv("LEAFHASH_RADII", "0")

@@ -150,6 +150,19 @@ class TestTrainForest:
         f2 = train_forest(ds, 4, 2, FAST_CFG, master_seed=5, workers=2)
         assert forests_equal(f1, f2)
 
+    def test_pool_starts_no_more_workers_than_trees(self, monkeypatch):
+        asked = []
+
+        class NoPool:
+            def __init__(self, max_workers, **kwargs):
+                asked.append(max_workers)
+                raise RuntimeError("no process is started")
+
+        monkeypatch.setattr(forest_module, "ProcessPoolExecutor", NoPool)
+        with pytest.raises(RuntimeError, match="no process"):
+            train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=5, workers=64)
+        assert asked == [2]
+
     def test_needs_two_classes(self):
         ds = LabeledDataset(features=np.random.default_rng(0).normal(size=(4, 20)),
                             labels=np.zeros(20, dtype=int))
@@ -393,14 +406,26 @@ def per_tree_leaves(tree, x, modality):
     return pos - tree.internal_count
 
 
+def assert_split_batch_encodes_alike(forest, x, modality, blocks, data):
+    """Encoding ``x`` gives ``blocks``, column for column, when it is passed
+    as two batches cut at a drawn column."""
+    if x.shape[1] < 2:
+        return
+    j = data.draw(st.integers(1, x.shape[1] - 1), label="split column")
+    parts = (encode_dataset(forest, x[:, :j], modality=modality),
+             encode_dataset(forest, x[:, j:], modality=modality))
+    for block, head, tail in zip(blocks, *parts):
+        np.testing.assert_array_equal(block, np.concatenate([head, tail], axis=1))
+
+
 class TestEncodeUnchanged:
     @given(kind=st.sampled_from(sorted(ENCODE_CONFIGS)), two_views=st.booleans(),
            depth=st.integers(2, 4), seed=st.integers(0, 10_000),
            dim=st.integers(2, 9), n=st.integers(1, 40), scale=st.sampled_from([0.1, 1.0, 5.0]),
-           fortran=st.booleans())
+           fortran=st.booleans(), data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_batched_encode_is_per_tree_composition(self, kind, two_views, depth, seed,
-                                                    dim, n, scale, fortran):
+                                                    dim, n, scale, fortran, data):
         dims = (dim + 3, dim) if two_views else (dim,)
         modality = len(dims) - 1
         views = encode_views(seed, dims)
@@ -417,9 +442,7 @@ class TestEncodeUnchanged:
             expected = np.zeros((tree.leaf_count, n), dtype=np.uint8)
             expected[per_tree_leaves(tree, x, modality), np.arange(n)] = 1
             np.testing.assert_array_equal(block, expected)
-        pooled = encode_dataset(forest, x, modality=modality, workers=2)
-        for block, other in zip(blocks, pooled):
-            np.testing.assert_array_equal(block, other)
+        assert_split_batch_encodes_alike(forest, x, modality, blocks, data)
 
         for tree in forest.trees:
             kc = tree.kernels[modality]
@@ -508,7 +531,7 @@ class TestGroupedEncode:
 
     def test_groups_depend_only_on_the_trees(self):
         # serve-784's shape: GROUP_ANCHORS = 256 anchors per group of
-        # 16-anchor trees, 8 groups for a pool of up to 8 workers
+        # 16-anchor trees, 16 trees a group
         assert group_sizes([fake_kernel_tree(784, 16) for _ in range(128)]) == [16] * 8
         assert group_sizes([fake_kernel_tree(784, 16) for _ in range(40)]) == [16, 16, 8]
         # 64 anchors over 16 dimensions: one tree per group
@@ -544,10 +567,10 @@ class TestGroupedEncode:
     @given(kind=st.sampled_from(["rbf", "polynomial"]), two_views=st.booleans(),
            depth=st.integers(2, 4), anchors=st.integers(2, 4), extra=st.integers(0, 6),
            n_trees=st.integers(2, 5), seed=st.integers(0, 10_000), n=st.integers(1, 40),
-           scale=st.sampled_from([0.1, 1.0, 5.0]))
+           scale=st.sampled_from([0.1, 1.0, 5.0]), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_grouped_encode_matches_per_tree_encode(self, kind, two_views, depth, anchors,
-                                                    extra, n_trees, seed, n, scale):
+                                                    extra, n_trees, seed, n, scale, data):
         dim = 2 * anchors + extra
         dims = (dim + 1, dim) if two_views else (dim,)
         modality = len(dims) - 1
@@ -582,9 +605,7 @@ class TestGroupedEncode:
             leaves, margin = per_tree_leaves_and_margins(tree, x, modality)
             clear = margin > 1e-9
             np.testing.assert_array_equal(block.argmax(axis=0)[clear], leaves[clear])
-        pooled = encode_dataset(forest, x, modality=modality, workers=2)
-        for block, other in zip(blocks, pooled):
-            np.testing.assert_array_equal(block, other)
+        assert_split_batch_encodes_alike(forest, x, modality, blocks, data)
 
     def test_groups_are_held_until_a_tree_changes(self):
         (view,) = encode_views(5, (12,))
@@ -695,10 +716,11 @@ class TestAnchorPool:
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["rbf", "polynomial"]),
            n_views=st.integers(1, 2), depth=st.integers(2, 3), n_trees=st.integers(5, 7),
-           n=st.integers(1, 30))
+           n=st.integers(1, 30), data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_pooled_forest_round_trips_and_encodes_alike(self, tmp_path_factory, seed,
-                                                          kind, n_views, depth, n_trees, n):
+                                                          kind, n_views, depth, n_trees, n,
+                                                          data):
         forest, points = shared_anchor_forest(seed, kind, n_views, depth, n_trees)
         rng = np.random.default_rng(seed)
         path = tmp_path_factory.mktemp("pool") / "model.fhsh"
@@ -716,11 +738,10 @@ class TestAnchorPool:
             assert pools_equal(held, forest_module.anchor_pool(forest.trees, modality))
 
             blocks = encode_dataset(forest, x, modality=modality)
-            for other in (encode_dataset(loaded, x, modality=modality),
-                          encode_dataset(forest, x, modality=modality, workers=2),
-                          encode_dataset(loaded, x, modality=modality, workers=3)):
-                for block, block_other in zip(blocks, other):
-                    np.testing.assert_array_equal(block, block_other)
+            for block, block_loaded in zip(blocks, encode_dataset(loaded, x, modality=modality)):
+                np.testing.assert_array_equal(block, block_loaded)
+            assert_split_batch_encodes_alike(forest, x, modality, blocks, data)
+            assert_split_batch_encodes_alike(loaded, x, modality, blocks, data)
 
             pool, groups = forest_module._held_encode(forest, modality)
             stacked = [g for g in groups if g.take is not None]
@@ -767,15 +788,6 @@ class TestPoolBlasThreads:
         with ProcessPoolExecutor(max_workers=1,
                                  initializer=forest_module._one_blas_thread) as pool:
             assert pool.submit(blas_threads).result() == 1
-        assert blas_threads() == parent_threads
-
-    def test_pooled_encode_keeps_caller_threads(self):
-        if bundled_openblas() is None:
-            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
-        parent_threads = blas_threads()
-        ds = small_dataset()
-        forest = train_forest(ds, 2, 2, FAST_CFG, master_seed=3, workers=2)
-        encode_dataset(forest, ds.features, workers=2)
         assert blas_threads() == parent_threads
 
     def test_serial_encode_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
