@@ -5,10 +5,12 @@ Trains 128 depth-2 RBF-kernel trees (16 anchors each) on 784-d synthetic
 subspace data shaped like MNIST, then times ``encode_dataset`` on batches of
 N points for each N.  Every repetition visits all batch sizes in turn and
 encodes batches of one size until a quarter second has passed, so load from
-elsewhere on the machine hits every size alike.  One warm-up call comes first,
-so the forest's first-encode set-up is not timed.  Prints one JSON line: the
-saved model's size in bytes, the forest's distinct and total kernel anchors,
-and the median and quartiles of the points/s of the repetitions, per N.
+elsewhere on the machine hits every size alike; it then times one
+``load_model`` of the saved model, the load a serving process makes before it
+encodes.  One warm-up call comes first, so the forest's first-encode set-up
+is not timed.  Prints one JSON line: the saved model's size in bytes, the
+forest's distinct and total kernel anchors, the median and quartiles of the
+points/s of the repetitions, per N, and those of the load times (``load_ms``).
 
     PYTHONPATH=src python scripts/encode_batch_sizes.py [--seed 0] [--reps 7] \
         [--sizes 1,4,16,64,250,1000]
@@ -51,12 +53,18 @@ def encode_rate(forest, pool, n):
             return points / elapsed
 
 
-def model_bytes(forest):
-    """Size of the forest saved as a model file."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.fhsh")
-        lh.save_model(forest, None, path)
-        return os.path.getsize(path)
+def load_ms(path):
+    """Milliseconds one ``load_model`` of the model file at ``path`` takes."""
+    start = time.perf_counter()
+    lh.load_model(path)
+    return (time.perf_counter() - start) * 1e3
+
+
+def quartiles(values, digits=1):
+    """{"median", "q1", "q3"} of ``values``, rounded to ``digits``."""
+    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                      else (values[0],) * 3)
+    return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
 def anchor_counts(forest):
@@ -91,19 +99,21 @@ def main():
     fit_s = time.perf_counter() - start
     lh.encode_dataset(forest, pool[:, :1])
 
-    rates = {n: [] for n in sizes}
-    for _ in range(args.reps):
-        for n in sizes:
-            rates[n].append(encode_rate(forest, pool, n))
-    summary = {}
-    for n, r in rates.items():
-        q1, median, q3 = statistics.quantiles(r, n=4) if len(r) > 1 else (r[0],) * 3
-        summary[str(n)] = {"median": round(median, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
+    rates, loads = {n: [] for n in sizes}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.fhsh")
+        lh.save_model(forest, None, path)
+        size = os.path.getsize(path)
+        for _ in range(args.reps):
+            for n in sizes:
+                rates[n].append(encode_rate(forest, pool, n))
+            loads.append(load_ms(path))
     distinct, total = anchor_counts(forest)
     print(json.dumps({"seed": args.seed, "reps": args.reps,
-                      "fit_s": round(fit_s, 2), "model_bytes": model_bytes(forest),
+                      "fit_s": round(fit_s, 2), "model_bytes": size,
                       "anchors_distinct": distinct, "anchors_total": total,
-                      "pts_per_s": summary}))
+                      "pts_per_s": {str(n): quartiles(r) for n, r in rates.items()},
+                      "load_ms": quartiles(loads, 2)}))
 
 
 if __name__ == "__main__":

@@ -250,14 +250,7 @@ def cmd_encode(args) -> int:
             f"data has {features.shape[0]}"
         )
     labels = dio.load_labels(labels_path) if labels_path else None
-    if features.shape[1] == 0:
-        codes = pack_codes(
-            [np.zeros((forest.leaf_count, 0), dtype=np.uint8) for _ in forest.trees],
-            selection.chosen,
-        )
-    else:
-        blocks = encode_dataset(forest, features)
-        codes = pack_codes(blocks, selection.chosen)
+    codes = pack_codes(encode_dataset(forest, features), selection.chosen)
     dio.save_codes(codes, labels, codes_out)
     _emit("count", len(codes))
     _emit("bits", codes.length)

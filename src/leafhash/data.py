@@ -10,6 +10,10 @@ File formats owned here:
   trailing CRC32; round-trips are bit-exact for everything serving reads.  A
   model stores each modality's distinct kernel anchors once, as one pool
   (``forest.anchor_pool``), and each kernel tree's anchors as indices into it.
+  A model is read in bulk: in place through a memoryview, a run of records
+  of one kind (a class partition, the selection's blocks) as one array, and
+  a run of trees laid out alike as one numpy record array.  Every kernel
+  tree's anchors are a column slice of one gather from its pool.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
-from .lowrank import KernelConfig, OptimizerConfig
+from .lowrank import KernelConfig, OptimizerConfig, check_kernel_constants
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
 from .forest import (
@@ -48,6 +52,7 @@ _IDX_LABELS = 0x00000801
 _LEARNER_CODES = {"linear": 0, "kernel": 1, "neural": 2}
 _LEARNER_NAMES = {v: k for k, v in _LEARNER_CODES.items()}
 _KERNEL_CODES = {None: 0, "rbf": 1, "polynomial": 2}
+_KERNEL_CONSTANTS = {"rbf": ("sigma",), "polynomial": ("p", "q")}  # in file order
 _ACT_CODES = {"relu": 0, "identity": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
@@ -293,9 +298,18 @@ class _Writer:
         self.buf += a.tobytes()
 
 
+_U32S, _F64S = np.dtype("<u4"), np.dtype("<f8")
+# one class of a node's class partition: the class, then its side, which
+# reads "neg" for 0 and "pos" for any other byte
+_PARTITION = np.dtype([("cls", "<i8"), ("side", "u1")])
+_SIDES = ("neg",) + ("pos",) * 255
+
+
 class _Reader:
+    """Reads records in place from a payload, through a memoryview of it."""
+
     def __init__(self, buf, base_offset=0):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
         self.base = base_offset
 
@@ -323,11 +337,26 @@ class _Reader:
     def f64(self):
         return struct.unpack("<d", self._take(8))[0]
 
+    def records(self, dtype, count):
+        """``count`` packed records of ``dtype`` as one read-only array.
+
+        Records that run past the payload are reported at the first field
+        that does not fit, where reading them field by field stops."""
+        at, need = self.pos, dtype.itemsize * count
+        if at + need > len(self.buf):
+            full, part = divmod(len(self.buf) - at, dtype.itemsize)
+            fields = [dtype.fields[f] for f in dtype.names] if dtype.names else [(dtype, 0)]
+            cut = next(off for kind, off in fields if off + kind.itemsize > part)
+            raise DataFormatError("container truncated mid-record",
+                                  offset=self.base + at + full * dtype.itemsize + cut)
+        self.pos = at + need
+        return np.frombuffer(self.buf, dtype=dtype, count=count, offset=at)
+
     def string(self):
         start = self.base + self.pos
         n = self.u32()
         try:
-            return self._take(n).decode("utf-8")
+            return str(self._take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"string is not UTF-8: {exc}", offset=start) from exc
 
@@ -338,7 +367,7 @@ class _Reader:
         left = len(self.buf) - self.pos
         if 4 * n > left:
             raise DataFormatError(f"{n} indices run past the {left} bytes left", offset=offset)
-        return np.frombuffer(self._take(4 * n), dtype="<u4").astype(np.intp)
+        return self.records(_U32S, n).astype(np.intp)
 
     def array(self):
         start = self.base + self.pos
@@ -351,7 +380,7 @@ class _Reader:
                 f"array of shape {shape} runs past the {left} bytes left", offset=start
             )
         try:
-            out = np.frombuffer(self._take(need), dtype="<f8").reshape(shape).copy()
+            out = self.records(_F64S, need // 8).reshape(shape).copy()
         except ValueError as exc:  # over 64 dimensions, or one past the index range
             raise DataFormatError(f"bad array shape {shape}: {exc}", offset=start) from exc
         if not np.all(np.isfinite(out)):
@@ -373,7 +402,7 @@ def _checked_payload(raw, magic, kind):
     if raw[: len(magic)] != magic:
         version = raw[4 : len(magic)].decode("ascii", errors="replace")
         raise DataFormatError(f"unsupported {kind} container version {version!r}", offset=4)
-    payload = raw[len(magic) : -4]
+    payload = memoryview(raw)[len(magic) : -4]
     (crc_stored,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != crc_stored:
         raise DataFormatError(f"{kind} checksum mismatch (file damaged or truncated)")
@@ -410,12 +439,12 @@ def _read_selection(r, n_trees):
     lam = r.f64()
     k = r.u32()
     start = r.base + r.pos
-    chosen = [r.u32() for _ in range(k)]
-    if any(c >= n_trees for c in chosen):
+    chosen = r.records(_U32S, k).tolist()
+    if chosen and max(chosen) >= n_trees:
         raise DataFormatError(
             f"selection names block {max(chosen)} of a {n_trees}-tree forest", offset=start
         )
-    gains = [r.f64() for _ in range(k)]
+    gains = r.records(_F64S, k).tolist()
     return SelectionResult(chosen=chosen, gains=gains, mode=mode,
                            lam=lam if has_lam else None)
 
@@ -438,9 +467,10 @@ def _write_kernel(w, kc, pool, idx, first):
 
 
 def _read_kernel(r, pools, modality):
-    """A kernel record; reads the modality's pool into ``pools``, as rows,
-    when it is the modality's first.  Returns ``(kernel, indices)``, both
-    None for a tree without a kernel."""
+    """A kernel record; reads the modality's pool into ``pools``, as the
+    (d, P) array the file stores, when it is the modality's first.  Returns
+    ``(constants, indices)``, both None for a tree without a kernel; the
+    constants are checked here, and :func:`_kernels` makes the kernels."""
     start = r.base + r.pos
     code = r.u8()
     if code == 0:
@@ -456,18 +486,37 @@ def _read_kernel(r, pools, modality):
         if pool.ndim != 2 or pool.size == 0:
             raise DataFormatError(f"anchor pool of shape {pool.shape} holds no anchors",
                                   offset=start)
-        pools[modality] = np.ascontiguousarray(pool.T)
-    rows = pools[modality]
+        pools[modality] = pool
+    size = pools[modality].shape[1]
     idx = r.u32s(start)
-    if idx.size and idx.max() >= rows.shape[0]:
-        raise DataFormatError(
-            f"anchor index {idx.max()} past a pool of {rows.shape[0]}", offset=start)
+    if idx.size and idx.max() >= size:
+        raise DataFormatError(f"anchor index {idx.max()} past a pool of {size}", offset=start)
     try:
-        # C order, as training draws them: their squared norms then round alike
-        anchors = np.ascontiguousarray(rows[idx].T)
-        return KernelConfig(anchors=anchors, **consts), idx
+        if idx.size == 0:
+            raise InvalidInputError("anchors is empty")
+        check_kernel_constants(**consts)
     except InvalidInputError as exc:  # no anchors, bad bandwidth or constants
         raise DataFormatError(f"bad kernel record: {exc}", offset=start) from exc
+    return consts, idx
+
+
+def _kernels(pools, records):
+    """Every tree's kernels from its kernel records (:func:`_read_kernel`),
+    one ``(constants, indices)`` pair per modality.  Each modality's anchors
+    are gathered from its pool in one take, and each tree's kernel holds
+    its columns of them."""
+    kernels = [[None] * len(per_tree) for per_tree in records]
+    for m, pool in pools.items():
+        idx = [per_tree[m][1] for per_tree in records]
+        # the indices are checked against the pool as they are read
+        gathered = np.take(pool, np.concatenate([i for i in idx if i is not None]), axis=1,
+                           mode="clip")
+        at = 0
+        for per_tree, consts, i in zip(kernels, (rec[m][0] for rec in records), idx):
+            if i is not None:
+                per_tree[m] = KernelConfig._checked(gathered[:, at:at + i.size], **consts)
+                at += i.size
+    return [tuple(k) for k in kernels]
 
 
 def _write_net(w, net):
@@ -513,11 +562,8 @@ def _write_node(w, node):
 
 def _read_node(r):
     degenerate = r.u8() == 1
-    n_cls = r.u32()
-    partition = {}
-    for _ in range(n_cls):
-        cls = r.i64()
-        partition[cls] = "pos" if r.u8() else "neg"
+    # a class listed twice keeps its first place and its last side
+    partition = {cls: _SIDES[side] for cls, side in r.records(_PARTITION, r.u32()).tolist()}
     if degenerate:
         return SplitNode(class_partition=partition, degenerate=True)
     net = _read_net(r) if r.u8() else None
@@ -525,6 +571,147 @@ def _read_node(r):
     proj_neg = r.array()
     return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, net=net,
                      class_partition=partition)
+
+
+def _read_tree(r, pools, n_modalities, internal):
+    """One tree record: ``(seed, kernel records, nodes)`` (see
+    :func:`_read_kernel` and :func:`_read_node`)."""
+    seed = r.i64()
+    kernels = [_read_kernel(r, pools, m) for m in range(n_modalities)]
+    nodes = [[_read_node(r) for _ in range(n_modalities)] for _ in range(internal)]
+    return seed, kernels, nodes
+
+
+def _tree_layout(kernels, nodes):
+    """The record of a tree laid out like one read as ``kernels`` and
+    ``nodes`` (:func:`_read_tree`), without an anchor pool.
+
+    Returns a numpy dtype of its fields in file order; the value of each
+    field that fixes the layout (codes, counts, flags and array shapes), by
+    name; and the names of its arrays' entries.  Returns None when a record
+    array cannot hold one of its arrays as a field: one of 64 dimensions
+    (the field adds one, past numpy's limit), or with a dimension past a C
+    int (as a zero-size array may have)."""
+    fields, fixed, arrays = [("seed", "<i8")], {}, []
+
+    def add(name, kind, shape=(), value=None):
+        fields.append((name, kind, shape))
+        if value is not None:
+            fixed[name] = np.asarray(value, dtype=kind).ravel()
+
+    def array(name, a):
+        add(name + ".ndim", "u1", value=a.ndim)
+        add(name + ".shape", "<u8", (a.ndim,), a.shape)
+        add(name, "<f8", a.shape)
+        arrays.append(name)
+
+    for m, (consts, idx) in enumerate(kernels):
+        add(f"k{m}.code", "u1", value=_KERNEL_CODES[None if consts is None else consts["kind"]])
+        if consts is None:
+            continue
+        for c in _KERNEL_CONSTANTS[consts["kind"]]:
+            add(f"k{m}.{c}", "<f8")
+        add(f"k{m}.count", "<u4", value=idx.size)
+        add(f"k{m}.idx", "<u4", (idx.size,))
+    for p, per_mod in enumerate(nodes):
+        for m, node in enumerate(per_mod):
+            at = f"n{p}.{m}"
+            add(at + ".degenerate", "u1", value=int(node.degenerate))
+            add(at + ".count", "<u4", value=len(node.class_partition))
+            add(at + ".classes", _PARTITION, (len(node.class_partition),))
+            if node.degenerate:
+                continue
+            add(at + ".net", "u1", value=int(node.net is not None))
+            if node.net is not None:
+                add(at + ".layers", "u1", value=len(node.net.layers))
+                for i, layer in enumerate(node.net.layers):
+                    array(f"{at}.w{i}", layer.weight)
+                    array(f"{at}.b{i}", layer.bias)
+                    add(f"{at}.act{i}", "u1", value=_ACT_CODES[layer.activation])
+            array(at + ".pos", node.proj_pos)
+            array(at + ".neg", node.proj_neg)
+    try:
+        layout = np.dtype(fields)
+    except ValueError:
+        return None
+    if any(layout[name].ndim >= 64 for name in arrays):
+        return None
+    return layout, fixed, arrays
+
+
+def _read_like_trees(r, template, limit, pools):
+    """Up to ``limit`` trees laid out like ``template``, a tree just read
+    (:func:`_read_tree`), read at once as records of one numpy dtype
+    (:func:`_tree_layout`).
+
+    Stops before the first tree whose layout differs from the template's,
+    or with a value that reading it alone rejects: an anchor index past its
+    pool, a bad kernel constant, a non-finite array.  :func:`_read_tree`
+    reads that tree next, and reports its error where it is.  The trees read
+    here hold views of one aligned copy of each array field."""
+    _, kernels, nodes = template
+    found = _tree_layout(kernels, nodes)
+    if found is None:
+        return []
+    layout, fixed, array_names = found
+    count = min(limit, (len(r.buf) - r.pos) // layout.itemsize)
+    if count == 0:
+        return []
+    recs = np.frombuffer(r.buf, layout, count=count, offset=r.pos)
+
+    def rows(name):  # a field's entries, one row per tree
+        return recs[name].reshape(count, math.prod(layout[name].shape))
+
+    ok = np.ones(count, dtype=bool)
+    for name, value in fixed.items():
+        ok &= (rows(name) == value).all(axis=1)
+    for name in array_names:
+        ok &= np.isfinite(rows(name)).all(axis=1)
+    for m, (consts, _) in enumerate(kernels):
+        if consts is not None:
+            ok &= rows(f"k{m}.idx").max(axis=1) < pools[m].shape[1]
+    if not ok.all():
+        count = int(ok.argmin())
+    recs = recs[:count]
+    arrays = {name: np.ascontiguousarray(recs[name]) for name in array_names}
+    classes = {name: recs[name].tolist() for name in layout.names if name.endswith(".classes")}
+    per_kernel = []  # every tree's (constants, indices), per modality
+    for m, (consts, _) in enumerate(kernels):
+        if consts is None:
+            per_kernel.append([(None, None)] * count)
+            continue
+        names = _KERNEL_CONSTANTS[consts["kind"]]
+        values = zip(*(recs[f"k{m}.{n}"].tolist() for n in names))
+        per_kernel.append(list(zip([{"kind": consts["kind"], **dict(zip(names, v))}
+                                    for v in values],
+                                   recs[f"k{m}.idx"].astype(np.intp))))
+
+    def node_of(node, at, t):
+        partition = {cls: _SIDES[side] for cls, side in classes[at + ".classes"][t]}
+        if node.degenerate:
+            return SplitNode(class_partition=partition, degenerate=True)
+        net = None if node.net is None else DenseNet(layers=[
+            DenseLayer(weight=arrays[f"{at}.w{i}"][t, ...], bias=arrays[f"{at}.b{i}"][t, ...],
+                       activation=layer.activation)
+            for i, layer in enumerate(node.net.layers)])
+        return SplitNode(proj_pos=arrays[at + ".pos"][t, ...],
+                         proj_neg=arrays[at + ".neg"][t, ...], net=net,
+                         class_partition=partition)
+
+    trees = []
+    for t, seed in enumerate(recs["seed"].tolist()):
+        tree_kernels = [per_tree[t] for per_tree in per_kernel]
+        try:
+            for consts, _ in tree_kernels:
+                if consts is not None:
+                    check_kernel_constants(**consts)
+        except InvalidInputError:
+            break
+        trees.append((seed, tree_kernels,
+                      [[node_of(node, f"n{p}.{m}", t) for m, node in enumerate(per_mod)]
+                       for p, per_mod in enumerate(nodes)]))
+    r.pos += len(trees) * layout.itemsize
+    return trees
 
 
 def _config_to_json(cfg: ForestConfig) -> str:
@@ -601,23 +788,19 @@ def load_model(path):
     config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
-    trees, pools, indices = [], {}, []
-    for _ in range(n_trees):
-        tree_seed = r.i64()
-        kernels, tree_indices = zip(*(_read_kernel(r, pools, m) for m in range(n_modalities)))
-        indices.append(tree_indices)
-        nodes = []
-        for _ in range(internal):
-            nodes.append([_read_node(r) for _ in range(n_modalities)])
-        trees.append(
-            HashTree(depth=depth, nodes=nodes, learner=learner, tree_seed=tree_seed,
-                     kernels=kernels, feature_dims=feature_dims)
-        )
+    read, pools = [], {}
+    while len(read) < n_trees:
+        read.append(_read_tree(r, pools, n_modalities, internal))
+        read += _read_like_trees(r, read[-1], n_trees - len(read), pools)
     r.done()
+    records = [kernels for _, kernels, _ in read]
+    trees = [HashTree(depth=depth, nodes=tree_nodes, learner=learner, tree_seed=seed,
+                      kernels=kernels, feature_dims=feature_dims)
+             for (seed, _, tree_nodes), kernels in zip(read, _kernels(pools, records))]
     forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
                     feature_dims=feature_dims, config=config)
-    for m, rows in pools.items():
-        _hold_pool(forest, m, AnchorPool.of(trees, m, rows, [i[m] for i in indices]))
+    for m, pool in pools.items():
+        _hold_pool(forest, m, AnchorPool.of(pool, [rec[m][1] for rec in records]))
     return forest, selection
 
 

@@ -477,8 +477,7 @@ class AnchorPool:
     (by exact bytes) once, as a row, in order of first occurrence over the
     trees.  ``indices[t]`` gives tree ``t``'s anchors, in order, as rows of
     it (None for a tree without a kernel).  ``sq_norms`` holds each row's
-    squared norm from the ``anchor_sq_norms`` of the first tree that has
-    it, so a pooled RBF map adds the same norms as that tree's own map.
+    squared norm.
     """
 
     rows: np.ndarray
@@ -486,21 +485,20 @@ class AnchorPool:
     sq_norms: np.ndarray
 
     @classmethod
-    def of(cls, trees, modality: int, rows, indices) -> "AnchorPool":
-        """The pool of ``rows`` with ``indices`` (aligned with ``trees``),
-        taking its squared norms from the trees' kernels."""
-        sq_norms = np.zeros(rows.shape[0])
-        known = np.zeros(rows.shape[0], dtype=bool)
+    def of(cls, columns, indices) -> "AnchorPool":
+        """The pool of the anchors ``columns``, a C-ordered (d, P) array as a
+        model file stores it, with ``indices`` (one per tree).
+
+        The squared norms are summed down the columns of ``columns``, which
+        rounds as every tree's own ``anchor_sq_norms`` of a C-ordered (d, a)
+        array with a >= 2 does, so a pooled RBF map adds the same norms as
+        the tree's own map."""
         # huge anchors square to inf here, silently: their maps are checked
         # when a batch is encoded
         with np.errstate(over="ignore"):
-            for tree, idx in zip(trees, indices):
-                if idx is None or known[idx].all():
-                    continue
-                new = ~known[idx]
-                sq_norms[idx[new]] = tree.kernels[modality].anchor_sq_norms[new]
-                known[idx] = True
-        return cls(rows=rows, indices=tuple(indices), sq_norms=sq_norms)
+            sq_norms = np.sum(columns**2, axis=0)
+        return cls(rows=np.ascontiguousarray(columns.T), indices=tuple(indices),
+                   sq_norms=sq_norms)
 
 
 def anchor_pool(trees, modality: int) -> AnchorPool | None:
@@ -522,7 +520,7 @@ def anchor_pool(trees, modality: int) -> AnchorPool | None:
         indices.append(idx)
     if not rows:
         return None
-    return AnchorPool.of(trees, modality, np.stack(rows), indices)
+    return AnchorPool.of(np.stack(rows, axis=1), indices)
 
 
 def _pool_maps(pool: AnchorPool, x, x_sq, rbf: bool):
@@ -717,9 +715,10 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
 
     ``x`` is already checked against the trees (:func:`_check_batch`).  The
     batch is validated, and for RBF maps its squared column norms taken, once
-    per call.  When a group stacks trees, the batch is mapped through the
-    whole anchor ``pool`` of the trees' forest once (:func:`_pool_maps`):
-    one pool-by-N product, and for RBF maps the clipped squared distances.
+    per call; a batch of no columns has no leaves.  When a group stacks
+    trees, the batch is mapped through the whole anchor ``pool`` of the
+    trees' forest once (:func:`_pool_maps`): one pool-by-N product, and for
+    RBF maps the clipped squared distances.
     The trees are then encoded one group at a time, so only one group's
     feature map is held at a time.  A one-tree group maps the batch through
     its tree's kernel (if any) and routes it.  A larger group takes its rows
@@ -729,7 +728,9 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     if kinds:
-        x = _as_matrix(x, "x")
+        x = _as_matrix(x, "x", allow_empty=True)
+    if x.shape[1] == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in trees]
     x_sq = _column_sq_norms(x) if "rbf" in kinds else None
     stacked = [g for g in groups if g.take is not None]
 
@@ -776,7 +777,8 @@ def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
 def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
-    Every column of every block is exactly 1-sparse.  The trees are encoded
+    Every column of every block is exactly 1-sparse; a batch of no columns
+    gives (leaf_count, 0) blocks, whatever the learner.  The trees are encoded
     in groups through the forest's anchor pool (see :func:`_leaf_rows`),
     both held by the forest from its first encode on.
     """

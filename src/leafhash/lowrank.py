@@ -15,7 +15,8 @@ one point per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -287,12 +288,19 @@ class KernelConfig:
     def __post_init__(self):
         anchors = _as_matrix(self.anchors, "anchors")
         object.__setattr__(self, "anchors", anchors)
-        if self.kind not in ("rbf", "polynomial"):
-            raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
-        if not np.all(np.isfinite([self.sigma, self.p, self.q])):
-            raise InvalidInputError("kernel constants sigma, p and q must be finite")
-        if self.kind == "rbf" and self.sigma <= 0:
-            raise InvalidInputError("rbf bandwidth sigma must be positive")
+        check_kernel_constants(self.kind, self.sigma, self.p, self.q)
+
+    @classmethod
+    def _checked(cls, anchors: np.ndarray, **constants) -> "KernelConfig":
+        """``KernelConfig(anchors, **constants)`` for arguments already
+        checked, without checking them again: ``anchors`` a non-empty 2-D
+        float64 array of finite entries, and constants that pass
+        :func:`check_kernel_constants`.  A model file's reader takes every
+        kernel's anchors from a pool it has checked whole."""
+        kc = object.__new__(cls)
+        # a frozen dataclass keeps its fields in the instance dict
+        vars(kc).update(_KERNEL_DEFAULTS, **constants, anchors=anchors)
+        return kc
 
     @property
     def n_anchors(self) -> int:
@@ -302,6 +310,21 @@ class KernelConfig:
     def anchor_sq_norms(self) -> np.ndarray:
         """Squared norm of every anchor, the per-tree part of the RBF map."""
         return np.sum(self.anchors**2, axis=0)
+
+
+_KERNEL_DEFAULTS = {f.name: f.default for f in fields(KernelConfig) if f.name != "anchors"}
+
+
+def check_kernel_constants(kind: str, sigma: float = KernelConfig.sigma,
+                           p: float = KernelConfig.p, q: float = KernelConfig.q):
+    """Raise InvalidInputError unless ``kind`` and the constants make a
+    valid :class:`KernelConfig`."""
+    if kind not in ("rbf", "polynomial"):
+        raise InvalidInputError(f"unknown kernel kind {kind!r}")
+    if not all(math.isfinite(v) for v in (sigma, p, q)):
+        raise InvalidInputError("kernel constants sigma, p and q must be finite")
+    if kind == "rbf" and sigma <= 0:
+        raise InvalidInputError("rbf bandwidth sigma must be positive")
 
 
 def kernel_featurize(x, kc: KernelConfig) -> np.ndarray:

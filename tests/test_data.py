@@ -32,6 +32,7 @@ from leafhash import (
     save_matrix,
     save_model,
     train_forest,
+    train_multimodal_forest,
 )
 
 IMAGES_MAGIC = 0x00000803
@@ -226,25 +227,36 @@ class TestGenSynthetic:
 
 
 def trained_artifacts(learner="linear", seed=1):
-    """A small trained forest, its blocks and selection.  ``kernel-stacked``
-    is a kernel forest of 3-anchor trees, which encode in stacked groups."""
+    """A small trained forest, its blocks and selection.  ``kernel`` trees
+    have 20 anchors in 8 dimensions and encode one at a time;
+    ``kernel-stacked`` is a kernel forest of 3-anchor trees, which encode in
+    stacked groups; ``kernel-two-view`` adds a second, 5-d view of the same
+    samples, whose anchor pool the first tree's second kernel record holds."""
     ds = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=8,
                                      intrinsic_dim=2, noise=0.02,
                                      samples_per_class=30, seed=2))
     stacked = learner == "kernel-stacked"
     cfg = ForestConfig(
-        split=SplitConfig(learner="kernel" if stacked else learner, atoms=3, sparsity=2,
-                          net_hidden=(8,), net_output_dim=6, net=NetConfig(epochs=30)),
+        split=SplitConfig(learner="kernel" if learner.startswith("kernel") else learner,
+                          atoms=3, sparsity=2, net_hidden=(8,), net_output_dim=6,
+                          net=NetConfig(epochs=30)),
         anchor_count=3 if stacked else 20,
     )
-    forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
+    if learner == "kernel-two-view":
+        second = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=5,
+                                             intrinsic_dim=2, noise=0.02,
+                                             samples_per_class=30, seed=3))
+        forest = train_multimodal_forest([ds, second], 0, 3, 2, cfg, master_seed=seed)
+    else:
+        forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
     blocks = encode_dataset(forest, ds.features)
     selection = greedy_unsupervised(BlockSet.from_blocks(blocks), 1)
     return ds, forest, blocks, selection
 
 
 class TestModelContainer:
-    @pytest.mark.parametrize("learner", ["linear", "kernel", "neural"])
+    @pytest.mark.parametrize("learner", ["linear", "kernel", "kernel-stacked",
+                                         "kernel-two-view", "neural"])
     def test_round_trip_bit_exact_encoding(self, tmp_path, learner):
         ds, forest, blocks, selection = trained_artifacts(learner)
         path = tmp_path / "model.fhsh"
@@ -255,6 +267,42 @@ class TestModelContainer:
         assert loaded_sel.chosen == selection.chosen
         assert loaded.master_seed == forest.master_seed
         assert loaded.config == forest.config
+
+    @pytest.mark.parametrize("learner", ["linear", "neural", "kernel", "kernel-stacked",
+                                         "kernel-two-view"])
+    def test_loaded_model_saves_to_the_same_bytes(self, tmp_path, learner):
+        _, forest, _, _ = trained_artifacts(learner)
+        if learner.startswith("kernel"):
+            groups = forest_module._held_encode(forest, 0)[1]
+            assert any(g.take is not None for g in groups) == (learner == "kernel-stacked")
+        raw = saved_model_bytes(learner)
+        path = tmp_path / "again.fhsh"
+        save_model(*load_model_bytes(raw), path)
+        assert path.read_bytes() == raw
+
+    # a run of trees laid out alike is read as one record array, which
+    # cannot hold these as fields: the trees are read one at a time
+    @pytest.mark.parametrize("shape", [(0, 2**40), (1,) * 64])
+    def test_arrays_a_record_cannot_hold_load_alike(self, tmp_path, shape):
+        _, forest, _, selection = trained_artifacts()
+        for tree in forest.trees:
+            tree.nodes[0][0].proj_pos = np.zeros(shape)
+        path = tmp_path / "model.fhsh"
+        save_model(forest, selection, path)
+        loaded, _ = load_model(path)
+        assert [t.nodes[0][0].proj_pos.shape for t in loaded.trees] == [shape] * 3
+        again = tmp_path / "again.fhsh"
+        save_model(loaded, selection, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("learner", ["kernel", "kernel-stacked", "kernel-two-view"])
+    def test_loaded_pool_norms_are_the_trees_norms(self, learner):
+        forest, _ = load_model_bytes(saved_model_bytes(learner))
+        for m in range(len(forest.feature_dims)):
+            pool = forest_module._held_pool(forest, m)
+            for tree, idx in zip(forest.trees, pool.indices):
+                # bit for bit: an RBF map takes them from the pool or the tree
+                assert pool.sq_norms[idx].tobytes() == tree.kernels[m].anchor_sq_norms.tobytes()
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         _, forest, _, selection = trained_artifacts()
@@ -312,18 +360,26 @@ def config_span(raw):
     return offset, length
 
 
-def first_kernel_record(raw):
-    """(offset of the first tree's kernel record, offset of its anchor pool)
-    in a saved single-view RBF kernel model.
-
-    Before the record: the selection record (flag, mode string, lambda flag
-    and value, one chosen block and its gain) and the tree seed.  The record
-    is the u8 kernel code and sigma, the pool array, then the indices.
-    """
+def selection_span(raw):
+    """(offset of the selection's u32 block count, the count) in a saved
+    model: after the config string come the flag, the mode string and the
+    lambda flag and value.  The count's blocks and then their gains follow."""
     offset, length = config_span(raw)
     selection = offset + 4 + length
     (mode_length,) = struct.unpack_from("<I", raw, selection + 1)
-    record = selection + 1 + 4 + mode_length + 1 + 8 + 4 + 4 + 8 + 8
+    count_at = selection + 1 + 4 + mode_length + 1 + 8
+    return count_at, struct.unpack_from("<I", raw, count_at)[0]
+
+
+def first_kernel_record(raw):
+    """(offset of the first tree's first kernel record, offset of its anchor
+    pool) in a saved RBF kernel model.
+
+    Before the record: the selection record and the tree seed.  The record
+    is the u8 kernel code and sigma, the pool array, then the indices.
+    """
+    count_at, count = selection_span(raw)
+    record = count_at + 4 + 12 * count + 8
     assert raw[record] == 1
     return record, record + 1 + 8
 
@@ -332,6 +388,28 @@ def pool_shape(raw, pool_at):
     """((d, P), offset of the u32 index count after it) of a pool array."""
     d, size = struct.unpack_from("<QQ", raw, pool_at + 1)
     return (d, size), pool_at + 1 + 16 + 8 * d * size
+
+
+def first_node(raw):
+    """Offset of the first tree's first node in a saved model: after its
+    kernel records, one per modality, each its modality's first (so an RBF
+    record holds a pool).  The node is a u8 degenerate flag, a u32 class
+    count and that many 9-byte (i64 class, u8 side) partition entries."""
+    count_at, count = selection_span(raw)
+    at = count_at + 4 + 12 * count + 8
+    for _ in range(raw[6]):
+        if raw[at] == 0:
+            at += 1
+            continue
+        _, index_count_at = pool_shape(raw, at + 1 + 8)
+        (n,) = struct.unpack_from("<I", raw, index_count_at)
+        at = index_count_at + 4 + 4 * n
+    return at
+
+
+def truncated_payload(raw, end):
+    """``raw`` cut at file offset ``end``, with the trailing CRC recomputed."""
+    return raw[:end] + struct.pack("<I", zlib.crc32(raw[6:end]))
 
 
 def with_payload_bytes(raw, changes):
@@ -462,6 +540,96 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == record
 
+    # a record cut short is reported at the first field that does not fit,
+    # where reading it field by field stops
+    @pytest.mark.parametrize("kept, offset", [(0, 0), (5, 0), (8, 8), (9, 9), (26, 26)])
+    def test_truncated_class_partition_is_format_error_at_its_field(self, kept, offset):
+        raw = saved_model_bytes("kernel")
+        entries = first_node(raw) + 1 + 4
+        assert struct.unpack_from("<I", raw, entries - 4)[0] == 3
+        with pytest.raises(DataFormatError, match="truncated") as info:
+            load_model_bytes(truncated_payload(raw, entries + kept))
+        assert info.value.offset == entries + offset
+
+    def test_class_listed_twice_keeps_its_first_place_and_last_side(self):
+        raw = saved_model_bytes()
+        entries = first_node(raw) + 1 + 4
+        (cls, side), _, (last, last_side) = struct.iter_unpack("<qB", raw[entries:entries + 27])
+        # the second entry names the first class again, on the other side
+        changes = enumerate(struct.pack("<qB", cls, 1 - side), start=entries + 9)
+        forest, _ = load_model_bytes(with_payload_bytes(raw, list(changes)))
+        sides = ("neg", "pos")
+        assert list(forest.trees[0].nodes[0][0].class_partition.items()) == [
+            (cls, sides[1 - side]), (last, sides[last_side])]
+
+    def test_later_tree_with_another_layout_is_read_alone(self):
+        # the last tree's node turns degenerate: it is read as one, and the
+        # projectors left after it are trailing bytes
+        raw = saved_model_bytes()
+        forest, _ = load_model_bytes(raw)
+        node = forest.trees[-1].nodes[0][0]
+        proj_at = raw.rindex(np.ascontiguousarray(node.proj_pos, "<f8").tobytes())
+        # flag, class count and entries, net flag, then the projector's record
+        flag = proj_at - 17 - 1 - 9 * len(node.class_partition) - 4 - 1
+        assert raw[flag] == 0
+        with pytest.raises(DataFormatError, match="trailing") as info:
+            load_model_bytes(with_payload_bytes(raw, [(flag, 1)]))
+        assert info.value.offset == proj_at - 17 - 1
+
+    @pytest.mark.parametrize("part, kept", [("chosen", 0), ("chosen", 3), ("gains", 0),
+                                            ("gains", 7)])
+    def test_truncated_selection_is_format_error_at_its_field(self, part, kept):
+        raw = saved_model_bytes()
+        count_at, count = selection_span(raw)
+        assert count == 1
+        at = count_at + 4 + (4 if part == "gains" else 0)
+        with pytest.raises(DataFormatError, match="truncated") as info:
+            load_model_bytes(truncated_payload(raw, at + kept))
+        assert info.value.offset == at
+
+    def test_selection_count_past_the_payload_is_format_error_at_its_last_block(self):
+        raw = saved_model_bytes()
+        count_at, _ = selection_span(raw)
+        # every u32 up to the CRC is read as a block; the one the payload
+        # cannot hold whole is reported
+        changes = list(enumerate(struct.pack("<I", len(raw)), start=count_at))
+        with pytest.raises(DataFormatError, match="truncated") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        blocks = count_at + 4
+        assert info.value.offset == blocks + 4 * ((len(raw) - 4 - blocks) // 4)
+
+    @pytest.mark.parametrize("kept", [0, 3, 4, 11])
+    def test_truncated_indices_are_format_error_at_kernel(self, kept):
+        raw = saved_model_bytes("kernel")
+        record, pool_at = first_kernel_record(raw)
+        _, count_at = pool_shape(raw, pool_at)
+        with pytest.raises(DataFormatError, match="indices run past") as info:
+            load_model_bytes(truncated_payload(raw, count_at + 4 + kept))
+        assert info.value.offset == record
+
+    @pytest.mark.parametrize("fault", ["index", "sigma", "projector"])
+    def test_fault_in_a_tree_read_in_bulk_is_format_error_where_it_is(self, fault):
+        # the trees after the first are laid out like it, and read at once
+        raw = saved_model_bytes("kernel-stacked")
+        forest, _ = load_model_bytes(raw)
+        tree = forest.trees[-1]
+        sigma_at = raw.index(struct.pack("<d", tree.kernels[0].sigma))
+        record = sigma_at - 1
+        assert raw[record] == 1
+        if fault == "index":
+            (_, size), _ = pool_shape(raw, first_kernel_record(raw)[1])
+            # the record: u8 code, sigma, u32 count, then the indices
+            at, value, offset, match = record + 1 + 8 + 4, struct.pack("<I", size), record, "pool"
+        elif fault == "sigma":
+            at, value, offset, match = sigma_at, struct.pack("<d", -1.0), record, "kernel"
+        else:
+            at = raw.index(np.ascontiguousarray(tree.nodes[0][0].proj_pos, "<f8").tobytes())
+            # the array record starts with its u8 ndim and two u64 dimensions
+            value, offset, match = struct.pack("<d", np.inf), at - 1 - 2 * 8, "non-finite"
+        with pytest.raises(DataFormatError, match=match) as info:
+            load_model_bytes(with_payload_bytes(raw, list(enumerate(value, start=at))))
+        assert info.value.offset == offset
+
     def test_pool_is_stored_once_and_held_by_the_loaded_forest(self):
         _, forest, _, selection = trained_artifacts("kernel")
         raw = saved_model_bytes("kernel")
@@ -484,18 +652,25 @@ class TestModelDecoding:
             # every tree's kernel record is its one u8 "no kernel" code
             assert all(t.kernels == (None,) for t in forest.trees)
 
-    @pytest.mark.parametrize("learner", ["kernel", "kernel-stacked", "neural"])
+    @pytest.mark.parametrize("learner", ["linear", "kernel", "kernel-stacked",
+                                         "kernel-two-view", "neural"])
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_mutated_payload_loads_or_raises_format_error(self, learner, data):
         raw = saved_model_bytes(learner)
-        if learner == "neural":
-            spans = [(6, len(raw) - 5)]
-        else:
-            # the whole payload, or only the first kernel record's indices
+        # the whole payload, or the first node's class partition
+        node = first_node(raw)
+        (classes,) = struct.unpack_from("<I", raw, node + 1)
+        spans = [(6, len(raw) - 5), (node + 1, node + 4 + 9 * classes)]
+        if learner.startswith("kernel"):
+            # the first kernel record's indices
             record, pool_at = first_kernel_record(raw)
             _, count_at = pool_shape(raw, pool_at)
-            spans = [(6, len(raw) - 5), (count_at, count_at + 4 + 4 * 3)]
+            spans.append((count_at, count_at + 4 + 4 * 3))
+        if learner == "kernel-two-view":
+            # the second modality's kernel record, with its pool
+            second = count_at + 4 + 4 * struct.unpack_from("<I", raw, count_at)[0]
+            spans.append((second, node - 1))
         lo, hi = data.draw(st.sampled_from(spans))
         changes = data.draw(st.lists(
             st.tuples(st.integers(lo, hi), st.integers(0, 255)), min_size=1, max_size=3))
@@ -503,11 +678,13 @@ class TestModelDecoding:
             forest, _ = load_model_bytes(with_payload_bytes(raw, changes))
         except DataFormatError:
             return
-        pool = forest_module._held_pool(forest, 0)
-        if pool is not None:
-            for tree, idx in zip(forest.trees, pool.indices):
-                if idx is not None:
-                    np.testing.assert_array_equal(pool.rows[idx], tree.kernels[0].anchors.T)
+        for m in range(len(forest.feature_dims)):
+            pool = forest_module._held_pool(forest, m)
+            if pool is not None:
+                for tree, idx in zip(forest.trees, pool.indices):
+                    if idx is not None:
+                        np.testing.assert_array_equal(pool.rows[idx],
+                                                      tree.kernels[m].anchors.T)
         for tree in forest.trees:
             for kc in tree.kernels:
                 if kc is not None:

@@ -470,6 +470,21 @@ class TestEncodeUnchanged:
         with pytest.raises(InvalidInputError):
             encode_tree(forest.trees[0], x[:, col % n])
 
+    @pytest.mark.parametrize("kind, stacked", [("linear", False), ("neural", False),
+                                               ("rbf", False), ("rbf", True),
+                                               ("polynomial", True)])
+    def test_empty_batch_gives_empty_blocks(self, kind, stacked):
+        if stacked:
+            (view,) = encode_views(5, (12,))
+            forest = train_forest(view, 3, 2, grouped_config(kind, 4), master_seed=5)
+        else:
+            forest = _nonfinite_forest(kind)
+        groups = forest_module._held_encode(forest, 0)[1]
+        assert any(g.take is not None for g in groups) == stacked
+        blocks = encode_dataset(forest, np.zeros((forest.feature_dims[0], 0)))
+        assert [b.shape for b in blocks] == [(forest.leaf_count, 0)] * forest.n_trees
+        assert all(b.dtype == np.uint8 for b in blocks)
+
 
 def per_tree_leaves_and_margins(tree, x, modality):
     """Leaf of every column, one tree at a time as in :func:`per_tree_leaves`,

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts, so a stale call in one fails here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+# keys of the one JSON line a script prints, for those that print one
+REPORT_KEYS = {"encode_batch_sizes.py": {"model_bytes", "pts_per_s", "load_ms"}}
 
 
 @pytest.mark.parametrize("script, args", [
@@ -21,3 +26,7 @@ def test_script_runs(script, args):
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    if script in REPORT_KEYS:
+        report = json.loads(done.stdout)
+        assert REPORT_KEYS[script] <= report.keys()
+        assert set(report["load_ms"]) == {"median", "q1", "q3"}
