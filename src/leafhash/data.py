@@ -10,10 +10,10 @@ File formats owned here:
   trailing CRC32; round-trips are bit-exact for everything serving reads.  A
   model stores each modality's distinct kernel anchors once, as one pool
   (``forest.anchor_pool``), and each kernel tree's anchors as indices into it.
-  A model is read in bulk: in place through a memoryview, a run of records
-  of one kind (a class partition, the selection's blocks) as one array, and
-  a run of trees laid out alike as one numpy record array.  Every kernel
-  tree's anchors are a column slice of one gather from its pool.
+  A model is read in bulk: in place through a memoryview, with a run of
+  records of one kind (a class partition, the selection's blocks) as one
+  array.  Every kernel tree's anchors are a column slice of one gather from
+  its pool.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ _IDX_LABELS = 0x00000801
 _LEARNER_CODES = {"linear": 0, "kernel": 1, "neural": 2}
 _LEARNER_NAMES = {v: k for k, v in _LEARNER_CODES.items()}
 _KERNEL_CODES = {None: 0, "rbf": 1, "polynomial": 2}
-_KERNEL_CONSTANTS = {"rbf": ("sigma",), "polynomial": ("p", "q")}  # in file order
 _ACT_CODES = {"relu": 0, "identity": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
@@ -298,7 +297,8 @@ class _Writer:
         self.buf += a.tobytes()
 
 
-_U32S, _F64S = np.dtype("<u4"), np.dtype("<f8")
+_U32S, _U64S, _F64S = np.dtype("<u4"), np.dtype("<u8"), np.dtype("<f8")
+_U8, _U32, _U64, _I64, _F64 = (struct.Struct(f) for f in ("<B", "<I", "<Q", "<q", "<d"))
 # one class of a node's class partition: the class, then its side, which
 # reads "neg" for 0 and "pos" for any other byte
 _PARTITION = np.dtype([("cls", "<i8"), ("side", "u1")])
@@ -322,20 +322,27 @@ class _Reader:
         self.pos += n
         return out
 
+    def _scalar(self, kind):
+        at = self.pos
+        if at + kind.size > len(self.buf):
+            raise DataFormatError("container truncated mid-record", offset=self.base + at)
+        self.pos = at + kind.size
+        return kind.unpack_from(self.buf, at)[0]
+
     def u8(self):
-        return struct.unpack("<B", self._take(1))[0]
+        return self._scalar(_U8)
 
     def u32(self):
-        return struct.unpack("<I", self._take(4))[0]
+        return self._scalar(_U32)
 
     def u64(self):
-        return struct.unpack("<Q", self._take(8))[0]
+        return self._scalar(_U64)
 
     def i64(self):
-        return struct.unpack("<q", self._take(8))[0]
+        return self._scalar(_I64)
 
     def f64(self):
-        return struct.unpack("<d", self._take(8))[0]
+        return self._scalar(_F64)
 
     def records(self, dtype, count):
         """``count`` packed records of ``dtype`` as one read-only array.
@@ -371,8 +378,7 @@ class _Reader:
 
     def array(self):
         start = self.base + self.pos
-        ndim = self.u8()
-        shape = tuple(self.u64() for _ in range(ndim))
+        shape = tuple(self.records(_U64S, self.u8()).tolist())
         need = 8 * math.prod(shape)  # Python ints: no overflow on huge shapes
         left = len(self.buf) - self.pos
         if need > left:
@@ -383,7 +389,7 @@ class _Reader:
             out = self.records(_F64S, need // 8).reshape(shape).copy()
         except ValueError as exc:  # over 64 dimensions, or one past the index range
             raise DataFormatError(f"bad array shape {shape}: {exc}", offset=start) from exc
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DataFormatError("array holds non-finite entries", offset=start)
         return out
 
@@ -582,138 +588,6 @@ def _read_tree(r, pools, n_modalities, internal):
     return seed, kernels, nodes
 
 
-def _tree_layout(kernels, nodes):
-    """The record of a tree laid out like one read as ``kernels`` and
-    ``nodes`` (:func:`_read_tree`), without an anchor pool.
-
-    Returns a numpy dtype of its fields in file order; the value of each
-    field that fixes the layout (codes, counts, flags and array shapes), by
-    name; and the names of its arrays' entries.  Returns None when a record
-    array cannot hold one of its arrays as a field: one of 64 dimensions
-    (the field adds one, past numpy's limit), or with a dimension past a C
-    int (as a zero-size array may have)."""
-    fields, fixed, arrays = [("seed", "<i8")], {}, []
-
-    def add(name, kind, shape=(), value=None):
-        fields.append((name, kind, shape))
-        if value is not None:
-            fixed[name] = np.asarray(value, dtype=kind).ravel()
-
-    def array(name, a):
-        add(name + ".ndim", "u1", value=a.ndim)
-        add(name + ".shape", "<u8", (a.ndim,), a.shape)
-        add(name, "<f8", a.shape)
-        arrays.append(name)
-
-    for m, (consts, idx) in enumerate(kernels):
-        add(f"k{m}.code", "u1", value=_KERNEL_CODES[None if consts is None else consts["kind"]])
-        if consts is None:
-            continue
-        for c in _KERNEL_CONSTANTS[consts["kind"]]:
-            add(f"k{m}.{c}", "<f8")
-        add(f"k{m}.count", "<u4", value=idx.size)
-        add(f"k{m}.idx", "<u4", (idx.size,))
-    for p, per_mod in enumerate(nodes):
-        for m, node in enumerate(per_mod):
-            at = f"n{p}.{m}"
-            add(at + ".degenerate", "u1", value=int(node.degenerate))
-            add(at + ".count", "<u4", value=len(node.class_partition))
-            add(at + ".classes", _PARTITION, (len(node.class_partition),))
-            if node.degenerate:
-                continue
-            add(at + ".net", "u1", value=int(node.net is not None))
-            if node.net is not None:
-                add(at + ".layers", "u1", value=len(node.net.layers))
-                for i, layer in enumerate(node.net.layers):
-                    array(f"{at}.w{i}", layer.weight)
-                    array(f"{at}.b{i}", layer.bias)
-                    add(f"{at}.act{i}", "u1", value=_ACT_CODES[layer.activation])
-            array(at + ".pos", node.proj_pos)
-            array(at + ".neg", node.proj_neg)
-    try:
-        layout = np.dtype(fields)
-    except ValueError:
-        return None
-    if any(layout[name].ndim >= 64 for name in arrays):
-        return None
-    return layout, fixed, arrays
-
-
-def _read_like_trees(r, template, limit, pools):
-    """Up to ``limit`` trees laid out like ``template``, a tree just read
-    (:func:`_read_tree`), read at once as records of one numpy dtype
-    (:func:`_tree_layout`).
-
-    Stops before the first tree whose layout differs from the template's,
-    or with a value that reading it alone rejects: an anchor index past its
-    pool, a bad kernel constant, a non-finite array.  :func:`_read_tree`
-    reads that tree next, and reports its error where it is.  The trees read
-    here hold views of one aligned copy of each array field."""
-    _, kernels, nodes = template
-    found = _tree_layout(kernels, nodes)
-    if found is None:
-        return []
-    layout, fixed, array_names = found
-    count = min(limit, (len(r.buf) - r.pos) // layout.itemsize)
-    if count == 0:
-        return []
-    recs = np.frombuffer(r.buf, layout, count=count, offset=r.pos)
-
-    def rows(name):  # a field's entries, one row per tree
-        return recs[name].reshape(count, math.prod(layout[name].shape))
-
-    ok = np.ones(count, dtype=bool)
-    for name, value in fixed.items():
-        ok &= (rows(name) == value).all(axis=1)
-    for name in array_names:
-        ok &= np.isfinite(rows(name)).all(axis=1)
-    for m, (consts, _) in enumerate(kernels):
-        if consts is not None:
-            ok &= rows(f"k{m}.idx").max(axis=1) < pools[m].shape[1]
-    if not ok.all():
-        count = int(ok.argmin())
-    recs = recs[:count]
-    arrays = {name: np.ascontiguousarray(recs[name]) for name in array_names}
-    classes = {name: recs[name].tolist() for name in layout.names if name.endswith(".classes")}
-    per_kernel = []  # every tree's (constants, indices), per modality
-    for m, (consts, _) in enumerate(kernels):
-        if consts is None:
-            per_kernel.append([(None, None)] * count)
-            continue
-        names = _KERNEL_CONSTANTS[consts["kind"]]
-        values = zip(*(recs[f"k{m}.{n}"].tolist() for n in names))
-        per_kernel.append(list(zip([{"kind": consts["kind"], **dict(zip(names, v))}
-                                    for v in values],
-                                   recs[f"k{m}.idx"].astype(np.intp))))
-
-    def node_of(node, at, t):
-        partition = {cls: _SIDES[side] for cls, side in classes[at + ".classes"][t]}
-        if node.degenerate:
-            return SplitNode(class_partition=partition, degenerate=True)
-        net = None if node.net is None else DenseNet(layers=[
-            DenseLayer(weight=arrays[f"{at}.w{i}"][t, ...], bias=arrays[f"{at}.b{i}"][t, ...],
-                       activation=layer.activation)
-            for i, layer in enumerate(node.net.layers)])
-        return SplitNode(proj_pos=arrays[at + ".pos"][t, ...],
-                         proj_neg=arrays[at + ".neg"][t, ...], net=net,
-                         class_partition=partition)
-
-    trees = []
-    for t, seed in enumerate(recs["seed"].tolist()):
-        tree_kernels = [per_tree[t] for per_tree in per_kernel]
-        try:
-            for consts, _ in tree_kernels:
-                if consts is not None:
-                    check_kernel_constants(**consts)
-        except InvalidInputError:
-            break
-        trees.append((seed, tree_kernels,
-                      [[node_of(node, f"n{p}.{m}", t) for m, node in enumerate(per_mod)]
-                       for p, per_mod in enumerate(nodes)]))
-    r.pos += len(trees) * layout.itemsize
-    return trees
-
-
 def _config_to_json(cfg: ForestConfig) -> str:
     return json.dumps(asdict(cfg), sort_keys=True)
 
@@ -788,10 +662,8 @@ def load_model(path):
     config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
-    read, pools = [], {}
-    while len(read) < n_trees:
-        read.append(_read_tree(r, pools, n_modalities, internal))
-        read += _read_like_trees(r, read[-1], n_trees - len(read), pools)
+    pools = {}
+    read = [_read_tree(r, pools, n_modalities, internal) for _ in range(n_trees)]
     r.done()
     records = [kernels for _, kernels, _ in read]
     trees = [HashTree(depth=depth, nodes=tree_nodes, learner=learner, tree_seed=seed,

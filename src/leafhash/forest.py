@@ -490,9 +490,10 @@ class AnchorPool:
         model file stores it, with ``indices`` (one per tree).
 
         The squared norms are summed down the columns of ``columns``, which
-        rounds as every tree's own ``anchor_sq_norms`` of a C-ordered (d, a)
-        array with a >= 2 does, so a pooled RBF map adds the same norms as
-        the tree's own map."""
+        rounds as a tree's own ``anchor_sq_norms`` of a (d, a) array with
+        a >= 2 does, so a pooled RBF map adds the same norms as the tree's
+        own map.  A tree of one anchor sums its norm pairwise, and is
+        encoded alone (:func:`_stack_key`)."""
         # huge anchors square to inf here, silently: their maps are checked
         # when a batch is encoded
         with np.errstate(over="ignore"):
@@ -578,11 +579,13 @@ GROUP_ANCHORS = 256
 
 def _stack_key(tree, modality):
     """What a tree must share with its neighbours to be stacked with them, or
-    None when it is encoded alone: no kernel, a degenerate root or one with
-    a net (whose output, not the map, is what it routes), or arrays whose
-    shapes do not fit the map (which the tree alone rejects)."""
+    None when it is encoded alone: no kernel, a kernel of one anchor (whose
+    own ``anchor_sq_norms`` numpy sums pairwise, not in order as the pool's
+    are summed), a degenerate root or one with a net (whose output, not the
+    map, is what it routes), or arrays whose shapes do not fit the map
+    (which the tree alone rejects)."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
-    if kc is None or root.degenerate or root.net is not None:
+    if kc is None or kc.n_anchors == 1 or root.degenerate or root.net is not None:
         return None
     shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
     d, a = tree.feature_dims[modality], kc.n_anchors
