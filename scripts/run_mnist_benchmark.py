@@ -62,6 +62,15 @@ def train_and_select(features, labels, trees, bits, seed, workers):
     return forest, selection
 
 
+def encode(forest, features, chosen, size=1000):
+    """Packed codes of ``features``, encoded ``size`` columns at a time: a
+    column's code does not depend on its batch, and a call's temporaries
+    grow with its batch."""
+    codes = [lh.pack_codes(lh.encode_dataset(forest, features[:, i:i + size]), chosen)
+             for i in range(0, features.shape[1], size)]
+    return lh.PackedCodes(np.concatenate([c.words for c in codes]), codes[0].length)
+
+
 def protocol_a(data, args):
     print("protocol A: reduced training, radius-0 lookup on 60k/10k")
     start = time.perf_counter()
@@ -70,12 +79,8 @@ def protocol_a(data, args):
     forest, selection = train_and_select(
         data["train_images"][:, subset], data["train_labels"][subset],
         args.trees, 36, args.seed, args.workers)
-    gallery = lh.pack_codes(
-        lh.encode_dataset(forest, data["train_images"]),
-        selection.chosen)
-    queries = lh.pack_codes(
-        lh.encode_dataset(forest, data["test_images"]),
-        selection.chosen)
+    gallery = encode(forest, data["train_images"], selection.chosen)
+    queries = encode(forest, data["test_images"], selection.chosen)
     idx = lh.HammingIndex(codes=gallery, labels=data["train_labels"])
     p, r = lh.precision_recall_at_radius(idx, queries, data["test_labels"], 0)
     print(f"  precision@0={p:.4f} recall@0={r:.4f} "
@@ -91,10 +96,8 @@ def protocol_b(data, args):
         args.trees, 48, args.seed + 1, args.workers)
     gallery_idx = rng.choice(data["train_labels"].size, size=10_000, replace=False)
     query_idx = rng.choice(data["test_labels"].size, size=1_000, replace=False)
-    gallery = lh.pack_codes(
-        lh.encode_dataset(forest, data["train_images"][:, gallery_idx]), selection.chosen)
-    queries = lh.pack_codes(
-        lh.encode_dataset(forest, data["test_images"][:, query_idx]), selection.chosen)
+    gallery = encode(forest, data["train_images"][:, gallery_idx], selection.chosen)
+    queries = encode(forest, data["test_images"][:, query_idx], selection.chosen)
     idx = lh.HammingIndex(codes=gallery, labels=data["train_labels"][gallery_idx])
     value = lh.mean_average_precision(idx, queries, data["test_labels"][query_idx])
     print(f"  map={value:.4f}")

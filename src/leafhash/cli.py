@@ -288,8 +288,14 @@ def cmd_eval(args) -> int:
             f"queries {query_codes.length}"
         )
     if model_path:
-        forest, _ = dio.load_model(model_path)
-        del forest  # presence/readability check only
+        forest, selection = dio.load_model(model_path)
+        if selection is None:
+            raise InvalidInputError("model carries no block selection; retrain")
+        bits = len(selection.chosen) * forest.leaf_count
+        if bits != gallery_codes.length:
+            raise InvalidInputError(
+                f"model codes are {bits} bits, the codes files' {gallery_codes.length}"
+            )
 
     idx = HammingIndex(codes=gallery_codes, labels=gallery_labels)
     _emit("gallery", len(gallery_codes))

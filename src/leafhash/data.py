@@ -8,12 +8,13 @@ File formats owned here:
   and a raw little-endian float64 format with a (rows, cols) header.
 - "FHSH03" binary model container and "FHCD01" packed-codes file, both with a
   trailing CRC32; round-trips are bit-exact for everything serving reads.  A
-  model stores each modality's distinct kernel anchors once, as one pool
-  (``forest.anchor_pool``), and each kernel tree's anchors as indices into it.
-  A model is read in bulk: in place through a memoryview, with a run of
-  records of one kind (a class partition, the selection's blocks) as one
-  array.  Every kernel tree's anchors are a column slice of one gather from
-  its pool.
+  model stores each modality's distinct kernel anchors once, as the forest's
+  pool (``Forest.pools``, see ``forest.anchor_pool``), and each kernel tree's
+  anchors as indices into it.  A model is read in bulk: in place through a
+  memoryview, with a run of records of one kind (a class partition, the
+  selection's blocks) as one array.  Every kernel tree's anchors are a column
+  slice of one gather from its pool, and the loaded forest is made with the
+  pools that were read, so it never dedups its anchors again.
 """
 
 from __future__ import annotations
@@ -31,15 +32,7 @@ from .errors import DataFormatError, InvalidInputError
 from .lowrank import KernelConfig, OptimizerConfig, check_kernel_constants
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
-from .forest import (
-    AnchorPool,
-    Forest,
-    ForestConfig,
-    HashTree,
-    LabeledDataset,
-    _held_pool,
-    _hold_pool,
-)
+from .forest import AnchorPool, Forest, ForestConfig, HashTree, LabeledDataset
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
@@ -613,7 +606,6 @@ def save_model(forest: Forest, selection, path):
     first kernel record; every kernel record stores its anchors as indices
     into the pool.
     """
-    pools = [_held_pool(forest, m) for m in range(len(forest.feature_dims))]
     w = _Writer()
     w.u8(len(forest.feature_dims))
     w.u32(forest.n_trees)
@@ -628,7 +620,7 @@ def save_model(forest: Forest, selection, path):
     for t, tree in enumerate(forest.trees):
         w.i64(tree.tree_seed)
         for m, kc in enumerate(tree.kernels):
-            pool = pools[m]
+            pool = forest.pools[m]
             _write_kernel(w, kc, pool, None if pool is None else pool.indices[t],
                           kc is not None and m not in written)
             if kc is not None:
@@ -643,8 +635,8 @@ def save_model(forest: Forest, selection, path):
 def load_model(path):
     """Read an FHSH03 container; returns ``(forest, selection)``.
 
-    The forest holds the anchor pools it was read with, so its first encode
-    does not build them again.
+    The forest is made with the anchor pools it was read with, so it does
+    not build them again.
     """
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
@@ -669,10 +661,10 @@ def load_model(path):
     trees = [HashTree(depth=depth, nodes=tree_nodes, learner=learner, tree_seed=seed,
                       kernels=kernels, feature_dims=feature_dims)
              for (seed, _, tree_nodes), kernels in zip(read, _kernels(pools, records))]
+    read_pools = [AnchorPool.of(pools[m], [rec[m][1] for rec in records]) if m in pools
+                  else None for m in range(n_modalities)]
     forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
-                    feature_dims=feature_dims, config=config)
-    for m, pool in pools.items():
-        _hold_pool(forest, m, AnchorPool.of(pool, [rec[m][1] for rec in records]))
+                    feature_dims=feature_dims, config=config, pools=read_pools)
     return forest, selection
 
 

@@ -6,8 +6,13 @@ node is trained to separate them.  Encoding pushes a point to a leaf and emits
 a one-hot vector over the tree's 2^(depth-1) breadth-first-indexed leaves.
 
 Trees are fully independent: per-tree seeds derive from the master seed and
-the tree index, so training is reproducible bit-for-bit regardless of worker
-count or scheduling.
+the tree index, and every tree trains on one OpenBLAS thread, whether in the
+calling process or in a pool worker, so training is reproducible bit-for-bit
+regardless of worker count or scheduling.
+
+A :class:`Forest` is made once: its constructor builds each modality's anchor
+pool and encode groups from the trees, and encoding and ``save_model`` read
+them.  To change a forest, make a new one.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import glob
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -135,19 +140,37 @@ class HashTree:
         return len(self.feature_dims)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forest:
-    """A list of independently trained trees plus training metadata."""
+    """A tuple of independently trained trees plus training metadata.
 
-    trees: list[HashTree]
+    ``trees`` may be given as a list; it is stored as a tuple.  The
+    constructor builds, for every modality ``m``, the trees' anchor pool
+    ``pools[m]`` (:func:`anchor_pool`; None without a kernel tree) and their
+    encode groups ``_groups[m]`` (:func:`_tree_groups`).  Both are derived
+    from the trees, so neither is compared nor shown.  ``pools`` may be
+    handed in instead: ``load_model`` passes the pools it read with the
+    trees.  ``dataclasses.replace`` hands the new forest the old pools, so
+    a forest with other trees is made with the constructor.
+    """
+
+    trees: tuple[HashTree, ...]
     master_seed: int
     depth: int
     learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
-    # anchor pool and encode groups per modality (see _held_encode): derived
-    # from the trees, so neither serialized nor compared
-    _encode: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    pools: InitVar[tuple | None] = None
+
+    def __post_init__(self, pools):
+        trees = tuple(self.trees)
+        if pools is None:
+            pools = [anchor_pool(trees, m) for m in range(len(self.feature_dims))]
+        object.__setattr__(self, "trees", trees)
+        object.__setattr__(self, "pools", tuple(pools))
+        object.__setattr__(self, "_groups", tuple(
+            _tree_groups(trees, m, None if pool is None else pool.indices)
+            for m, pool in enumerate(self.pools)))
 
     @property
     def n_trees(self) -> int:
@@ -347,17 +370,6 @@ def _openblas_threads():
     return None
 
 
-def _one_blas_thread():
-    """Cap numpy's bundled OpenBLAS at one thread in this process.
-
-    Pool workers already run one per core; OpenBLAS's own threads on top of
-    them oversubscribe the cores.  Does nothing without a bundled OpenBLAS.
-    """
-    threads = _openblas_threads()
-    if threads is not None:
-        threads[1](1)
-
-
 @contextlib.contextmanager
 def _single_blas_thread():
     """Run the block with one OpenBLAS thread, then restore the caller's count.
@@ -367,8 +379,10 @@ def _single_blas_thread():
     slowest, so another process on any core stalls every product.  On a
     2-core machine beside one busy loop, a 16-d, 24-tree forest encoded
     about 3x slower with two threads and no slower with one.  Two threads
-    do encode 784-d batches about a quarter faster on a quiet machine.  The
-    count is process-wide: other threads' BLAS calls meanwhile run on one.
+    do encode 784-d batches about a quarter faster on a quiet machine.
+    Training runs under it too, serial or pooled, so the thread count cannot
+    change a tree.  The count is process-wide: other threads' BLAS calls
+    meanwhile run on one.
     """
     threads = _openblas_threads()
     before = threads[0]() if threads is not None else 1
@@ -384,15 +398,15 @@ def _single_blas_thread():
 
 def _pool_init(views, depth, cfg, master_seed, dominant):
     global _POOL_ARGS
-    _one_blas_thread()
     _POOL_ARGS = (views, depth, cfg, master_seed, dominant)
 
 
 def _pool_train(index):
     views, depth, cfg, master_seed, dominant = _POOL_ARGS
-    return index, train_tree(
-        views, depth, cfg, tree_seed_for(master_seed, index), dominant
-    )
+    with _single_blas_thread():
+        return index, train_tree(
+            views, depth, cfg, tree_seed_for(master_seed, index), dominant
+        )
 
 
 def train_multimodal_forest(
@@ -409,7 +423,10 @@ def train_multimodal_forest(
     Every node draws a single class partition shared by all modalities and
     trains one split node per modality on it; the ``dominant`` modality routes
     the training samples.  A per-tree failure propagates with a note naming
-    the tree index.
+    the tree index.  Every tree trains on one OpenBLAS thread, in this
+    process or in a pool worker: at 784-d, a product split over threads
+    rounds differently, so the thread count would otherwise change the
+    trees.
     """
     views = [views] if isinstance(views, LabeledDataset) else list(views)
     cfg = cfg or ForestConfig()
@@ -435,14 +452,15 @@ def train_multimodal_forest(
                     exc.add_note(f"tree {index}")
                     raise
     else:
-        for index in range(n_trees):
-            try:
-                trees[index] = train_tree(
-                    views, depth, cfg, tree_seed_for(master_seed, index), dominant
-                )
-            except Exception as exc:
-                exc.add_note(f"tree {index}")
-                raise
+        with _single_blas_thread():
+            for index in range(n_trees):
+                try:
+                    trees[index] = train_tree(
+                        views, depth, cfg, tree_seed_for(master_seed, index), dominant
+                    )
+                except Exception as exc:
+                    exc.add_note(f"tree {index}")
+                    raise
 
     return Forest(
         trees=trees,
@@ -637,54 +655,6 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     return groups
 
 
-@dataclass
-class _Held:
-    """A forest's encode state for one modality (see :func:`_held_encode`)."""
-
-    members: list
-    pool: AnchorPool | None
-    groups: list[_TreeGroup] | None = None
-
-
-def _members(trees, modality: int) -> list:
-    return [m for t in trees for m in (t.kernels[modality], t.nodes[0][modality])]
-
-
-def _held(forest: Forest, modality: int) -> _Held:
-    """The forest's held state for ``modality``, built again from its trees
-    when any tree's kernel or root node is another object than the one it
-    was built from (a tree replaced or retrained)."""
-    members = _members(forest.trees, modality)
-    held = forest._encode.get(modality)
-    if (held is None or len(held.members) != len(members)
-            or not all(a is b for a, b in zip(held.members, members))):
-        held = _Held(members, anchor_pool(forest.trees, modality))
-        forest._encode[modality] = held
-    return held
-
-
-def _held_pool(forest: Forest, modality: int) -> AnchorPool | None:
-    """The forest's anchor pool for ``modality`` (:func:`anchor_pool`),
-    built once and held with the forest."""
-    return _held(forest, modality).pool
-
-
-def _hold_pool(forest: Forest, modality: int, pool: AnchorPool | None):
-    """Hand ``forest`` the pool of its trees' anchors for ``modality``, such
-    as one read from a model file, so it is not built again."""
-    forest._encode[modality] = _Held(_members(forest.trees, modality), pool)
-
-
-def _held_encode(forest: Forest, modality: int):
-    """``(pool, groups)`` of the forest for ``modality``: its anchor pool and
-    its encode groups, built on its first encode and held with it."""
-    held = _held(forest, modality)
-    if held.groups is None:
-        indices = held.pool.indices if held.pool is not None else None
-        held.groups = _tree_groups(forest.trees, modality, indices)
-    return held.pool, held.groups
-
-
 def _check_batch(trees, x, modality: int):
     for tree in trees:
         if not 0 <= modality < tree.n_modalities:
@@ -782,16 +752,18 @@ def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
 
     Every column of every block is exactly 1-sparse; a batch of no columns
     gives (leaf_count, 0) blocks, whatever the learner.  The trees are encoded
-    in groups through the forest's anchor pool (see :func:`_leaf_rows`),
-    both held by the forest from its first encode on.
+    in the forest's groups through its anchor pool (see :func:`_leaf_rows`),
+    both built when the forest was made.
     """
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
+    if not 0 <= modality < len(forest.feature_dims):
+        raise InvalidInputError(f"modality {modality} out of range")
     _check_batch(trees, x, modality)
-    pool, groups = _held_encode(forest, modality)
     blocks = []
-    for tree, leaves in zip(trees, _leaf_rows(trees, x, modality, groups, pool)):
+    for tree, leaves in zip(trees, _leaf_rows(trees, x, modality, forest._groups[modality],
+                                              forest.pools[modality])):
         block = np.zeros((tree.leaf_count, n), dtype=np.uint8)
         block[leaves, np.arange(n)] = 1
         blocks.append(block)

@@ -12,10 +12,10 @@ from leafhash import (
     load_model,
     save_labels,
     save_matrix,
+    save_model,
 )
 from leafhash import cli, train_forest
 from leafhash.cli import main
-from leafhash.forest import _held_encode, _held_pool
 
 TRAIN_ARGS = ["--trees", "16", "--depth", "2", "--learner", "linear",
               "--bits", "8", "--mode", "semi", "--seed", "3",
@@ -190,6 +190,25 @@ class TestEval:
         assert rc == 0
         assert float(report["precision@0"]) == pytest.approx(1.0)
 
+    def test_model_must_match_the_code_length(self, workspace, capsys):
+        evaluate = ["eval", "--gallery", str(workspace["codes"]),
+                    "--queries", str(workspace["codes"]), "--metrics", "map", "--model"]
+        assert main(evaluate + [str(workspace["model"])]) == 0
+        # 12 bits, 6 blocks of 2 leaves, against the codes' 8
+        wider = workspace["tmp"] / "model_12_bits.fhsh"
+        assert main(["train", "--features", str(workspace["features"]),
+                     "--labels", str(workspace["labels"]), "--model-out", str(wider),
+                     *TRAIN_ARGS, "--bits", "12"]) == 0
+        capsys.readouterr()
+        assert main(evaluate + [str(wider)]) == 2
+        assert "12 bits" in capsys.readouterr().err
+        # a model without a selection fixes no code length
+        forest, _ = load_model(workspace["model"])
+        unselected = workspace["tmp"] / "model_unselected.fhsh"
+        save_model(forest, None, unselected)
+        assert main(evaluate + [str(unselected)]) == 2
+        assert "no block selection" in capsys.readouterr().err
+
     def test_radius_list_line_structure(self, workspace, capsys):
         rc = main(["eval", "--gallery", str(workspace["codes"]),
                    "--queries", str(workspace["codes"]), "--radii", "0,2"])
@@ -288,7 +307,7 @@ def kernel_model(workspace):
                "--bits", "8", "--seed", "3", "--atoms", "2", "--sparsity", "1"])
     assert rc == 0
     forest, _ = load_model(model)
-    pool, groups = _held_encode(forest, 0)
+    pool, groups = forest.pools[0], forest._groups[0]
     assert [g.stop - g.start for g in groups] == [2, 2]
     assert pool.rows.shape == (16, 10)
     return model
@@ -299,7 +318,7 @@ def kernel_index_span(model):
     u32 count and its indices) in a pooled kernel model."""
     raw = model.read_bytes()
     forest, _ = load_model(model)
-    idx = _held_pool(forest, 0).indices[-1]
+    idx = forest.pools[0].indices[-1]
     record = struct.pack("<I", idx.size) + idx.astype("<u4").tobytes()
     at = raw.rindex(record)
     return at, at + len(record) - 1

@@ -13,6 +13,7 @@ from leafhash import forest as forest_module
 from leafhash import (
     BlockSet,
     DataFormatError,
+    Forest,
     ForestConfig,
     InvalidInputError,
     NetConfig,
@@ -252,12 +253,16 @@ def trained_artifacts(learner="linear", seed=1):
     else:
         forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
     if learner == "kernel-one-anchor":
-        # trained one-anchor trees have degenerate roots; these do not
+        # trained one-anchor trees have degenerate roots; these do not.  The
+        # trees change in place, so a new forest is made of them.
         for tree in forest.trees:
             (kc,) = tree.kernels
             tree.kernels = (replace(kc, anchors=kc.anchors[:, :1].copy()),)
             root = tree.nodes[0][0]
             root.proj_pos, root.proj_neg = root.proj_pos[:, :1].copy(), root.proj_neg[:, :1].copy()
+        forest = Forest(trees=forest.trees, master_seed=forest.master_seed, depth=forest.depth,
+                        learner=forest.learner, feature_dims=forest.feature_dims,
+                        config=forest.config)
     blocks = encode_dataset(forest, ds.features)
     selection = greedy_unsupervised(BlockSet.from_blocks(blocks), 1)
     return ds, forest, blocks, selection
@@ -282,7 +287,7 @@ class TestModelContainer:
     def test_loaded_model_saves_to_the_same_bytes(self, tmp_path, learner):
         _, forest, _, _ = trained_artifacts(learner)
         if learner.startswith("kernel"):
-            groups = forest_module._held_encode(forest, 0)[1]
+            groups = forest._groups[0]
             assert any(g.take is not None for g in groups) == (learner == "kernel-stacked")
         raw = saved_model_bytes(learner)
         path = tmp_path / "again.fhsh"
@@ -294,8 +299,8 @@ class TestModelContainer:
     def test_loaded_pool_norms_are_the_trees_norms(self, learner):
         forest, _ = load_model_bytes(saved_model_bytes(learner))
         for m in range(len(forest.feature_dims)):
-            pool = forest_module._held_pool(forest, m)
-            alone = {g.start for g in forest_module._held_encode(forest, m)[1] if g.take is None}
+            pool = forest.pools[m]
+            alone = {g.start for g in forest._groups[m] if g.take is None}
             for t, (tree, idx) in enumerate(zip(forest.trees, pool.indices)):
                 if tree.kernels[m].n_anchors == 1:
                     # numpy sums a one-anchor norm pairwise, not as the pool's
@@ -614,9 +619,11 @@ class TestModelDecoding:
         distinct = {c.tobytes() for t in forest.trees for c in t.kernels[0].anchors.T}
         assert pool_size == len(distinct) < total
         loaded, _ = load_model_bytes(raw)
-        pool = forest_module._held_pool(loaded, 0)
+        pool = loaded.pools[0]
         assert pool.rows.shape[0] == pool_size
-        assert forest_module._held_pool(loaded, 0) is pool
+        built = forest_module.anchor_pool(loaded.trees, 0)
+        assert np.array_equal(pool.rows, built.rows)
+        assert all(np.array_equal(i, j) for i, j in zip(pool.indices, built.indices))
         for tree, idx in zip(loaded.trees, pool.indices):
             np.testing.assert_array_equal(pool.rows[idx], tree.kernels[0].anchors.T)
 
@@ -624,7 +631,7 @@ class TestModelDecoding:
         for learner in ("linear", "neural"):
             raw = saved_model_bytes(learner)
             forest, _ = load_model_bytes(raw)
-            assert forest_module._held_pool(forest, 0) is None
+            assert forest.pools == (None,)
             # every tree's kernel record is its one u8 "no kernel" code
             assert all(t.kernels == (None,) for t in forest.trees)
 
@@ -655,7 +662,7 @@ class TestModelDecoding:
         except DataFormatError:
             return
         for m in range(len(forest.feature_dims)):
-            pool = forest_module._held_pool(forest, m)
+            pool = forest.pools[m]
             if pool is not None:
                 for tree, idx in zip(forest.trees, pool.indices):
                     if idx is not None:

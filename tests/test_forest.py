@@ -1,7 +1,6 @@
 import ctypes
 import glob
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,21 +42,27 @@ def small_dataset(seed=1, classes=4):
                                        samples_per_class=40, seed=seed))
 
 
+def tree_arrays(tree):
+    """Every array and constant a tree holds, in a fixed order."""
+    nodes = [n for per_mod in tree.nodes for n in per_mod]
+    out = [np.array([n.degenerate for n in nodes])]
+    out += [np.array([kc.sigma, kc.p, kc.q]) for kc in tree.kernels if kc is not None]
+    out += [kc.anchors for kc in tree.kernels if kc is not None]
+    for node in nodes:
+        if node.degenerate:
+            continue
+        out += [node.proj_pos, node.proj_neg]
+        if node.transform is not None:
+            out += [node.transform.w, node.transform.loss_trace]
+        if node.net is not None:
+            out += [a for layer in node.net.layers for a in (layer.weight, layer.bias)]
+            out.append(node.net.loss_trace)
+    return out
+
+
 def forests_equal(f1, f2):
-    if len(f1.trees) != len(f2.trees):
-        return False
-    for t1, t2 in zip(f1.trees, f2.trees):
-        for mods1, mods2 in zip(t1.nodes, t2.nodes):
-            for n1, n2 in zip(mods1, mods2):
-                if n1.degenerate != n2.degenerate:
-                    return False
-                if n1.degenerate:
-                    continue
-                if not np.array_equal(n1.proj_pos, n2.proj_pos):
-                    return False
-                if not np.array_equal(n1.proj_neg, n2.proj_neg):
-                    return False
-    return True
+    a, b = ([x for t in f.trees for x in tree_arrays(t)] for f in (f1, f2))
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestPartitionClasses:
@@ -149,6 +154,22 @@ class TestTrainForest:
         f1 = train_forest(ds, 4, 2, FAST_CFG, master_seed=5, workers=1)
         f2 = train_forest(ds, 4, 2, FAST_CFG, master_seed=5, workers=2)
         assert forests_equal(f1, f2)
+
+    def test_worker_count_invariance_at_784_dimensions(self):
+        # serve-784's shape, where a product split over OpenBLAS threads
+        # rounds differently from one on a single thread
+        rng = np.random.default_rng(23)
+        bases = [np.linalg.qr(rng.normal(size=(784, 12)))[0] for _ in range(10)]
+        ds = LabeledDataset(
+            np.concatenate([b @ rng.normal(size=(12, 30)) + 0.1 * rng.normal(size=(784, 30))
+                            for b in bases], axis=1),
+            np.repeat(np.arange(10), 30))
+        cfg = ForestConfig(split=SplitConfig(
+            learner="kernel", ksvd_iters=2,
+            optimizer=OptimizerConfig(max_iters=20, geometry_iters=20)), anchor_count=16)
+        serial = train_forest(ds, 8, 2, cfg, master_seed=0, workers=1)
+        pooled = train_forest(ds, 8, 2, cfg, master_seed=0, workers=2)
+        assert forests_equal(serial, pooled)
 
     def test_pool_starts_no_more_workers_than_trees(self, monkeypatch):
         asked = []
@@ -479,7 +500,7 @@ class TestEncodeUnchanged:
             forest = train_forest(view, 3, 2, grouped_config(kind, 4), master_seed=5)
         else:
             forest = _nonfinite_forest(kind)
-        groups = forest_module._held_encode(forest, 0)[1]
+        groups = forest._groups[0]
         assert any(g.take is not None for g in groups) == stacked
         blocks = encode_dataset(forest, np.zeros((forest.feature_dims[0], 0)))
         assert [b.shape for b in blocks] == [(forest.leaf_count, 0)] * forest.n_trees
@@ -622,25 +643,26 @@ class TestGroupedEncode:
             np.testing.assert_array_equal(block.argmax(axis=0)[clear], leaves[clear])
         assert_split_batch_encodes_alike(forest, x, modality, blocks, data)
 
-    def test_groups_are_held_until_a_tree_changes(self):
+    def test_groups_are_built_when_the_forest_is_made(self):
         (view,) = encode_views(5, (12,))
         forest = train_forest(view, 5, 3, grouped_config("rbf", 4), master_seed=5)
         other = train_forest(view, 5, 3, grouped_config("rbf", 4), master_seed=6)
         x = view.features
+        assert isinstance(forest.trees, tuple)
+        assert [g.stop - g.start for g in forest._groups[0]] == [3, 2]
+        assert pools_equal(forest.pools[0], forest_module.anchor_pool(forest.trees, 0))
         first = encode_dataset(forest, x)
-        held = forest_module._held_encode(forest, 0)
-        assert [g.stop - g.start for g in held[1]] == [3, 2]
-        kept = forest_module._held_encode(forest, 0)
-        assert kept[0] is held[0] and kept[1] is held[1]
 
-        forest.trees[1] = other.trees[1]
-        replaced = encode_dataset(forest, x)
-        again = forest_module._held_encode(forest, 0)
-        assert again[0] is not held[0] and again[1] is not held[1]
-        fresh = Forest(trees=list(forest.trees), master_seed=5, depth=3, learner="kernel",
-                       feature_dims=(12,), config=forest.config)
-        for block, expected in zip(replaced, encode_dataset(fresh, x)):
-            np.testing.assert_array_equal(block, expected)
+        # a forest is not changed in place: a new one is made of the trees
+        with pytest.raises(TypeError):
+            forest.trees[1] = other.trees[1]
+        with pytest.raises(AttributeError):
+            forest.trees = other.trees
+        trees = list(forest.trees)
+        trees[1] = other.trees[1]
+        replaced = encode_dataset(Forest(trees=trees, master_seed=5, depth=3, learner="kernel",
+                                         feature_dims=(12,), config=forest.config), x)
+        np.testing.assert_array_equal(replaced[1], encode_dataset(other, x)[1])
         for i in (0, 2, 3, 4):
             np.testing.assert_array_equal(replaced[i], first[i])
 
@@ -716,18 +738,17 @@ class TestAnchorPool:
         first = pool.indices[0]
         assert first[0] == first[1]
 
-    def test_anchors_of_two_dimensions_rejected(self, tmp_path):
+    def test_anchors_of_two_dimensions_rejected(self):
         forest, _ = shared_anchor_forest(3, "rbf", 1, 2, 5)
         forest.trees[1].kernels = (KernelConfig(anchors=np.ones((7, 2)), kind="rbf"),)
         with pytest.raises(InvalidInputError, match="differ in dimension"):
-            save_model(forest, None, tmp_path / "model.fhsh")
-        with pytest.raises(InvalidInputError):
-            encode_dataset(forest, np.zeros((8, 3)))
+            Forest(trees=forest.trees, master_seed=3, depth=2, learner="kernel",
+                   feature_dims=(8,), config=ForestConfig())
 
     def test_no_pool_without_a_kernel(self):
         forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
         assert forest_module.anchor_pool(forest.trees, 0) is None
-        assert forest_module._held_encode(forest, 0)[0] is None
+        assert forest.pools == (None,)
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["rbf", "polynomial"]),
            n_views=st.integers(1, 2), depth=st.integers(2, 3), n_trees=st.integers(5, 7),
@@ -747,7 +768,7 @@ class TestAnchorPool:
                 a, b = tree.kernels[modality], other.kernels[modality]
                 np.testing.assert_array_equal(a.anchors, b.anchors)
                 assert (a.kind, a.sigma, a.p, a.q) == (b.kind, b.sigma, b.p, b.q)
-            held = forest_module._held_pool(loaded, modality)
+            held = loaded.pools[modality]
             built = forest_module.anchor_pool(loaded.trees, modality)
             assert pools_equal(held, built)
             assert pools_equal(held, forest_module.anchor_pool(forest.trees, modality))
@@ -758,7 +779,7 @@ class TestAnchorPool:
             assert_split_batch_encodes_alike(forest, x, modality, blocks, data)
             assert_split_batch_encodes_alike(loaded, x, modality, blocks, data)
 
-            pool, groups = forest_module._held_encode(forest, modality)
+            pool, groups = forest.pools[modality], forest._groups[modality]
             stacked = [g for g in groups if g.take is not None]
             assert stacked and len(stacked) < len(groups)
             pool_maps = forest_module._pool_maps(pool, x, np.sum(x**2, axis=0), kind == "rbf")
@@ -795,14 +816,37 @@ def blas_threads():
     return bundled_openblas().scipy_openblas_get_num_threads64_()
 
 
+def record_blas_threads(monkeypatch):
+    """Make every tree ``train_forest`` trains carry the OpenBLAS thread
+    count it was trained on, as ``blas_threads``; pool workers are forked
+    with the patch."""
+    train = forest_module.train_tree
+
+    def train_and_record(*args):
+        tree = train(*args)
+        tree.blas_threads = blas_threads()
+        return tree
+
+    monkeypatch.setattr(forest_module, "train_tree", train_and_record)
+
+
 class TestPoolBlasThreads:
-    def test_pool_worker_runs_one_blas_thread(self):
+    def test_pool_worker_runs_one_blas_thread(self, monkeypatch):
         if bundled_openblas() is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
         parent_threads = blas_threads()
-        with ProcessPoolExecutor(max_workers=1,
-                                 initializer=forest_module._one_blas_thread) as pool:
-            assert pool.submit(blas_threads).result() == 1
+        record_blas_threads(monkeypatch)
+        forest = train_forest(small_dataset(), 3, 2, FAST_CFG, master_seed=3, workers=2)
+        assert [t.blas_threads for t in forest.trees] == [1, 1, 1]
+        assert blas_threads() == parent_threads
+
+    def test_serial_training_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
+        if bundled_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        parent_threads = blas_threads()
+        record_blas_threads(monkeypatch)
+        forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
+        assert [t.blas_threads for t in forest.trees] == [1, 1]
         assert blas_threads() == parent_threads
 
     def test_serial_encode_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
@@ -829,7 +873,6 @@ class TestPoolBlasThreads:
         forest_module._openblas_threads.cache_clear()
         try:
             assert forest_module._openblas_threads() is None
-            forest_module._one_blas_thread()
             with forest_module._single_blas_thread():
                 pass
         finally:
