@@ -67,13 +67,6 @@ def quartiles(values, digits=1):
     return {"median": round(median, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
-def anchor_counts(forest):
-    """(distinct, total) kernel anchors of the forest, distinct by exact bytes."""
-    columns = [col.tobytes() for t in forest.trees for kc in t.kernels if kc is not None
-               for col in kc.anchors.T]
-    return len(set(columns)), len(columns)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -108,10 +101,11 @@ def main():
             for n in sizes:
                 rates[n].append(encode_rate(forest, pool, n))
             loads.append(load_ms(path))
-    distinct, total = anchor_counts(forest)
+    anchors = forest.pools[0]
     print(json.dumps({"seed": args.seed, "reps": args.reps,
                       "fit_s": round(fit_s, 2), "model_bytes": size,
-                      "anchors_distinct": distinct, "anchors_total": total,
+                      "anchors_distinct": anchors.rows.shape[0],
+                      "anchors_total": sum(idx.size for idx in anchors.indices),
                       "pts_per_s": {str(n): quartiles(r) for n, r in rates.items()},
                       "load_ms": quartiles(loads, 2)}))
 

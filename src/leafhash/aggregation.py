@@ -12,7 +12,9 @@ the final hash.  Three criteria are provided:
   gain, with lambda estimated as the ratio of the best single-block scores.
 
 All three run one greedy loop with two switchable gain terms, and all are
-deterministic: score ties resolve to the lowest block index.
+deterministic: score ties resolve to the lowest block index.  Like training,
+the loop and the lambda estimate run on one OpenBLAS thread, on which their
+``np.linalg.solve`` calls round the same on every machine.
 The greedy objective has diminishing returns, which keeps the greedy choice
 within (1 - 1/e) of the exhaustive optimum (checked against
 :func:`exhaustive_select` in the tests).
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .forest import _single_blas_thread
 
 JITTER = 1e-8
 _VAR_FLOOR = 1e-12
@@ -199,6 +202,7 @@ def _mi_ids_labels(ids, labels) -> float:
     return h_b - h_cond
 
 
+@_single_blas_thread()
 def _greedy(bs: BlockSet, k: int, cov, ids, labels, lam):
     """The greedy loop behind every selector; returns ``(chosen, gains)``.
 
@@ -264,6 +268,7 @@ def greedy_supervised(bs: BlockSet, labels, k: int) -> SelectionResult:
     return SelectionResult(chosen=chosen, gains=gains, mode="sup")
 
 
+@_single_blas_thread()
 def estimate_lambda(bs: BlockSet, labels, unlabeled=None, labeled=None) -> float:
     """Mixing weight for the semi-supervised score: the ratio of the best
     single-block unsupervised information to the best single-block label

@@ -465,9 +465,10 @@ def _write_kernel(w, kc, pool, idx, first):
     w.u32s(idx)
 
 
-def _read_kernel(r, pools, modality):
+def _read_kernel(r, pools, modality, dim):
     """A kernel record; reads the modality's pool into ``pools``, as the
-    (d, P) array the file stores, when it is the modality's first.  Returns
+    (d, P) array the file stores, when it is the modality's first, and
+    checks that d is the modality's dimension ``dim``.  Returns
     ``(constants, indices)``, both None for a tree without a kernel; the
     constants are checked here, and :func:`_kernels` makes the kernels."""
     start = r.base + r.pos
@@ -485,6 +486,9 @@ def _read_kernel(r, pools, modality):
         if pool.ndim != 2 or pool.size == 0:
             raise DataFormatError(f"anchor pool of shape {pool.shape} holds no anchors",
                                   offset=start)
+        if pool.shape[0] != dim:
+            raise DataFormatError(f"anchor pool of {pool.shape[0]} dimensions for modality "
+                                  f"{modality} of {dim}", offset=start)
         pools[modality] = pool
     size = pools[modality].shape[1]
     idx = r.u32s(start)
@@ -559,7 +563,10 @@ def _write_node(w, node):
     w.array(node.proj_neg)
 
 
-def _read_node(r):
+def _read_node(r, width):
+    """One node record, which must fit ``width``, the width of its tree's
+    map: its kernel's anchor count, else the modality's dimension."""
+    start = r.base + r.pos
     degenerate = r.u8() == 1
     # a class listed twice keeps its first place and its last side
     partition = {cls: _SIDES[side] for cls, side in r.records(_PARTITION, r.u32()).tolist()}
@@ -568,16 +575,25 @@ def _read_node(r):
     net = _read_net(r) if r.u8() else None
     proj_pos = r.array()
     proj_neg = r.array()
+    if net is not None:
+        if net.input_dim != width:
+            raise DataFormatError(f"net takes {net.input_dim} features, not {width}",
+                                  offset=start)
+        width = net.output_dim
+    if any(p.ndim != 2 or p.shape[1] != width for p in (proj_pos, proj_neg)):
+        raise DataFormatError(f"projectors of shapes {proj_pos.shape} and {proj_neg.shape} "
+                              f"do not take {width} features", offset=start)
     return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, net=net,
                      class_partition=partition)
 
 
-def _read_tree(r, pools, n_modalities, internal):
+def _read_tree(r, pools, feature_dims, internal):
     """One tree record: ``(seed, kernel records, nodes)`` (see
     :func:`_read_kernel` and :func:`_read_node`)."""
     seed = r.i64()
-    kernels = [_read_kernel(r, pools, m) for m in range(n_modalities)]
-    nodes = [[_read_node(r) for _ in range(n_modalities)] for _ in range(internal)]
+    kernels = [_read_kernel(r, pools, m, dim) for m, dim in enumerate(feature_dims)]
+    widths = [dim if idx is None else idx.size for dim, (_, idx) in zip(feature_dims, kernels)]
+    nodes = [[_read_node(r, width) for width in widths] for _ in range(internal)]
     return seed, kernels, nodes
 
 
@@ -636,7 +652,8 @@ def load_model(path):
     """Read an FHSH03 container; returns ``(forest, selection)``.
 
     The forest is made with the anchor pools it was read with, so it does
-    not build them again.
+    not build them again.  A pool not of its modality's dimension, or a net
+    or projector that does not fit its tree's map, raises ``DataFormatError``.
     """
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
@@ -655,7 +672,7 @@ def load_model(path):
     selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
     pools = {}
-    read = [_read_tree(r, pools, n_modalities, internal) for _ in range(n_trees)]
+    read = [_read_tree(r, pools, feature_dims, internal) for _ in range(n_trees)]
     r.done()
     records = [kernels for _, kernels, _ in read]
     trees = [HashTree(depth=depth, nodes=tree_nodes, learner=learner, tree_seed=seed,
@@ -664,7 +681,7 @@ def load_model(path):
     read_pools = [AnchorPool.of(pools[m], [rec[m][1] for rec in records]) if m in pools
                   else None for m in range(n_modalities)]
     forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
-                    feature_dims=feature_dims, config=config, pools=read_pools)
+                    feature_dims=feature_dims, config=config, read_pools=read_pools)
     return forest, selection
 
 

@@ -10,9 +10,9 @@ the tree index, and every tree trains on one OpenBLAS thread, whether in the
 calling process or in a pool worker, so training is reproducible bit-for-bit
 regardless of worker count or scheduling.
 
-A :class:`Forest` is made once: its constructor builds each modality's anchor
-pool and encode groups from the trees, and encoding and ``save_model`` read
-them.  To change a forest, make a new one.
+A :class:`Forest` is made once: its constructor checks the trees and builds
+each modality's anchor pool and encode groups from them, and encoding and
+``save_model`` read them.  To change a forest, make a new one.
 """
 
 from __future__ import annotations
@@ -145,13 +145,15 @@ class Forest:
     """A tuple of independently trained trees plus training metadata.
 
     ``trees`` may be given as a list; it is stored as a tuple.  The
-    constructor builds, for every modality ``m``, the trees' anchor pool
-    ``pools[m]`` (:func:`anchor_pool`; None without a kernel tree) and their
-    encode groups ``_groups[m]`` (:func:`_tree_groups`).  Both are derived
-    from the trees, so neither is compared nor shown.  ``pools`` may be
-    handed in instead: ``load_model`` passes the pools it read with the
-    trees.  ``dataclasses.replace`` hands the new forest the old pools, so
-    a forest with other trees is made with the constructor.
+    constructor rejects a tree whose depth or feature dimensions are not the
+    forest's, or whose kernel anchors do not have ``feature_dims[m]`` rows,
+    so encoding checks a batch against ``feature_dims`` alone.  It then
+    builds, for every modality ``m``, the trees' anchor pool ``pools[m]``
+    (:func:`anchor_pool`; None without a kernel tree) and their encode
+    groups ``_groups[m]`` (:func:`_tree_groups`).  Both are derived from the
+    trees, so neither is compared nor shown.  Only ``load_model`` hands in
+    ``read_pools``, the pools it read with the trees; a forest made by
+    ``dataclasses.replace`` builds its own.
     """
 
     trees: tuple[HashTree, ...]
@@ -160,12 +162,17 @@ class Forest:
     learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
-    pools: InitVar[tuple | None] = None
+    read_pools: InitVar[tuple | None] = None
 
-    def __post_init__(self, pools):
+    def __post_init__(self, read_pools):
         trees = tuple(self.trees)
-        if pools is None:
-            pools = [anchor_pool(trees, m) for m in range(len(self.feature_dims))]
+        for t, tree in enumerate(trees):
+            if (tree.depth, tree.feature_dims) != (self.depth, self.feature_dims):
+                raise InvalidInputError(f"tree {t} differs from the forest in depth or dimensions")
+            for m, kc in enumerate(tree.kernels):
+                if kc is not None and kc.anchors.shape[0] != self.feature_dims[m]:
+                    raise InvalidInputError(f"kernel anchors of modality {m} differ in dimension")
+        pools = read_pools or [anchor_pool(trees, m) for m in range(len(self.feature_dims))]
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "pools", tuple(pools))
         object.__setattr__(self, "_groups", tuple(
@@ -223,7 +230,7 @@ def tree_seed_for(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0]) & (2**63 - 1)
 
 
-def _tree_kernels(views, boot_features, cfg, rng):
+def _tree_kernels(boot_features, cfg, rng):
     kernels = []
     for feats in boot_features:
         if cfg.learner != "kernel":
@@ -271,7 +278,7 @@ def train_tree(
     if np.unique(labels).size < 2:
         raise InvalidInputError("bootstrap sample contains fewer than 2 classes")
 
-    kernels = _tree_kernels(views, boot_features, cfg, rng)
+    kernels = _tree_kernels(boot_features, cfg, rng)
     feats = [
         kernel_featurize(f, k) if k is not None else f
         for f, k in zip(boot_features, kernels)
@@ -396,17 +403,27 @@ def _single_blas_thread():
         threads[1](before)
 
 
-def _pool_init(views, depth, cfg, master_seed, dominant):
+def _train_one(args, index):
+    """Tree ``index`` of the forest that ``train_multimodal_forest`` trains
+    on ``args`` (its views, depth, config, master seed and dominant
+    modality), trained on one OpenBLAS thread.  A failure propagates with a
+    ``tree {index}`` note, which survives a pool's pickling."""
+    views, depth, cfg, master_seed, dominant = args
+    with _single_blas_thread():
+        try:
+            return train_tree(views, depth, cfg, tree_seed_for(master_seed, index), dominant)
+        except Exception as exc:
+            exc.add_note(f"tree {index}")
+            raise
+
+
+def _pool_init(args):
     global _POOL_ARGS
-    _POOL_ARGS = (views, depth, cfg, master_seed, dominant)
+    _POOL_ARGS = args
 
 
 def _pool_train(index):
-    views, depth, cfg, master_seed, dominant = _POOL_ARGS
-    with _single_blas_thread():
-        return index, train_tree(
-            views, depth, cfg, tree_seed_for(master_seed, index), dominant
-        )
+    return _train_one(_POOL_ARGS, index)
 
 
 def train_multimodal_forest(
@@ -423,10 +440,10 @@ def train_multimodal_forest(
     Every node draws a single class partition shared by all modalities and
     trains one split node per modality on it; the ``dominant`` modality routes
     the training samples.  A per-tree failure propagates with a note naming
-    the tree index.  Every tree trains on one OpenBLAS thread, in this
-    process or in a pool worker: at 784-d, a product split over threads
-    rounds differently, so the thread count would otherwise change the
-    trees.
+    the tree index.  Every tree trains through :func:`_train_one`, on one
+    OpenBLAS thread, in this process or in a pool worker: at 784-d, a
+    product split over threads rounds differently, so the thread count
+    would otherwise change the trees.
     """
     views = [views] if isinstance(views, LabeledDataset) else list(views)
     cfg = cfg or ForestConfig()
@@ -437,30 +454,13 @@ def train_multimodal_forest(
     if not 0 <= dominant < len(views):
         raise InvalidInputError(f"dominant modality {dominant} out of range")
 
-    trees: list[HashTree | None] = [None] * n_trees
+    args = (views, depth, cfg, master_seed, dominant)
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, n_trees),
-            initializer=_pool_init,
-            initargs=(views, depth, cfg, master_seed, dominant),
-        ) as pool:
-            futures = {pool.submit(_pool_train, i): i for i in range(n_trees)}
-            for future, index in futures.items():
-                try:
-                    _, trees[index] = future.result()
-                except Exception as exc:
-                    exc.add_note(f"tree {index}")
-                    raise
+        with ProcessPoolExecutor(max_workers=min(workers, n_trees),
+                                 initializer=_pool_init, initargs=(args,)) as pool:
+            trees = list(pool.map(_pool_train, range(n_trees)))
     else:
-        with _single_blas_thread():
-            for index in range(n_trees):
-                try:
-                    trees[index] = train_tree(
-                        views, depth, cfg, tree_seed_for(master_seed, index), dominant
-                    )
-                except Exception as exc:
-                    exc.add_note(f"tree {index}")
-                    raise
+        trees = [_train_one(args, index) for index in range(n_trees)]
 
     return Forest(
         trees=trees,
@@ -529,8 +529,6 @@ def anchor_pool(trees, modality: int) -> AnchorPool | None:
         if kc is None:
             indices.append(None)
             continue
-        if rows and kc.anchors.shape[0] != rows[0].size:
-            raise InvalidInputError(f"kernel anchors of modality {modality} differ in dimension")
         idx = np.empty(kc.n_anchors, dtype=np.intp)
         for j, row in enumerate(np.ascontiguousarray(kc.anchors.T)):
             idx[j] = seen.setdefault(row.tobytes(), len(seen))
@@ -600,14 +598,13 @@ def _stack_key(tree, modality):
     None when it is encoded alone: no kernel, a kernel of one anchor (whose
     own ``anchor_sq_norms`` numpy sums pairwise, not in order as the pool's
     are summed), a degenerate root or one with a net (whose output, not the
-    map, is what it routes), or arrays whose shapes do not fit the map
+    map, is what it routes), or projectors whose shapes do not fit the map
     (which the tree alone rejects)."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
     if kc is None or kc.n_anchors == 1 or root.degenerate or root.net is not None:
         return None
     shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
-    d, a = tree.feature_dims[modality], kc.n_anchors
-    if kc.anchors.shape[0] != d or any(s[1:] != (a,) for s in shapes[1:]):
+    if any(s[1:] != (kc.n_anchors,) for s in shapes[1:]):
         return None
     poly = (kc.p, kc.q) if kc.kind == "polynomial" else None
     return kc.kind, poly, shapes
@@ -655,15 +652,14 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     return groups
 
 
-def _check_batch(trees, x, modality: int):
-    for tree in trees:
-        if not 0 <= modality < tree.n_modalities:
-            raise InvalidInputError(f"modality {modality} out of range")
-        if x.shape[0] != tree.feature_dims[modality]:
-            raise InvalidInputError(
-                f"feature dimension {x.shape[0]} does not match tree "
-                f"({tree.feature_dims[modality]})"
-            )
+def _check_batch(feature_dims, x, modality: int):
+    if not 0 <= modality < len(feature_dims):
+        raise InvalidInputError(f"modality {modality} out of range")
+    if x.shape[0] != feature_dims[modality]:
+        raise InvalidInputError(
+            f"feature dimension {x.shape[0]} does not match tree "
+            f"({feature_dims[modality]})"
+        )
 
 
 def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
@@ -686,9 +682,9 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
     of ``trees``, encoded in their ``groups`` (:func:`_tree_groups`).
 
-    ``x`` is already checked against the trees (:func:`_check_batch`).  The
-    batch is validated, and for RBF maps its squared column norms taken, once
-    per call; a batch of no columns has no leaves.  When a group stacks
+    ``x`` is already checked against the trees' dimensions (:func:`_check_batch`).
+    The batch is validated, and for RBF maps its squared column norms taken,
+    once per call; a batch of no columns has no leaves.  When a group stacks
     trees, the batch is mapped through the whole anchor ``pool`` of the
     trees' forest once (:func:`_pool_maps`): one pool-by-N product, and for
     RBF maps the clipped squared distances.
@@ -738,7 +734,7 @@ def _as_batch(x) -> np.ndarray:
 def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
     """One-hot leaf code (length 2^(depth-1), uint8) for a single point."""
     x = _as_batch(x)
-    _check_batch([tree], x, modality)
+    _check_batch(tree.feature_dims, x, modality)
     (leaf,) = _leaf_rows([tree], x, modality, [_TreeGroup(0, 1)])
     if leaf.size != 1:
         raise InvalidInputError("encode_tree takes a single point; use encode_dataset")
@@ -758,9 +754,7 @@ def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
-    if not 0 <= modality < len(forest.feature_dims):
-        raise InvalidInputError(f"modality {modality} out of range")
-    _check_batch(trees, x, modality)
+    _check_batch(forest.feature_dims, x, modality)
     blocks = []
     for tree, leaves in zip(trees, _leaf_rows(trees, x, modality, forest._groups[modality],
                                               forest.pools[modality])):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leafhash import forest as forest_module
 from leafhash import (
     BlockCovariance,
     BlockSet,
@@ -207,6 +208,29 @@ class TestGreedySemiSupervised:
         bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)
         semi = greedy_semisupervised(bs, labels, 3, lam=0.0)
         assert semi.chosen == greedy_unsupervised(bs, 3).chosen
+
+    def test_runs_on_one_blas_thread_and_restores_the_count(self, rng, monkeypatch):
+        threads = forest_module._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        get_threads, set_threads = threads
+        solve, seen = np.linalg.solve, []
+
+        def recording_solve(a, b):
+            seen.append(get_threads())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)
+        before = get_threads()
+        # two threads in the caller, whatever the machine's default
+        set_threads(2)
+        try:
+            greedy_semisupervised(bs, labels, 3)
+            assert seen and set(seen) == {1}
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
 
     def test_huge_lambda_reduces_to_supervised(self, rng):
         bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)

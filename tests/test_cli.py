@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leafhash import (
+    Forest,
     SyntheticSpec,
     gen_synthetic,
     load_codes,
@@ -366,3 +368,18 @@ class TestMutatedInputs:
             argv = ["encode", "--model", str(mutated), "--features", str(files["features"]),
                     "--labels", str(files["labels"]), "--codes-out", str(out)]
         assert main(argv) in (0, 2, 3)
+
+    def test_projectors_that_do_not_fit_the_map_are_data_error(self, workspace, kernel_model,
+                                                               capsys):
+        # tree 0 loses its last anchor but keeps root projectors that take all 4
+        forest, selection = load_model(kernel_model)
+        tree = forest.trees[0]
+        (kc,) = tree.kernels
+        tree.kernels = (dataclasses.replace(kc, anchors=kc.anchors[:, :-1].copy()),)
+        bad = workspace["tmp"] / "short-kernel.fhsh"
+        save_model(Forest(trees=forest.trees, master_seed=3, depth=3, learner="kernel",
+                          feature_dims=(10,), config=forest.config), selection, bad)
+        rc = main(["encode", "--model", str(bad), "--features", str(workspace["features"]),
+                   "--codes-out", str(workspace["tmp"] / "short-kernel.fhcd")])
+        assert rc == 2
+        assert "projectors" in capsys.readouterr().err

@@ -549,6 +549,33 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == record
 
+    def test_pool_of_another_dimension_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        record, pool_at = first_kernel_record(raw)
+        (d, _), _ = pool_shape(raw, pool_at)
+        # the header's feature dimension: after the u8 modality count, u32
+        # tree count, u8 depth, u8 learner and i64 master seed
+        assert struct.unpack_from("<I", raw, 21)[0] == d
+        changes = list(enumerate(struct.pack("<I", d + 1), start=21))
+        with pytest.raises(DataFormatError, match="pool") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == record
+
+    def test_projectors_that_do_not_fit_the_map_are_format_error_at_node(self, tmp_path):
+        # tree 0 loses its last anchor but keeps root projectors that take all 20
+        _, forest, _, selection = trained_artifacts("kernel")
+        tree = forest.trees[0]
+        (kc,) = tree.kernels
+        tree.kernels = (replace(kc, anchors=kc.anchors[:, :-1].copy()),)
+        assert tree.nodes[0][0].proj_pos.shape[1] == kc.n_anchors
+        path = tmp_path / "model.fhsh"
+        forest = Forest(trees=forest.trees, master_seed=1, depth=2, learner="kernel",
+                        feature_dims=(8,), config=forest.config)
+        save_model(forest, selection, path)
+        with pytest.raises(DataFormatError, match="projectors") as info:
+            load_model(path)
+        assert info.value.offset == first_node(path.read_bytes())
+
     def test_empty_pool_is_format_error_at_kernel(self):
         raw = saved_model_bytes("kernel")
         record, pool_at = first_kernel_record(raw)

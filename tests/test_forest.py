@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import glob
 import os
 
@@ -665,6 +666,32 @@ class TestGroupedEncode:
         np.testing.assert_array_equal(replaced[1], encode_dataset(other, x)[1])
         for i in (0, 2, 3, 4):
             np.testing.assert_array_equal(replaced[i], first[i])
+
+    def test_replace_builds_pools_for_its_trees(self, tmp_path):
+        # 4 anchors over 16 dimensions: groups of 4 trees, which read the pool
+        (view,) = encode_views(5, (16,))
+        forest = train_forest(view, 8, 2, grouped_config("rbf", 4), master_seed=5)
+        assert [g.stop - g.start for g in forest._groups[0]] == [4, 4]
+        trees = forest.trees[::-1]
+        replaced = dataclasses.replace(forest, trees=trees)
+        made = Forest(trees=trees, master_seed=5, depth=2, learner="kernel",
+                      feature_dims=(16,), config=forest.config)
+        assert pools_equal(replaced.pools[0], made.pools[0])
+        for a, b in zip(encode_dataset(replaced, view.features),
+                        encode_dataset(made, view.features)):
+            np.testing.assert_array_equal(a, b)
+        save_model(replaced, None, tmp_path / "replaced.fhsh")
+        save_model(made, None, tmp_path / "made.fhsh")
+        assert (tmp_path / "replaced.fhsh").read_bytes() == (tmp_path / "made.fhsh").read_bytes()
+
+    def test_trees_of_another_depth_or_dimension_rejected(self):
+        forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
+        deeper = train_forest(small_dataset(), 1, 3, FAST_CFG, master_seed=3).trees[0]
+        wider = dataclasses.replace(forest.trees[1], feature_dims=(13,))
+        for tree in (deeper, wider):
+            with pytest.raises(InvalidInputError, match="tree 1 differs"):
+                Forest(trees=[forest.trees[0], tree], master_seed=3, depth=2,
+                       learner="linear", feature_dims=(12,), config=FAST_CFG)
 
     def test_overflowing_group_map_rejected(self):
         (view,) = encode_views(5, (12,))

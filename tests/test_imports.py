@@ -1,0 +1,25 @@
+"""The package depends on numpy alone: its modules import nothing else from
+outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leafhash"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, (
+                    f"{path.name} imports {name}")
