@@ -1,9 +1,12 @@
 """Command-line surface: train, encode, eval.
 
-Every option can come from (highest precedence first) a command-line flag, a
-LEAFHASH_<NAME> environment variable, or a key=value config file passed with
---config.  Reports are printed as key=value lines with floats at 6 significant
-digits, in a fixed order, so runs can be diffed.
+Each subcommand's options are declared once, in ``OPTIONS``.  An option's
+value comes from (highest precedence first) its command-line flag, a
+LEAFHASH_<NAME> environment variable, a ``name=value`` line of the config file
+passed with --config, or its default.  A value from any of these sources is
+cast and checked against the option's choices alike, so a bad value is a
+usage error wherever it comes from.  Reports are printed as key=value lines
+with floats at 6 significant digits, in a fixed order, so runs can be diffed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,58 @@ from .retrieval import (
 )
 
 ENV_PREFIX = "LEAFHASH_"
+REQUIRED = object()  # the default of an option that has none
+
+
+class Option(NamedTuple):
+    """``--name`` on the command line, LEAFHASH_<NAME> in the environment
+    (``-`` read as ``_``) and ``name=`` in a config file."""
+
+    name: str
+    cast: Callable[[str], object]
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+
+
+_FORMAT = Option("format", str, "csv", ("idx", "csv", "raw-f64"))
+
+OPTIONS = {
+    "train": (
+        Option("seed", int, 0, help="master RNG seed"),
+        Option("workers", int, 1, help="worker processes for tree training"),
+        Option("features", str, REQUIRED, help="training feature file"),
+        Option("labels", str, REQUIRED, help="training label file"),
+        _FORMAT,
+        Option("trees", int, 128, help="forest size M"),
+        Option("depth", int, 2, help="tree depth"),
+        Option("learner", str, "kernel", ("linear", "kernel", "neural")),
+        Option("kernel", str, "rbf", ("rbf", "polynomial")),
+        Option("anchors", int, 256, help="kernel anchor count"),
+        Option("sigma", float, help="RBF bandwidth"),
+        Option("bits", int, 36, help="target code length L"),
+        Option("mode", str, "semi", ("unsup", "sup", "semi")),
+        Option("lambda", float, help="semi-supervised mixing weight (default: estimated)"),
+        Option("atoms", int, 16, help="dictionary atoms per group"),
+        Option("sparsity", int, 4, help="k-SVD sparsity bound"),
+        Option("model-out", str, REQUIRED, help="output model path"),
+    ),
+    "encode": (
+        Option("model", str, REQUIRED, help="model file"),
+        Option("features", str, REQUIRED, help="feature file"),
+        Option("labels", str, help="optional labels to embed in the codes file"),
+        _FORMAT,
+        Option("codes-out", str, REQUIRED, help="output codes path"),
+    ),
+    "eval": (
+        Option("model", str, help="optional model file (validates code length)"),
+        Option("gallery", str, REQUIRED, help="gallery codes file"),
+        Option("queries", str, REQUIRED, help="query codes file"),
+        Option("radii", str, "0,2", help="comma list, e.g. 0,2"),
+        Option("metrics", str, "pr,map", help="comma list: pr,map"),
+        Option("query-index", int, help="report the retrieved ids for one query instead"),
+    ),
+}
 
 
 class UsageError(Exception):
@@ -69,19 +125,31 @@ def _load_config_file(path):
     return out
 
 
-def _resolve(args, file_cfg, name, cast, default, attr=None):
-    """flag > environment > config file > default."""
-    flag = getattr(args, attr or name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    env = os.environ.get(ENV_PREFIX + name.replace("-", "_").upper())
-    source = env if env is not None else file_cfg.get(name)
-    if source is None:
-        return default
-    try:
-        return cast(source)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad value for {name}: {source!r} ({exc})") from exc
+def _option_values(args) -> dict:
+    """Every option of ``args.command`` by name: its flag, else its environment
+    variable, else its key in the --config file, else its default.  A given
+    value is cast and checked against the choices whatever its source."""
+    flags = vars(args)
+    file_cfg = _load_config_file(args.config) if args.config else {}
+    values = {}
+    for opt in OPTIONS[args.command]:
+        key = opt.name.replace("-", "_")
+        text = flags[key]
+        if text is None:
+            text = os.environ.get(ENV_PREFIX + key.upper(), file_cfg.get(opt.name))
+        if text is None:
+            if opt.default is REQUIRED:
+                raise UsageError(f"--{opt.name} is required")
+            values[opt.name] = opt.default
+            continue
+        try:
+            value = opt.cast(text)
+            if opt.choices and value not in opt.choices:
+                raise ValueError(f"choose from {', '.join(opt.choices)}")
+        except ValueError as exc:
+            raise UsageError(f"bad value for {opt.name}: {text!r} ({exc})") from exc
+        values[opt.name] = value
+    return values
 
 
 def _load_features(path, fmt):
@@ -93,88 +161,9 @@ def _load_features(path, fmt):
     return dio.load_matrix(path, fmt)
 
 
-def _add_common(sub):
-    sub.add_argument("--config", type=str, default=None,
-                     help="config file of key=value lines")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="leafhash", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    tr = sub.add_parser("train", help="train a forest, aggregate, write a model")
-    _add_common(tr)
-    tr.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    tr.add_argument("--workers", type=int, default=None,
-                    help="worker processes for tree training")
-    tr.add_argument("--features", type=str, default=None, help="training feature file")
-    tr.add_argument("--labels", type=str, default=None, help="training label file")
-    tr.add_argument("--format", type=str, default=None, choices=["idx", "csv", "raw-f64"])
-    tr.add_argument("--trees", type=int, default=None, help="forest size M")
-    tr.add_argument("--depth", type=int, default=None, help="tree depth")
-    tr.add_argument("--learner", type=str, default=None,
-                    choices=["linear", "kernel", "neural"])
-    tr.add_argument("--kernel", type=str, default=None, choices=["rbf", "polynomial"])
-    tr.add_argument("--anchors", type=int, default=None, help="kernel anchor count")
-    tr.add_argument("--sigma", type=float, default=None, help="RBF bandwidth")
-    tr.add_argument("--bits", type=int, default=None, help="target code length L")
-    tr.add_argument("--mode", type=str, default=None, choices=["unsup", "sup", "semi"])
-    tr.add_argument("--lambda", dest="lam", type=float, default=None,
-                    help="semi-supervised mixing weight (default: estimated)")
-    tr.add_argument("--atoms", type=int, default=None, help="dictionary atoms per group")
-    tr.add_argument("--sparsity", type=int, default=None, help="k-SVD sparsity bound")
-    tr.add_argument("--model-out", type=str, default=None, help="output model path")
-
-    en = sub.add_parser("encode", help="encode a dataset with a trained model")
-    _add_common(en)
-    en.add_argument("--model", type=str, default=None, help="model file")
-    en.add_argument("--features", type=str, default=None, help="feature file")
-    en.add_argument("--labels", type=str, default=None,
-                    help="optional labels to embed in the codes file")
-    en.add_argument("--format", type=str, default=None, choices=["idx", "csv", "raw-f64"])
-    en.add_argument("--codes-out", type=str, default=None, help="output codes path")
-
-    ev = sub.add_parser("eval", help="retrieval metrics for gallery/query codes")
-    _add_common(ev)
-    ev.add_argument("--model", type=str, default=None,
-                    help="optional model file (validates code length)")
-    ev.add_argument("--gallery", type=str, default=None, help="gallery codes file")
-    ev.add_argument("--queries", type=str, default=None, help="query codes file")
-    ev.add_argument("--radii", type=str, default=None, help="comma list, e.g. 0,2")
-    ev.add_argument("--metrics", type=str, default=None, help="comma list: pr,map")
-    ev.add_argument("--query-index", type=int, default=None,
-                    help="report the retrieved ids for one query instead")
-    return parser
-
-
-def _require(value, name):
-    if value is None:
-        raise UsageError(f"--{name} is required")
-    return value
-
-
-def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    get = lambda name, cast, default: _resolve(args, file_cfg, name, cast, default)
-
-    features_path = _require(get("features", str, None), "features")
-    labels_path = _require(get("labels", str, None), "labels")
-    fmt = get("format", str, "csv")
-    n_trees = get("trees", int, 128)
-    depth = get("depth", int, 2)
-    learner = get("learner", str, "kernel")
-    kernel = get("kernel", str, "rbf")
-    anchors = get("anchors", int, 256)
-    sigma = get("sigma", float, None)
-    bits = get("bits", int, 36)
-    mode = get("mode", str, "semi")
-    lam = _resolve(args, file_cfg, "lambda", float, None, attr="lam")
-    atoms = get("atoms", int, 16)
-    sparsity = get("sparsity", int, 4)
-    seed = get("seed", int, 0)
-    workers = get("workers", int, 1)
-    model_out = _require(get("model-out", str, None), "model-out")
-
+def cmd_train(opts) -> int:
+    """train a forest, aggregate, write a model"""
+    n_trees, depth, bits, mode = opts["trees"], opts["depth"], opts["bits"], opts["mode"]
     leaf_count = 2 ** (depth - 1)
     if bits % leaf_count != 0:
         raise UsageError(
@@ -185,31 +174,34 @@ def cmd_train(args) -> int:
         raise UsageError(
             f"{mode} aggregation needs at least 2*k = {2 * k} trees, got {n_trees}"
         )
+    try:
+        cfg = ForestConfig(
+            split=SplitConfig(
+                learner=opts["learner"],
+                atoms=opts["atoms"],
+                sparsity=opts["sparsity"],
+                optimizer=OptimizerConfig(),
+            ),
+            kernel_kind=opts["kernel"],
+            anchor_count=opts["anchors"],
+            sigma=opts["sigma"],
+        )
+    except InvalidInputError as exc:
+        raise UsageError(exc) from exc
 
-    features = _load_features(features_path, fmt)
-    labels = dio.load_labels(labels_path)
+    features = _load_features(opts["features"], opts["format"])
+    labels = dio.load_labels(opts["labels"])
     ds = LabeledDataset(features=features, labels=labels)
-    cfg = ForestConfig(
-        split=SplitConfig(
-            learner=learner,
-            atoms=atoms,
-            sparsity=sparsity,
-            optimizer=OptimizerConfig(),
-        ),
-        kernel_kind=kernel,
-        anchor_count=anchors,
-        sigma=sigma,
-    )
-
-    forest = train_forest(ds, n_trees, depth, cfg, master_seed=seed, workers=workers)
+    forest = train_forest(ds, n_trees, depth, cfg, master_seed=opts["seed"],
+                          workers=opts["workers"])
     blocks = encode_dataset(forest, ds.features)
     bs = BlockSet.from_blocks(blocks)
-    selection = select_blocks(bs, ds.labels, k, mode, lam)
-    dio.save_model(forest, selection, model_out)
+    selection = select_blocks(bs, ds.labels, k, mode, opts["lambda"])
+    dio.save_model(forest, selection, opts["model-out"])
 
     _emit("trees", n_trees)
     _emit("depth", depth)
-    _emit("learner", learner)
+    _emit("learner", opts["learner"])
     _emit("bits", bits)
     _emit("blocks", k)
     _emit("mode", mode)
@@ -226,49 +218,28 @@ def cmd_train(args) -> int:
         _emit(f"tree_{i:03d}_final_loss", final)
     _emit("selected_blocks", ",".join(str(i) for i in selection.chosen))
     _emit("selection_gains", ",".join(_fmt(g) for g in selection.gains))
-    _emit("model", model_out)
+    _emit("model", opts["model-out"])
     return 0
 
 
-def cmd_encode(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    get = lambda name, cast, default: _resolve(args, file_cfg, name, cast, default)
-
-    model_path = _require(get("model", str, None), "model")
-    features_path = _require(get("features", str, None), "features")
-    fmt = get("format", str, "csv")
-    labels_path = get("labels", str, None)
-    codes_out = _require(get("codes-out", str, None), "codes-out")
-
-    forest, selection = dio.load_model(model_path)
+def cmd_encode(opts) -> int:
+    """encode a dataset with a trained model"""
+    forest, selection = dio.load_model(opts["model"])
     if selection is None:
         raise InvalidInputError("model carries no block selection; retrain")
-    features = _load_features(features_path, fmt)
-    if features.shape[0] != forest.feature_dims[0]:
-        raise InvalidInputError(
-            f"feature dimension mismatch: model expects {forest.feature_dims[0]}, "
-            f"data has {features.shape[0]}"
-        )
-    labels = dio.load_labels(labels_path) if labels_path else None
+    features = _load_features(opts["features"], opts["format"])
+    labels = dio.load_labels(opts["labels"]) if opts["labels"] else None
     codes = pack_codes(encode_dataset(forest, features), selection.chosen)
-    dio.save_codes(codes, labels, codes_out)
+    dio.save_codes(codes, labels, opts["codes-out"])
     _emit("count", len(codes))
     _emit("bits", codes.length)
-    _emit("codes", codes_out)
+    _emit("codes", opts["codes-out"])
     return 0
 
 
-def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    get = lambda name, cast, default: _resolve(args, file_cfg, name, cast, default)
-
-    gallery_path = _require(get("gallery", str, None), "gallery")
-    queries_path = _require(get("queries", str, None), "queries")
-    radii_text = get("radii", str, "0,2")
-    metrics_text = get("metrics", str, "pr,map")
-    model_path = get("model", str, None)
-    query_index = get("query-index", int, None)
-
+def cmd_eval(opts) -> int:
+    """retrieval metrics for gallery/query codes"""
+    radii_text, metrics_text = opts["radii"], opts["metrics"]
     try:
         radii = [int(tok) for tok in radii_text.split(",") if tok.strip() != ""]
     except ValueError as exc:
@@ -278,8 +249,8 @@ def cmd_eval(args) -> int:
         if m not in ("pr", "map"):
             raise UsageError(f"unknown metric {m!r}")
 
-    gallery_codes, gallery_labels = dio.load_codes(gallery_path)
-    query_codes, query_labels = dio.load_codes(queries_path)
+    gallery_codes, gallery_labels = dio.load_codes(opts["gallery"])
+    query_codes, query_labels = dio.load_codes(opts["queries"])
     if len(query_codes) == 0:
         raise InvalidInputError("query set is empty")
     if gallery_codes.length != query_codes.length:
@@ -287,8 +258,8 @@ def cmd_eval(args) -> int:
             f"code lengths differ: gallery {gallery_codes.length}, "
             f"queries {query_codes.length}"
         )
-    if model_path:
-        forest, selection = dio.load_model(model_path)
+    if opts["model"]:
+        forest, selection = dio.load_model(opts["model"])
         if selection is None:
             raise InvalidInputError("model carries no block selection; retrain")
         bits = len(selection.chosen) * forest.leaf_count
@@ -301,6 +272,7 @@ def cmd_eval(args) -> int:
     _emit("gallery", len(gallery_codes))
     _emit("queries", len(query_codes))
 
+    query_index = opts["query-index"]
     if query_index is not None:
         if not 0 <= query_index < len(query_codes):
             raise InvalidInputError(f"query index {query_index} out of range")
@@ -322,22 +294,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def build_parser() -> _Parser:
+    """One subparser per command, with a flag for each of its ``OPTIONS``.
+    A flag keeps its text: :func:`_option_values` casts and checks it."""
+    parser = _Parser(prog="leafhash", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for run in (cmd_train, cmd_encode, cmd_eval):
+        name = run.__name__.removeprefix("cmd_")
+        cmd = sub.add_parser(name, help=run.__doc__)
+        cmd.set_defaults(run=run)
+        cmd.add_argument("--config", help="config file of key=value lines")
+        for opt in OPTIONS[name]:
+            metavar = "{" + ",".join(opt.choices) + "}" if opt.choices else None
+            cmd.add_argument(f"--{opt.name}", metavar=metavar, help=opt.help)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "encode":
-            return cmd_encode(args)
-        return cmd_eval(args)
+        args = build_parser().parse_args(argv)
+        return args.run(_option_values(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInputError as exc:
+    except (DataFormatError, InvalidInputError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

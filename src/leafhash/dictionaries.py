@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .lowrank import (
     KernelConfig,
     OptimizerConfig,
@@ -236,12 +236,20 @@ def node_route_many(node: SplitNode, x, kernel: KernelConfig | None = None) -> n
     """Boolean go-left mask for every column of ``x``.
 
     Left iff e_neg < e_pos; exact ties go right; degenerate nodes send
-    everything left.
+    everything left.  Raises NumericError when a residual is not finite.
     """
     x = _as_matrix(x, "x")
     if node.degenerate:
         return np.ones(x.shape[1], dtype=bool)
-    e_neg, e_pos = _residuals(node, x, kernel)
+    return _go_left(*_residuals(node, x, kernel))
+
+
+def _go_left(e_neg, e_pos) -> np.ndarray:
+    """``e_neg < e_pos`` for the residuals of one node, or of stacked nodes
+    (a row each).  Raises NumericError when a residual is not finite: the
+    batch overflowed the node's arithmetic, so the comparison means nothing."""
+    if not (np.isfinite(e_neg).all() and np.isfinite(e_pos).all()):
+        raise NumericError("a split residual is not finite: the batch overflows")
     return e_neg < e_pos
 
 

@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .lowrank import (
     KernelConfig,
     _as_matrix,
@@ -44,6 +44,7 @@ from .dictionaries import (
     SplitConfig,
     SplitNode,
     _column_norms,
+    _go_left,
     node_route_many,
     train_split_node,
 )
@@ -103,6 +104,8 @@ class ForestConfig:
             raise InvalidInputError("bootstrap_fraction must be in (0, 1]")
         if self.anchor_count < 1:
             raise InvalidInputError("anchor_count must be >= 1")
+        if self.sigma is not None and not self.sigma > 0:
+            raise InvalidInputError("sigma must be > 0")
         if self.kernel_kind not in ("rbf", "polynomial"):
             raise InvalidInputError(f"unknown kernel kind {self.kernel_kind!r}")
 
@@ -694,35 +697,41 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     of the pool's map, finishes its trees' maps, and routes its roots with
     one matmul per side; deeper levels route per tree.  All of it runs on
     one OpenBLAS thread.
+    A batch that overflows the arithmetic (a squared norm of an RBF map, a
+    polynomial map, or a split residual that is not finite) raises
+    NumericError naming the first tree it could not encode.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     if kinds:
         x = _as_matrix(x, "x", allow_empty=True)
     if x.shape[1] == 0:
         return [np.zeros(0, dtype=np.int64) for _ in trees]
-    x_sq = _column_sq_norms(x) if "rbf" in kinds else None
     stacked = [g for g in groups if g.take is not None]
 
     rows = []
-    with _single_blas_thread():
+    # an overflow raises NumericError below, so numpy need not warn of it
+    with _single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        x_sq = _column_sq_norms(x) if "rbf" in kinds else None
         if stacked:
             products, distances = _pool_maps(pool, x, x_sq,
                                              any(g.poly is None for g in stacked))
         for group in groups:
             members = trees[group.start:group.stop]
-            if group.take is None:
-                (tree,) = members
-                kc = tree.kernels[modality]
-                f = _kernel_map(x, x_sq, kc) if kc is not None else x
-                rows.append(_descend(tree, f, modality, np.zeros(f.shape[1], np.int64), 0))
-                continue
-            # the roots would reject a non-finite map (an overflowing
-            # polynomial, say) in node_route_many; so does the group
-            f = _as_matrix(group.kernel_map(products, distances), "feature map")
-            e_neg, e_pos = group.root_residuals(f)
-            maps = f.reshape(len(members), -1, f.shape[1])
-            for tree, f_tree, go_left in zip(members, maps, e_neg < e_pos):
-                rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
+            try:
+                if group.take is None:
+                    (tree,) = members
+                    kc = tree.kernels[modality]
+                    f = _kernel_map(x, x_sq, kc) if kc is not None else x
+                    rows.append(_descend(tree, f, modality,
+                                         np.zeros(f.shape[1], np.int64), 0))
+                    continue
+                f = group.kernel_map(products, distances)
+                roots_left = _go_left(*group.root_residuals(f))
+                maps = f.reshape(len(members), -1, f.shape[1])
+                for tree, f_tree, go_left in zip(members, maps, roots_left):
+                    rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
+            except NumericError as exc:
+                raise NumericError(f"tree {len(rows)}: {exc}") from exc
     return rows
 
 

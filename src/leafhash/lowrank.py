@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 
 # step below which backtracking gives up and declares a stationary point
 _MIN_STEP = 1e-14
@@ -337,8 +337,13 @@ def kernel_featurize(x, kc: KernelConfig) -> np.ndarray:
 
 
 def _column_sq_norms(x) -> np.ndarray:
-    """Squared norm of every column of ``x``, the per-point part of the RBF map."""
-    return np.sum(x**2, axis=0)
+    """Squared norm of every column of ``x``, the per-point part of the RBF map.
+    Raises NumericError when one overflows: the map would then read the point
+    as infinitely far from every anchor."""
+    sq = np.sum(x**2, axis=0)
+    if not np.isfinite(sq).all():
+        raise NumericError("a point's squared norm overflows the RBF map")
+    return sq
 
 
 def _kernel_map(x, x_sq, kc: KernelConfig) -> np.ndarray:
@@ -384,9 +389,12 @@ def _rbf_of_distances(sq, denom) -> np.ndarray:
 
 
 def _poly_of_products(out, p, q) -> np.ndarray:
-    """``(a'x + p)^q`` in place in ``out``, the products ``a'x``."""
+    """``(a'x + p)^q`` in place in ``out``, the products ``a'x``.  Raises
+    NumericError when the map is not finite (it overflows)."""
     out += p
     out **= q
+    if not np.isfinite(out).all():
+        raise NumericError("the polynomial kernel map overflows")
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import zlib
 
@@ -294,6 +295,108 @@ class TestEnvOverride:
         assert "precision@2" not in report
 
 
+def argv_of(values):
+    return [arg for name, value in values.items() for arg in (f"--{name}", str(value))]
+
+
+def config_file(path, values):
+    path.write_text("".join(f"{name}={value}\n" for name, value in values.items()))
+    return str(path)
+
+
+def env_of(values):
+    return {"LEAFHASH_" + name.replace("-", "_").upper(): str(value)
+            for name, value in values.items()}
+
+
+class TestOptionSources:
+    """Every option is read from a flag, the environment or a config file,
+    and a value from any of them is cast and checked alike."""
+
+    def train_values(self, workspace, model_out):
+        values = dict(zip(TRAIN_ARGS[::2], TRAIN_ARGS[1::2]))
+        return {name[2:]: value for name, value in values.items()} | {
+            "features": workspace["features"], "labels": workspace["labels"],
+            "model-out": model_out}
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    @pytest.mark.parametrize("name, value", [("mode", "foo"), ("learner", "foo"),
+                                             ("kernel", "foo"), ("format", "foo"),
+                                             ("format", "raw"), ("depth", "x")])
+    def test_bad_value_is_a_usage_error(self, workspace, capsys, monkeypatch,
+                                        source, name, value):
+        values = self.train_values(workspace, workspace["tmp"] / "bad-value.fhsh")
+        values.pop(name, None)
+        argv = ["train", *argv_of(values)]
+        if source == "flag":
+            argv += [f"--{name}", value]
+        elif source == "environment":
+            monkeypatch.setenv(*env_of({name: value}).popitem())
+        else:
+            argv += ["--config", config_file(workspace["tmp"] / "bad-value.cfg", {name: value})]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and name in err
+
+    def test_a_set_environment_variable_wins_over_the_file_even_when_bad(
+            self, workspace, capsys, monkeypatch):
+        values = self.train_values(workspace, workspace["tmp"] / "env-wins.fhsh")
+        del values["trees"]
+        monkeypatch.setenv("LEAFHASH_TREES", "x")
+        config = config_file(workspace["tmp"] / "env-wins.cfg", {"trees": 16})
+        assert main(["train", *argv_of(values), "--config", config]) == 1
+        assert "bad value for trees: 'x'" in capsys.readouterr().err
+
+    def test_every_source_trains_the_same_model(self, workspace, capsys, monkeypatch):
+        models, reports = [], []
+        for source in ("flag", "environment", "config"):
+            model = workspace["tmp"] / f"model-from-{source}.fhsh"
+            values = self.train_values(workspace, model)
+            if source == "flag":
+                rc = main(["train", *argv_of(values)])
+            elif source == "environment":
+                with monkeypatch.context() as env:
+                    for key, value in env_of(values).items():
+                        env.setenv(key, value)
+                    rc = main(["train"])
+            else:
+                rc = main(["train", "--config",
+                           config_file(workspace["tmp"] / "train.cfg", values)])
+            assert rc == 0
+            report = parse_report(capsys.readouterr().out)
+            assert report.pop("model") == str(model)
+            models.append(model.read_bytes())
+            reports.append(report)
+        assert models == [workspace["model"].read_bytes()] * 3
+        assert reports == reports[:1] * 3
+
+    @pytest.mark.parametrize("name, message", [("anchors", "anchor_count"),
+                                               ("atoms", "atoms"), ("sparsity", "sparsity"),
+                                               ("sigma", "sigma")])
+    def test_values_the_configs_reject_are_usage_errors(self, workspace, capsys,
+                                                        name, message):
+        values = self.train_values(workspace, workspace["tmp"] / "zero.fhsh")
+        assert main(["train", *argv_of(values | {name: 0})]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", ["anchors", "atoms", "bits", "config", "depth", "features", "format",
+                   "help", "kernel", "labels", "lambda", "learner", "mode", "model-out",
+                   "seed", "sigma", "sparsity", "trees", "workers"]),
+        ("encode", ["codes-out", "config", "features", "format", "help", "labels",
+                    "model"]),
+        ("eval", ["config", "gallery", "help", "metrics", "model", "queries",
+                  "query-index", "radii"]),
+    ])
+    def test_help_lists_every_option(self, capsys, command, options):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?--([a-z-]+)", capsys.readouterr().out, re.M)
+        assert sorted(listed) == options
+
+
 SMALL_TRAIN_ARGS = ["--trees", "4", "--depth", "2", "--learner", "linear", "--bits", "4",
                     "--seed", "3", "--atoms", "4", "--sparsity", "2"]
 
@@ -329,6 +432,34 @@ def kernel_index_span(model):
 def with_crc(raw):
     """A container with its trailing CRC32 recomputed over the payload."""
     return raw[:-4] + struct.pack("<I", zlib.crc32(bytes(raw[6:-4])))
+
+
+@pytest.fixture(scope="module")
+def learner_models(workspace, kernel_model):
+    """One small model per learner: linear, RBF kernel (encoded in stacked
+    groups), polynomial kernel and neural."""
+    models = {"linear": workspace["model"], "rbf": kernel_model}
+    for name, extra in (("polynomial", ["--learner", "kernel", "--kernel", "polynomial",
+                                        "--anchors", "8"]),
+                        ("neural", ["--learner", "neural"])):
+        models[name] = workspace["tmp"] / f"{name}.fhsh"
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]), "--model-out", str(models[name]),
+                   *SMALL_TRAIN_ARGS, *extra])
+        assert rc == 0
+    return models
+
+
+@pytest.mark.parametrize("learner", ["linear", "rbf", "polynomial", "neural"])
+def test_features_that_overflow_are_a_numeric_failure(workspace, learner_models, capsys,
+                                                      learner):
+    huge = workspace["tmp"] / "huge.csv"
+    save_matrix(workspace["ds"].features * 1e200, huge, "csv")
+    rc = main(["encode", "--model", str(learner_models[learner]), "--features", str(huge),
+               "--codes-out", str(workspace["tmp"] / "huge.fhcd")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("numeric failure:")
 
 
 class TestMutatedInputs:

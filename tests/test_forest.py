@@ -14,6 +14,7 @@ from leafhash import (
     KernelConfig,
     LabeledDataset,
     NetConfig,
+    NumericError,
     OptimizerConfig,
     SplitConfig,
     SplitNode,
@@ -697,7 +698,7 @@ class TestGroupedEncode:
         (view,) = encode_views(5, (12,))
         forest = train_forest(view, 3, 2, grouped_config("polynomial", 4), master_seed=5)
         assert group_sizes(forest.trees) == [3]
-        with np.errstate(over="ignore"), pytest.raises(InvalidInputError):
+        with pytest.raises(NumericError, match="tree 0: the polynomial kernel map overflows"):
             encode_dataset(forest, np.full((12, 2), 1e200))
 
 
@@ -827,6 +828,105 @@ def _nonfinite_forest(kind):
         _NONFINITE_FORESTS[kind] = train_forest(view, 2, 3, ENCODE_CONFIGS[kind],
                                                 master_seed=3)
     return _NONFINITE_FORESTS[kind]
+
+
+_OVERFLOW_FORESTS = {}
+
+
+def overflow_forest(kind):
+    """A small forest of one learner: ``_nonfinite_forest``'s (trees encoded
+    one at a time), or a ``stacked-`` kernel forest encoded in one group."""
+    if kind not in _OVERFLOW_FORESTS:
+        if kind.startswith("stacked-"):
+            (view,) = encode_views(5, (12,))
+            forest = train_forest(view, 3, 3, grouped_config(kind[8:], 4), master_seed=5)
+            assert group_sizes(forest.trees) == [3]
+        else:
+            forest = _nonfinite_forest(kind)
+        _OVERFLOW_FORESTS[kind] = forest
+    return _OVERFLOW_FORESTS[kind]
+
+
+OVERFLOW_KINDS = sorted(ENCODE_CONFIGS) + ["stacked-polynomial", "stacked-rbf"]
+
+
+def assert_routed_on_finite_residuals(tree, x, leaves):
+    """Every column of ``x`` reached its leaf in ``leaves`` through finite
+    maps and residuals that send it that way, recomputed here with plain
+    numpy (``node_residuals`` does not check that they are finite)."""
+    kc = tree.kernels[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kc is None:
+            f = x
+        elif kc.kind == "rbf":
+            x_sq = np.sum(x**2, axis=0)
+            assert np.all(np.isfinite(x_sq))
+            f = np.exp(-np.maximum(np.sum(kc.anchors**2, axis=0)[:, None] + x_sq[None, :]
+                                   - 2.0 * kc.anchors.T @ x, 0) / (2.0 * kc.sigma**2))
+        else:
+            f = (kc.anchors.T @ x + kc.p) ** kc.q
+        assert np.all(np.isfinite(f))
+        for j, leaf in enumerate(leaves):
+            pos = leaf + tree.internal_count
+            while pos > 0:
+                parent = (pos - 1) // 2
+                node = tree.nodes[parent][0]
+                if not node.degenerate:
+                    e_neg, e_pos = node_residuals(node, f[:, j])
+                    assert np.isfinite(e_neg[0]) and np.isfinite(e_pos[0])
+                    assert (e_neg[0] < e_pos[0]) == (pos == 2 * parent + 1)
+                pos = parent
+
+
+class TestOverflowingBatch:
+    """A finite batch whose arithmetic overflows is a numeric failure, never
+    routed on residuals that are not finite."""
+
+    @pytest.mark.parametrize("kind", OVERFLOW_KINDS)
+    @given(exponent=st.floats(0, 300), n=st.integers(1, 12), seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_encoding_routes_on_finite_residuals_or_raises(self, kind, exponent, n, seed):
+        forest = overflow_forest(kind)
+        x = np.random.default_rng(seed).normal(size=(forest.feature_dims[0], n))
+        x *= 10.0**exponent
+        try:
+            blocks = encode_dataset(forest, x)
+        except NumericError:
+            return
+        for tree, block in zip(forest.trees, blocks):
+            assert_routed_on_finite_residuals(tree, x, block.argmax(axis=0))
+
+    @pytest.mark.parametrize("kind", OVERFLOW_KINDS)
+    def test_features_scaled_by_1e200_raise(self, kind):
+        forest = overflow_forest(kind)
+        x = 1e200 * np.random.default_rng(4).normal(size=(forest.feature_dims[0], 20))
+        with pytest.raises(NumericError):
+            encode_dataset(forest, x)
+        with pytest.raises(NumericError):
+            encode_tree(forest.trees[0], x[:, 0])
+
+    def test_error_names_the_tree(self):
+        forest = overflow_forest("linear")
+        tree = forest.trees[1]
+        root = tree.nodes[0][0]
+        # only tree 1's root overflows: its projectors are scaled up
+        huge = dataclasses.replace(root, proj_neg=root.proj_neg * 1e300,
+                                   proj_pos=root.proj_pos * 1e300)
+        trees = [forest.trees[0], dataclasses.replace(tree, nodes=[[huge], *tree.nodes[1:]])]
+        bad = dataclasses.replace(forest, trees=trees)
+        with pytest.raises(NumericError, match="^tree 1: a split residual is not finite"):
+            encode_dataset(bad, 1e10 * np.ones((forest.feature_dims[0], 3)))
+
+
+class TestForestConfig:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_sigma_must_be_positive(self, sigma):
+        with pytest.raises(InvalidInputError, match="sigma"):
+            ForestConfig(sigma=sigma)
+
+    def test_sigma_may_be_estimated_or_positive(self):
+        assert ForestConfig().sigma is None
+        assert ForestConfig(sigma=0.5).sigma == 0.5
 
 
 def bundled_openblas():

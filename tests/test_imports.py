@@ -1,7 +1,8 @@
 """The package depends on numpy alone: its modules import nothing else from
-outside the standard library."""
+outside the standard library.  Importing it leaves the command line unloaded."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +24,12 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 top = name.split(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, (
                     f"{path.name} imports {name}")
+
+
+def test_import_loads_neither_the_cli_nor_argparse():
+    # the benchmark's setup_s times a fresh `import leafhash`
+    code = ("import sys, leafhash; "
+            "print(sorted({'leafhash.cli', 'argparse'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
