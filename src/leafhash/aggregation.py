@@ -38,9 +38,9 @@ _EXHAUSTIVE_LIMIT = 100_000
 
 @dataclass
 class BlockSet:
-    """M code blocks over the same N samples, with cached leaf indices."""
+    """M code blocks over the same N samples, held as their leaf indices:
+    ``leaf_ids[i, j]`` is the leaf of sample j in block i."""
 
-    blocks: list[np.ndarray]
     leaf_ids: np.ndarray  # (M, N) int32
     leaf_count: int
 
@@ -58,12 +58,11 @@ class BlockSet:
             if not np.all(b.sum(axis=0) == 1):
                 raise InvalidInputError(f"block {i} has a column that is not 1-sparse")
         leaf_ids = np.stack([b.argmax(axis=0) for b in blocks]).astype(np.int32)
-        return cls(blocks=[b.astype(np.uint8) for b in blocks], leaf_ids=leaf_ids,
-                   leaf_count=shape[0])
+        return cls(leaf_ids=leaf_ids, leaf_count=shape[0])
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.leaf_ids.shape[0]
 
     @property
     def n_samples(self) -> int:

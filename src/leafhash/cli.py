@@ -25,7 +25,6 @@ from .aggregation import BlockSet, select_blocks
 from .dictionaries import SplitConfig
 from .errors import DataFormatError, InvalidInputError, NumericError
 from .forest import ForestConfig, LabeledDataset, encode_dataset, train_forest
-from .lowrank import OptimizerConfig
 from .retrieval import (
     HammingIndex,
     mean_average_precision,
@@ -165,9 +164,9 @@ def cmd_train(opts) -> int:
     """train a forest, aggregate, write a model"""
     n_trees, depth, bits, mode = opts["trees"], opts["depth"], opts["bits"], opts["mode"]
     leaf_count = 2 ** (depth - 1)
-    if bits % leaf_count != 0:
+    if bits <= 0 or bits % leaf_count != 0:
         raise UsageError(
-            f"bits={bits} not divisible by the per-tree code width {leaf_count}"
+            f"bits={bits} is not a positive multiple of the per-tree code width {leaf_count}"
         )
     k = bits // leaf_count
     if k > n_trees // 2 and mode in ("unsup", "semi"):
@@ -180,7 +179,6 @@ def cmd_train(opts) -> int:
                 learner=opts["learner"],
                 atoms=opts["atoms"],
                 sparsity=opts["sparsity"],
-                optimizer=OptimizerConfig(),
             ),
             kernel_kind=opts["kernel"],
             anchor_count=opts["anchors"],
@@ -244,6 +242,8 @@ def cmd_eval(opts) -> int:
         radii = [int(tok) for tok in radii_text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad radii list {radii_text!r}") from exc
+    if any(r < 0 for r in radii):
+        raise UsageError(f"radii must be >= 0, got {radii_text!r}")
     metrics = [tok.strip() for tok in metrics_text.split(",") if tok.strip()]
     for m in metrics:
         if m not in ("pr", "map"):

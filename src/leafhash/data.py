@@ -6,7 +6,7 @@ File formats owned here:
   files are detected by content and decompressed transparently.
 - Delimited text matrices (rows are feature dimensions, columns are samples)
   and a raw little-endian float64 format with a (rows, cols) header.
-- "FHSH03" binary model container and "FHCD01" packed-codes file, both with a
+- "FHSH04" binary model container and "FHCD01" packed-codes file, both with a
   trailing CRC32; round-trips are bit-exact for everything serving reads.  A
   model stores each modality's distinct kernel anchors once, as the forest's
   pool (``Forest.pools``, see ``forest.anchor_pool``), and each kernel tree's
@@ -36,14 +36,12 @@ from .forest import AnchorPool, Forest, ForestConfig, HashTree, LabeledDataset
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
-MODEL_MAGIC = b"FHSH03"
+MODEL_MAGIC = b"FHSH04"
 CODES_MAGIC = b"FHCD01"
 
 _IDX_IMAGES = 0x00000803
 _IDX_LABELS = 0x00000801
 
-_LEARNER_CODES = {"linear": 0, "kernel": 1, "neural": 2}
-_LEARNER_NAMES = {v: k for k, v in _LEARNER_CODES.items()}
 _KERNEL_CODES = {None: 0, "rbf": 1, "polynomial": 2}
 _ACT_CODES = {"relu": 0, "identity": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
@@ -616,17 +614,18 @@ def _config_from_json(text: str, offset: int) -> ForestConfig:
 
 
 def save_model(forest: Forest, selection, path):
-    """Write the forest and its block selection as one FHSH03 container.
+    """Write the forest and its block selection as one FHSH04 container.
 
-    Each modality with a kernel tree stores its anchor pool once, in its
-    first kernel record; every kernel record stores its anchors as indices
+    The header holds the modality count, tree count, depth, master seed,
+    feature dimensions and the forest config as JSON, which states the
+    learner.  Each modality with a kernel tree stores its anchor pool once, in
+    its first kernel record; every kernel record stores its anchors as indices
     into the pool.
     """
     w = _Writer()
     w.u8(len(forest.feature_dims))
     w.u32(forest.n_trees)
     w.u8(forest.depth)
-    w.u8(_LEARNER_CODES[forest.learner])
     w.i64(forest.master_seed)
     for dim in forest.feature_dims:
         w.u32(dim)
@@ -649,7 +648,7 @@ def save_model(forest: Forest, selection, path):
 
 
 def load_model(path):
-    """Read an FHSH03 container; returns ``(forest, selection)``.
+    """Read an FHSH04 container; returns ``(forest, selection)``.
 
     The forest is made with the anchor pools it was read with, so it does
     not build them again.  A pool not of its modality's dimension, or a net
@@ -662,9 +661,6 @@ def load_model(path):
     depth = r.u8()
     if not 2 <= depth <= 7:
         raise DataFormatError(f"tree depth {depth} outside 2..7", offset=r.base + r.pos - 1)
-    learner = _LEARNER_NAMES.get(r.u8())
-    if learner is None:
-        raise DataFormatError("unknown learner code", offset=r.base + r.pos - 1)
     master_seed = r.i64()
     feature_dims = tuple(r.u32() for _ in range(n_modalities))
     config_offset = r.base + r.pos
@@ -675,12 +671,12 @@ def load_model(path):
     read = [_read_tree(r, pools, feature_dims, internal) for _ in range(n_trees)]
     r.done()
     records = [kernels for _, kernels, _ in read]
-    trees = [HashTree(depth=depth, nodes=tree_nodes, learner=learner, tree_seed=seed,
+    trees = [HashTree(depth=depth, nodes=tree_nodes, tree_seed=seed,
                       kernels=kernels, feature_dims=feature_dims)
              for (seed, _, tree_nodes), kernels in zip(read, _kernels(pools, records))]
     read_pools = [AnchorPool.of(pools[m], [rec[m][1] for rec in records]) if m in pools
                   else None for m in range(n_modalities)]
-    forest = Forest(trees=trees, master_seed=master_seed, depth=depth, learner=learner,
+    forest = Forest(trees=trees, master_seed=master_seed, depth=depth,
                     feature_dims=feature_dims, config=config, read_pools=read_pools)
     return forest, selection
 
@@ -717,4 +713,5 @@ def load_codes(path):
     if has_labels:
         labels = np.frombuffer(r._take(count * 8), dtype="<i8").copy()
     r.done()
-    return PackedCodes(words=words.copy(), length=length), labels
+    # PackedCodes copies the words out of the file's bytes
+    return PackedCodes(words=words, length=length), labels

@@ -26,6 +26,8 @@ from .network import DenseNet, NetConfig, net_fit, net_forward
 
 # ridge on the Gram inversion; keeps rank-deficient dictionaries usable
 RIDGE = 1e-8
+# residual norm, relative to the column's, at which OMP stops coding a column
+OMP_TOL = 1e-12
 
 
 @dataclass
@@ -39,10 +41,6 @@ class Dictionary:
     def __array__(self, dtype=None, copy=None):
         a = np.asarray(self.atoms, dtype=dtype)
         return a.copy() if copy else a
-
-    @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[1]
 
 
 def _lstsq_stack(a, y):
@@ -61,14 +59,14 @@ def _lstsq_stack(a, y):
     return np.matmul((inv_s * uty)[:, None, :], vt)[:, 0, :]
 
 
-def omp(atoms, x, sparsity: int, tol: float = 1e-12) -> np.ndarray:
+def omp(atoms, x, sparsity: int) -> np.ndarray:
     """Orthogonal matching pursuit codes, all columns advancing together.
 
     Each code uses at most ``sparsity`` atoms; a column stops early once its
-    residual falls to ``tol`` relative to its norm, and zero columns get zero
-    codes.  Every step scores the atoms against all unfinished residuals in
-    one product, adds each column's best atom to its support, and refits all
-    supports in one batched least-squares solve.  Ties in atom selection
+    residual falls to ``OMP_TOL`` relative to its norm, and zero columns get
+    zero codes.  Every step scores the atoms against all unfinished residuals
+    in one product, adds each column's best atom to its support, and refits
+    all supports in one batched least-squares solve.  Ties in atom selection
     resolve to the lowest index; they are ties of the computed scores, so
     exactly duplicated atoms may be picked in either order.
     """
@@ -85,7 +83,7 @@ def omp(atoms, x, sparsity: int, tol: float = 1e-12) -> np.ndarray:
     ynorm = ynorm[cols]
     support = np.empty((cols.size, 0), dtype=np.intp)
     for _ in range(min(sparsity, m)):
-        live = np.linalg.norm(resid, axis=0) > tol * ynorm
+        live = np.linalg.norm(resid, axis=0) > OMP_TOL * ynorm
         if not live.all():
             cols, y, resid, ynorm, support = (
                 cols[live], y[:, live], resid[:, live], ynorm[live], support[live])

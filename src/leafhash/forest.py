@@ -50,6 +50,8 @@ from .dictionaries import (
 )
 
 _MAX_SUPPORTED_DEPTH = 6
+# share of the training samples each tree draws, without replacement
+BOOTSTRAP_FRACTION = 0.5
 
 
 @dataclass
@@ -88,7 +90,8 @@ class ForestConfig:
     """Forest-level training settings.
 
     ``sigma=None`` selects the per-tree median-distance bandwidth heuristic.
-    ``anchor_count`` is clamped to each tree's bootstrap size.
+    ``anchor_count`` is clamped to each tree's bootstrap size, which is
+    ``BOOTSTRAP_FRACTION`` of the training samples, rounded up.
     """
 
     split: SplitConfig = SplitConfig()
@@ -97,11 +100,8 @@ class ForestConfig:
     sigma: float | None = None
     poly_p: float = 1.0
     poly_q: float = 2.0
-    bootstrap_fraction: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.bootstrap_fraction <= 1.0:
-            raise InvalidInputError("bootstrap_fraction must be in (0, 1]")
         if self.anchor_count < 1:
             raise InvalidInputError("anchor_count must be >= 1")
         if self.sigma is not None and not self.sigma > 0:
@@ -125,7 +125,6 @@ class HashTree:
 
     depth: int
     nodes: list[list[SplitNode]]
-    learner: str
     tree_seed: int
     kernels: tuple[KernelConfig | None, ...]
     feature_dims: tuple[int, ...]
@@ -147,14 +146,15 @@ class HashTree:
 class Forest:
     """A tuple of independently trained trees plus training metadata.
 
-    ``trees`` may be given as a list; it is stored as a tuple.  The
+    The learner is stated once, in ``config``; the ``learner`` property reads
+    it there.  ``trees`` may be given as a list; it is stored as a tuple.  The
     constructor rejects a tree whose depth or feature dimensions are not the
-    forest's, or whose kernel anchors do not have ``feature_dims[m]`` rows,
-    so encoding checks a batch against ``feature_dims`` alone.  It then
-    builds, for every modality ``m``, the trees' anchor pool ``pools[m]``
-    (:func:`anchor_pool`; None without a kernel tree) and their encode
-    groups ``_groups[m]`` (:func:`_tree_groups`).  Both are derived from the
-    trees, so neither is compared nor shown.  Only ``load_model`` hands in
+    forest's, or whose kernel anchors do not have ``feature_dims[m]`` rows, so
+    encoding checks a batch against ``feature_dims`` alone.  It then builds,
+    for every modality ``m``, the trees' anchor pool ``pools[m]``
+    (:func:`anchor_pool`; None without a kernel tree) and their encode groups
+    ``_groups[m]`` (:func:`_tree_groups`).  Both are derived from the trees, so
+    neither is compared nor shown.  Only ``load_model`` hands in
     ``read_pools``, the pools it read with the trees; a forest made by
     ``dataclasses.replace`` builds its own.
     """
@@ -162,7 +162,6 @@ class Forest:
     trees: tuple[HashTree, ...]
     master_seed: int
     depth: int
-    learner: str
     feature_dims: tuple[int, ...]
     config: ForestConfig
     read_pools: InitVar[tuple | None] = None
@@ -181,6 +180,10 @@ class Forest:
         object.__setattr__(self, "_groups", tuple(
             _tree_groups(trees, m, None if pool is None else pool.indices)
             for m, pool in enumerate(self.pools)))
+
+    @property
+    def learner(self) -> str:
+        return self.config.learner
 
     @property
     def n_trees(self) -> int:
@@ -274,7 +277,7 @@ def train_tree(
     rng = np.random.default_rng(tree_seed)
 
     n = views[0].n_samples
-    take = int(np.ceil(cfg.bootstrap_fraction * n))
+    take = int(np.ceil(BOOTSTRAP_FRACTION * n))
     boot = rng.choice(n, size=take, replace=False)
     boot_features = [v.features[:, boot] for v in views]
     labels = views[0].labels[boot]
@@ -333,7 +336,6 @@ def train_tree(
     return HashTree(
         depth=depth,
         nodes=nodes,
-        learner=cfg.learner,
         tree_seed=int(tree_seed),
         kernels=kernels,
         feature_dims=tuple(v.feature_dim for v in views),
@@ -469,7 +471,6 @@ def train_multimodal_forest(
         trees=trees,
         master_seed=int(master_seed),
         depth=depth,
-        learner=cfg.learner,
         feature_dims=tuple(v.feature_dim for v in views),
         config=cfg,
     )

@@ -25,6 +25,16 @@ from .errors import InvalidInputError, NumericError
 
 # step below which backtracking gives up and declares a stationary point
 _MIN_STEP = 1e-14
+# longest step of the descent in fit_transform, on the normalized subgradient
+STEP_SIZE = 0.5
+# subgradient cutoff relative to each matrix's largest singular value, so it
+# does not depend on scale; the network's split loss layer uses it too
+SV_THRESHOLD = 1e-3
+# free descent stops once an accepted step lowers the loss by less than this,
+# relative to the loss
+REL_TOL = 1e-6
+# point pairs median_bandwidth samples
+BANDWIDTH_PAIRS = 1000
 
 
 def _as_matrix(a, name="matrix", allow_empty=False):
@@ -62,32 +72,22 @@ class Transform:
 class OptimizerConfig:
     """Settings for the subgradient descent in :func:`fit_transform`.
 
-    ``sv_threshold`` is relative to the largest singular value of each matrix
-    whose subgradient is taken (scale-robust cutoff for the retained singular
-    vectors).  The first ``geometry_iters`` iterations keep W on the fixed
-    Frobenius sphere of the identity, so the loss can only fall by rotating
-    the class subspaces apart; the remaining budget descends freely (the loss
-    is 1-homogeneous in W, so free descent also sheds the residual scale, and
-    its radial step ``W <- cW`` takes its loss ``c L(W)`` analytically).  The
-    descent runs on the QR-reduced s x s factors of the class matrices, so
-    these settings see the same singular values as on the full matrices.
+    The first ``geometry_iters`` of the ``max_iters`` iterations keep W on
+    the fixed Frobenius sphere of the identity, so the loss can only fall by
+    rotating the class subspaces apart; the remaining budget descends freely
+    (the loss is 1-homogeneous in W, so free descent also sheds the residual
+    scale, and its radial step ``W <- cW`` takes its loss ``c L(W)``
+    analytically).  The step length, the subgradient's singular-value cutoff
+    and the stopping tolerance are the module constants ``STEP_SIZE``,
+    ``SV_THRESHOLD`` and ``REL_TOL``.
     """
 
     max_iters: int = 500
-    step_size: float = 0.5
-    sv_threshold: float = 1e-3
-    rel_tol: float = 1e-6
     geometry_iters: int = 300
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be >= 1")
-        if self.step_size <= 0:
-            raise InvalidInputError("step_size must be positive")
-        if self.sv_threshold <= 0:
-            raise InvalidInputError("sv_threshold must be positive")
-        if self.rel_tol <= 0:
-            raise InvalidInputError("rel_tol must be positive")
         if self.geometry_iters < 0:
             raise InvalidInputError("geometry_iters must be >= 0")
 
@@ -185,7 +185,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
     ``X' = QR`` (:func:`_reduced`).  That keeps the loss and maps the
     subgradient back exactly, so every SVD is at most s x s.
 
-    Stops on relative loss change below ``cfg.rel_tol`` after the geometry
+    Stops on relative loss change below ``REL_TOL`` after the geometry
     phase, a vanishing subgradient, or an exhausted step size; if
     ``cfg.max_iters`` runs out while the loss is still moving the last (best)
     iterate is returned with ``converged=False``.
@@ -201,9 +201,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
     radius = np.sqrt(s_dim)  # Frobenius norm of the identity
 
     def grad_of(w):
-        loss, gp, gn, gc = _split_subgrads(
-            w @ x_pos, w @ x_neg, w @ both, cfg.sv_threshold
-        )
+        loss, gp, gn, gc = _split_subgrads(w @ x_pos, w @ x_neg, w @ both, SV_THRESHOLD)
         return loss, gp @ x_pos.T + gn @ x_neg.T - gc @ both.T
 
     w = np.eye(s_dim)
@@ -230,7 +228,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
             budget = min(cfg.geometry_iters, cfg.max_iters)
         else:
             budget = cfg.max_iters - iters_used
-        step = cfg.step_size
+        step = STEP_SIZE
         stalled = False
         for _ in range(budget):
             if loss <= loss_floor:
@@ -241,7 +239,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
             if gnorm <= 1e-12 * scale:
                 stalled = True
                 break
-            step = min(2.0 * step, cfg.step_size)
+            step = min(2.0 * step, STEP_SIZE)
             w_new, loss_new, step = line_search(w, loss, grad / gnorm, step, project)
             if not project and loss > 0:
                 # radial shrinkage is a strict descent direction by the
@@ -250,7 +248,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
                 # step is capped at half the current norm so W can only decay
                 # geometrically (never jump to exactly zero past the floor).
                 w_norm = float(np.linalg.norm(w))
-                rad_step = min(cfg.step_size, 0.5 * w_norm)
+                rad_step = min(STEP_SIZE, 0.5 * w_norm)
                 c = 1.0 - rad_step / w_norm
                 if rad_step > _MIN_STEP and (w_new is None or c * loss < loss_new):
                     w_new, loss_new = c * w, c * loss
@@ -261,7 +259,7 @@ def fit_transform(x_pos, x_neg, cfg: OptimizerConfig | None = None) -> Transform
             w, loss = w_new, loss_new
             _, grad = grad_of(w)
             trace.append(loss)
-            if not project and drop <= cfg.rel_tol * max(abs(loss), 1e-12):
+            if not project and drop <= REL_TOL * max(abs(loss), 1e-12):
                 stalled = True
                 break
 
@@ -398,52 +396,55 @@ def _poly_of_products(out, p, q) -> np.ndarray:
     return out
 
 
-def median_bandwidth(x, rng, max_pairs: int = 1000) -> float:
-    """Median pairwise distance over sampled point pairs (RBF sigma default).
+def median_bandwidth(x, rng) -> float:
+    """Median pairwise distance over ``BANDWIDTH_PAIRS`` sampled point pairs
+    (RBF sigma default).
 
     Deterministic given ``rng``; falls back to 1.0 when the sampled points are
-    all coincident.
+    all coincident.  Raises NumericError when the median distance overflows.
     """
     x = _as_matrix(x, "x")
     n = x.shape[1]
     if n < 2:
         return 1.0
-    i = rng.integers(0, n, size=max_pairs)
-    j = rng.integers(0, n, size=max_pairs)
+    i = rng.integers(0, n, size=BANDWIDTH_PAIRS)
+    j = rng.integers(0, n, size=BANDWIDTH_PAIRS)
     ok = i != j
     if not np.any(ok):
         return 1.0
-    d = np.linalg.norm(x[:, i[ok]] - x[:, j[ok]], axis=0)
+    # an overflow raises NumericError below, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        d = np.linalg.norm(x[:, i[ok]] - x[:, j[ok]], axis=0)
     med = float(np.median(d))
+    if not math.isfinite(med):
+        raise NumericError("the median distance between points overflows")
     return med if med > 0 else 1.0
 
 
-def _orthonormal_basis(a, rank=None, rank_rtol=None):
+def _orthonormal_basis(a, rank=None):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise InvalidInputError("matrix is zero; no column space")
-    if rank_rtol is None:
-        rank_rtol = max(a.shape) * np.finfo(np.float64).eps
-    r = int(np.count_nonzero(s > rank_rtol * s[0]))
+    r = int(np.count_nonzero(s > max(a.shape) * np.finfo(np.float64).eps * s[0]))
     if rank is not None:
         r = min(r, int(rank))
     return u[:, : max(r, 1)]
 
 
-def principal_angles(a, b, rank=None, rank_rtol=None) -> np.ndarray:
+def principal_angles(a, b, rank=None) -> np.ndarray:
     """Principal angles (radians, ascending) between two column spaces.
 
-    ``rank`` caps the subspace dimensions; ``rank_rtol`` sets the relative
-    singular-value cutoff used to decide each matrix's numerical rank (default
-    is the strict machine-level cutoff).  Use one of them when the inputs are
-    noisy and you care about the dominant subspaces only.
+    Each matrix's numerical rank counts its singular values above
+    ``max(shape) * eps`` times its largest, the strict machine-level cutoff.
+    ``rank`` caps the subspace dimensions: use it when the inputs are noisy
+    and you care about the dominant subspaces only.
     """
     a = _as_matrix(a, "a")
     b = _as_matrix(b, "b")
     if a.shape[0] != b.shape[0]:
         raise InvalidInputError("subspaces must live in the same ambient space")
-    qa = _orthonormal_basis(a, rank, rank_rtol)
-    qb = _orthonormal_basis(b, rank, rank_rtol)
+    qa = _orthonormal_basis(a, rank)
+    qb = _orthonormal_basis(b, rank)
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     return np.sort(angles)

@@ -17,9 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .lowrank import _as_matrix, _split_loss, _split_subgrads
+from .lowrank import SV_THRESHOLD, _as_matrix, _split_loss, _split_subgrads
 
 _MIN_STEP = 1e-14
+# longest step of the descent in net_fit, on the normalized gradient
+STEP_SIZE = 0.5
+# an accepted step that lowers the loss by less than this, relative to the
+# loss, hands over to shrinking the final layer
+REL_TOL = 1e-10
+# relu-layer biases of a new net draw from U(-BIAS_INIT, BIAS_INIT)
+BIAS_INIT = 1.0
 _ACTIVATIONS = ("relu", "identity")
 
 
@@ -85,13 +92,14 @@ def _forward_trace(net, x):
     return inputs, h
 
 
-def lowrank_loss_layer(f_pos, f_neg, sv_threshold: float = 1e-3):
+def lowrank_loss_layer(f_pos, f_neg):
     """Split loss on two feature blocks plus its subgradients.
 
-    Returns ``(loss, grad_f_pos, grad_f_neg)``.  The concatenated term's
-    subgradient is split column-wise and enters with sign -1.  The loss value
-    is exactly :func:`leafhash.lowrank.lowrank_loss` with the identity
-    transform.
+    Returns ``(loss, grad_f_pos, grad_f_neg)``.  Each term's subgradient
+    keeps the singular directions above ``SV_THRESHOLD`` times its largest
+    singular value; the concatenated term's is split column-wise and enters
+    with sign -1.  The loss value is exactly
+    :func:`leafhash.lowrank.lowrank_loss` with the identity transform.
     """
     f_pos = _as_matrix(f_pos, "f_pos")
     f_neg = _as_matrix(f_neg, "f_neg")
@@ -99,22 +107,20 @@ def lowrank_loss_layer(f_pos, f_neg, sv_threshold: float = 1e-3):
         raise InvalidInputError("feature blocks must share their row dimension")
     n_pos = f_pos.shape[1]
     both = np.concatenate([f_pos, f_neg], axis=1)
-    _, gp, gn, gc = _split_subgrads(f_pos, f_neg, both, sv_threshold)
+    _, gp, gn, gc = _split_subgrads(f_pos, f_neg, both, SV_THRESHOLD)
     # the loss value goes through the same SVD path as the plain loss
     # evaluation, so the two agree bit-for-bit
     loss = _split_loss(f_pos, f_neg, both)
     return loss, gp - gc[:, :n_pos], gn - gc[:, n_pos:]
 
 
-def _loss_and_param_grads(net, x_both, n_pos, sv_threshold):
+def _loss_and_param_grads(net, x_both, n_pos):
     inputs, feats = _forward_trace(net, x_both)
     if not np.all(np.isfinite(feats)):
         raise NumericError(
             "network features are non-finite; inputs or steps are ill-scaled"
         )
-    loss, gp, gn = lowrank_loss_layer(
-        feats[:, :n_pos], feats[:, n_pos:], sv_threshold
-    )
+    loss, gp, gn = lowrank_loss_layer(feats[:, :n_pos], feats[:, n_pos:])
     delta = np.concatenate([gp, gn], axis=1)
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
@@ -130,25 +136,22 @@ def _loss_and_param_grads(net, x_both, n_pos, sv_threshold):
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Full-batch gradient descent settings for :func:`net_fit`."""
+    """Full-batch gradient descent settings for :func:`net_fit`: the epoch
+    budget.  The step length, the tolerance and the bias range of a new net
+    are the module constants ``STEP_SIZE``, ``REL_TOL`` and ``BIAS_INIT``;
+    the split loss's singular-value cutoff is ``lowrank.SV_THRESHOLD``."""
 
     epochs: int = 300
-    step_size: float = 0.5
-    sv_threshold: float = 1e-3
-    rel_tol: float = 1e-10
-    bias_init: float = 1.0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidInputError("epochs must be >= 1")
-        if self.step_size <= 0:
-            raise InvalidInputError("step_size must be positive")
 
 
-def build_net(input_dim, hidden, output_dim, seed=0, bias_init=1.0) -> DenseNet:
+def build_net(input_dim, hidden, output_dim, seed=0) -> DenseNet:
     """He-initialized relu net with the given hidden widths.
 
-    Relu-layer biases draw from U(-bias_init, bias_init): hinges away from the
+    Relu-layer biases draw from U(-BIAS_INIT, BIAS_INIT): hinges away from the
     origin are what let the split loss carve radially symmetric data; all-zero
     biases leave every unit linear along rays through the origin.
     """
@@ -161,7 +164,7 @@ def build_net(input_dim, hidden, output_dim, seed=0, bias_init=1.0) -> DenseNet:
         if i == len(dims) - 2:
             layers.append(DenseLayer(w, np.zeros(dims[i + 1]), "identity"))
         else:
-            b = rng.uniform(-bias_init, bias_init, size=dims[i + 1])
+            b = rng.uniform(-BIAS_INIT, BIAS_INIT, size=dims[i + 1])
             layers.append(DenseLayer(w, b, "relu"))
     return DenseNet(layers)
 
@@ -187,15 +190,15 @@ def net_fit(
     if x_pos.shape[0] != x_neg.shape[0]:
         raise InvalidInputError("class matrices must share their row dimension")
     s_dim = x_pos.shape[0]
-    net = build_net(s_dim, tuple(hidden), output_dim or s_dim, seed, cfg.bias_init)
+    net = build_net(s_dim, tuple(hidden), output_dim or s_dim, seed)
     x_both = np.concatenate([x_pos, x_neg], axis=1)
     n_pos = x_pos.shape[1]
 
-    loss, grads = _loss_and_param_grads(net, x_both, n_pos, cfg.sv_threshold)
+    loss, grads = _loss_and_param_grads(net, x_both, n_pos)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite split loss at initialization: {loss}")
     trace = [loss]
-    step = cfg.step_size
+    step = STEP_SIZE
     converged = False
     loss_floor = 1e-9 * max(abs(loss), 1.0)
     last = net.layers[-1]
@@ -219,9 +222,7 @@ def net_fit(
             saved = (last.weight.copy(), last.bias.copy())
             last.weight *= 1.0 - shrink
             last.bias *= 1.0 - shrink
-            loss_new, grads_new = _loss_and_param_grads(
-                net, x_both, n_pos, cfg.sv_threshold
-            )
+            loss_new, grads_new = _loss_and_param_grads(net, x_both, n_pos)
             check(loss_new)
             if loss_new < loss:
                 return loss_new, grads_new
@@ -239,20 +240,18 @@ def net_fit(
         if gnorm <= 1e-15 * max(abs(loss), 1.0):
             converged = True
             break
-        step = min(2.0 * step, cfg.step_size)
+        step = min(2.0 * step, STEP_SIZE)
         accepted = False
         while step > _MIN_STEP:
             try_step(step / gnorm)  # fixed step length along the gradient
-            loss_new, grads_new = _loss_and_param_grads(
-                net, x_both, n_pos, cfg.sv_threshold
-            )
+            loss_new, grads_new = _loss_and_param_grads(net, x_both, n_pos)
             check(loss_new)
             if loss_new <= loss:
                 accepted = True
                 break
             try_step(-step / gnorm)  # undo
             step *= 0.5
-        stalled = not accepted or loss - loss_new <= cfg.rel_tol * max(abs(loss), 1e-12)
+        stalled = not accepted or loss - loss_new <= REL_TOL * max(abs(loss), 1e-12)
         if accepted:
             loss, grads = loss_new, grads_new
             trace.append(loss)
@@ -286,7 +285,7 @@ def grad_check(net: DenseNet, x_pos, x_neg, eps: float = 1e-5) -> float:
         _, feats = _forward_trace(net, x_both)
         return _split_loss(feats[:, :n_pos], feats[:, n_pos:], feats)
 
-    _, grads = _loss_and_param_grads(net, x_both, n_pos, 1e-3)
+    _, grads = _loss_and_param_grads(net, x_both, n_pos)
     worst = 0.0
     for layer, (gw, gb) in zip(net.layers, grads):
         for arr, grad in ((layer.weight, gw), (layer.bias, gb)):

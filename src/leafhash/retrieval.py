@@ -29,13 +29,14 @@ def _mask_padding(words, length):
 
 @dataclass(frozen=True)
 class HashCode:
-    """One L-bit code: uint64 word vector plus the bit length."""
+    """One L-bit code: uint64 word vector plus the bit length.  The words
+    are copied, so the caller's array is neither changed nor shared."""
 
     words: np.ndarray
     length: int
 
     def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        words = np.array(self.words, dtype=np.uint64, order="C", ndmin=1)
         if words.ndim != 1 or words.shape[0] != _words_for(self.length):
             raise InvalidInputError(
                 f"expected {_words_for(self.length)} words for {self.length} bits"
@@ -51,13 +52,14 @@ class HashCode:
 
 @dataclass
 class PackedCodes:
-    """A batch of equal-length codes: (n, words) uint64 matrix."""
+    """A batch of equal-length codes: (n, words) uint64 matrix.  The words
+    are copied, so the caller's array is neither changed nor shared."""
 
     words: np.ndarray
     length: int
 
     def __post_init__(self):
-        self.words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        self.words = np.array(self.words, dtype=np.uint64, order="C")
         if self.words.ndim != 2 or self.words.shape[1] != _words_for(self.length):
             raise InvalidInputError(
                 f"expected (n, {_words_for(self.length)}) words for {self.length} bits"
@@ -68,7 +70,7 @@ class PackedCodes:
         return self.words.shape[0]
 
     def code(self, i: int) -> HashCode:
-        return HashCode(words=self.words[i].copy(), length=self.length)
+        return HashCode(words=self.words[i], length=self.length)
 
 
 def pack_codes(blocks, order) -> PackedCodes:

@@ -252,7 +252,8 @@ class TestGreedySemiSupervised:
         cov = block_covariance(bs, unlabeled) if mode != "sup" else None
         lab_bs, lab = bs, labels
         if labeled is not None:
-            lab_bs = BlockSet.from_blocks([b[:, labeled] for b in bs.blocks])
+            lab_bs = BlockSet.from_blocks([one_hot_block(ids[labeled], bs.leaf_count)
+                                           for ids in bs.leaf_ids])
             lab = labels[labeled]
 
         chosen, gains = [], []

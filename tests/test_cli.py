@@ -142,6 +142,30 @@ class TestTrain:
         assert report["mode"] == "unsup"
 
 
+class TestBadOptionValues:
+    """An option value that no data file could make right is a usage error
+    (exit 1), found before anything is trained or written."""
+
+    @pytest.mark.parametrize("bits", ["0", "-2"])
+    def test_bits_that_are_not_positive_are_usage_errors(self, workspace, capsys, bits):
+        model = workspace["tmp"] / f"bits{bits}.fhsh"
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]), "--model-out", str(model),
+                   *TRAIN_ARGS, "--bits", bits])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage error:") and "bits" in captured.err
+        assert captured.out == "" and not model.exists()
+
+    def test_negative_radius_is_usage_error(self, workspace, capsys):
+        rc = main(["eval", "--gallery", str(workspace["codes"]),
+                   "--queries", str(workspace["codes"]), "--radii", "0,-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage error:") and "radii" in captured.err
+        assert captured.out == ""
+
+
 class TestEncode:
     def test_codes_count_matches(self, workspace, capsys):
         codes, labels = load_codes(workspace["codes"])
@@ -462,6 +486,19 @@ def test_features_that_overflow_are_a_numeric_failure(workspace, learner_models,
     assert captured.err.startswith("numeric failure:")
 
 
+def test_kernel_training_on_features_that_overflow_is_a_numeric_failure(workspace, capsys):
+    # no --sigma: the median distance the bandwidth is estimated from overflows
+    huge = workspace["tmp"] / "huge-train.csv"
+    save_matrix(workspace["ds"].features * 1e200, huge, "csv")
+    model = workspace["tmp"] / "huge-kernel.fhsh"
+    rc = main(["train", "--features", str(huge), "--labels", str(workspace["labels"]),
+               "--model-out", str(model), *SMALL_TRAIN_ARGS, "--learner", "kernel",
+               "--anchors", "8"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("numeric failure:") and not model.exists()
+
+
 class TestMutatedInputs:
     """The exit code for a damaged input file is 0, 2 or 3, never 1 (usage),
     and no exception escapes ``main``."""
@@ -508,7 +545,7 @@ class TestMutatedInputs:
         (kc,) = tree.kernels
         tree.kernels = (dataclasses.replace(kc, anchors=kc.anchors[:, :-1].copy()),)
         bad = workspace["tmp"] / "short-kernel.fhsh"
-        save_model(Forest(trees=forest.trees, master_seed=3, depth=3, learner="kernel",
+        save_model(Forest(trees=forest.trees, master_seed=3, depth=3,
                           feature_dims=(10,), config=forest.config), selection, bad)
         rc = main(["encode", "--model", str(bad), "--features", str(workspace["features"]),
                    "--codes-out", str(workspace["tmp"] / "short-kernel.fhcd")])

@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 import tempfile
 import zlib
@@ -261,8 +262,7 @@ def trained_artifacts(learner="linear", seed=1):
             root = tree.nodes[0][0]
             root.proj_pos, root.proj_neg = root.proj_pos[:, :1].copy(), root.proj_neg[:, :1].copy()
         forest = Forest(trees=forest.trees, master_seed=forest.master_seed, depth=forest.depth,
-                        learner=forest.learner, feature_dims=forest.feature_dims,
-                        config=forest.config)
+                        feature_dims=forest.feature_dims, config=forest.config)
     blocks = encode_dataset(forest, ds.features)
     selection = greedy_unsupervised(BlockSet.from_blocks(blocks), 1)
     return ds, forest, blocks, selection
@@ -335,8 +335,9 @@ class TestModelContainer:
         path = tmp_path / "model.fhsh"
         save_model(forest, selection, path)
         raw = path.read_bytes()
-        # FHSH02, the version before, stored every tree's anchors in full
-        for magic in (b"FHSH04", b"FHSH02"):
+        # FHSH03 had a learner byte in its header and kept the optimizer's
+        # constants in its config; FHSH02 stored every tree's anchors in full
+        for magic in (b"FHSH05", b"FHSH03", b"FHSH02"):
             path.write_bytes(magic + raw[6:])
             with pytest.raises(DataFormatError, match="version"):
                 load_model(path)
@@ -370,10 +371,10 @@ def config_span(raw):
     """(offset, length) of the config string record in a saved model.
 
     Layout after the 6-byte magic: u8 modalities, u32 trees, u8 depth,
-    u8 learner, i64 seed, one u32 per modality, then the string: a u32
-    length and that many bytes.
+    i64 seed, one u32 per modality, then the string: a u32 length and that
+    many bytes.
     """
-    offset = 6 + 15 + 4 * raw[6]
+    offset = 6 + 14 + 4 * raw[6]
     (length,) = struct.unpack_from("<I", raw, offset)
     return offset, length
 
@@ -460,6 +461,21 @@ class TestConfigStringDecoding:
         key = raw.index(b'"split"', offset + 4, offset + 4 + length)
         with pytest.raises(DataFormatError, match="config") as info:
             load_model_bytes(with_payload_bytes(raw, [(key + 1, ord("x"))]))
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("section, key", [(None, "bootstrap_fraction"),
+                                              ("optimizer", "sv_threshold"),
+                                              ("net", "bias_init")])
+    def test_removed_key_is_format_error_at_config(self, section, key):
+        # keys of settings that are now constants; an older config held them
+        raw = saved_model_bytes()
+        offset, length = config_span(raw)
+        config = json.loads(bytes(raw[offset + 4:offset + 4 + length]))
+        (config if section is None else config["split"][section])[key] = 0.5
+        text = json.dumps(config, sort_keys=True).encode()
+        body = raw[:offset] + struct.pack("<I", len(text)) + text + raw[offset + 4 + length:-4]
+        with pytest.raises(DataFormatError, match=key) as info:
+            load_model_bytes(body + struct.pack("<I", zlib.crc32(body[6:])))
         assert info.value.offset == offset
 
     @given(data=st.data())
@@ -554,9 +570,9 @@ class TestModelDecoding:
         record, pool_at = first_kernel_record(raw)
         (d, _), _ = pool_shape(raw, pool_at)
         # the header's feature dimension: after the u8 modality count, u32
-        # tree count, u8 depth, u8 learner and i64 master seed
-        assert struct.unpack_from("<I", raw, 21)[0] == d
-        changes = list(enumerate(struct.pack("<I", d + 1), start=21))
+        # tree count, u8 depth and i64 master seed
+        assert struct.unpack_from("<I", raw, 20)[0] == d
+        changes = list(enumerate(struct.pack("<I", d + 1), start=20))
         with pytest.raises(DataFormatError, match="pool") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == record
@@ -569,7 +585,7 @@ class TestModelDecoding:
         tree.kernels = (replace(kc, anchors=kc.anchors[:, :-1].copy()),)
         assert tree.nodes[0][0].proj_pos.shape[1] == kc.n_anchors
         path = tmp_path / "model.fhsh"
-        forest = Forest(trees=forest.trees, master_seed=1, depth=2, learner="kernel",
+        forest = Forest(trees=forest.trees, master_seed=1, depth=2,
                         feature_dims=(8,), config=forest.config)
         save_model(forest, selection, path)
         with pytest.raises(DataFormatError, match="projectors") as info:

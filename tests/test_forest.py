@@ -107,7 +107,7 @@ class TestTrainTree:
                                          ambient_dim=10, intrinsic_dim=2,
                                          noise=0.01, samples_per_class=100, seed=4))
         tree = train_tree(ds, 2, FAST_CFG, tree_seed_for(3, 0))
-        forest = Forest(trees=[tree], master_seed=3, depth=2, learner="linear",
+        forest = Forest(trees=[tree], master_seed=3, depth=2,
                         feature_dims=(10,), config=FAST_CFG)
         block = encode_dataset(forest, ds.features)[0]
         for c in (0, 1):
@@ -204,20 +204,20 @@ def forced_node(direction):
 
 class TestEncodeTree:
     def test_depth2_left(self):
-        tree = HashTree(depth=2, nodes=[[forced_node("left")]], learner="linear",
+        tree = HashTree(depth=2, nodes=[[forced_node("left")]],
                         tree_seed=0, kernels=(None,), feature_dims=(2,))
         np.testing.assert_array_equal(encode_tree(tree, np.array([1.0, 0.0])), [1, 0])
 
     def test_depth3_right_then_left(self):
         nodes = [[forced_node("right")], [forced_node("left")], [forced_node("left")]]
-        tree = HashTree(depth=3, nodes=nodes, learner="linear", tree_seed=0,
+        tree = HashTree(depth=3, nodes=nodes, tree_seed=0,
                         kernels=(None,), feature_dims=(2,))
         np.testing.assert_array_equal(
             encode_tree(tree, np.array([1.0, 0.0])), [0, 0, 1, 0]
         )
 
     def test_dimension_mismatch(self):
-        tree = HashTree(depth=2, nodes=[[forced_node("left")]], learner="linear",
+        tree = HashTree(depth=2, nodes=[[forced_node("left")]],
                         tree_seed=0, kernels=(None,), feature_dims=(2,))
         with pytest.raises(InvalidInputError):
             encode_tree(tree, np.array([1.0, 0.0, 0.0]))
@@ -555,7 +555,7 @@ def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False,
                          net=DenseNet([reverse]))
     else:
         root = SplitNode(proj_pos=np.eye(anchors), proj_neg=np.eye(anchors))
-    return HashTree(depth=2, nodes=[[root]], learner="kernel", tree_seed=0,
+    return HashTree(depth=2, nodes=[[root]], tree_seed=0,
                     kernels=(kc,), feature_dims=(dim,))
 
 
@@ -589,7 +589,7 @@ class TestGroupedEncode:
         rng = np.random.default_rng(4)
         trees = [fake_kernel_tree(8, 4, net_root=net, anchor_rng=rng)
                  for net in (False, True, True, False)]
-        forest = Forest(trees=trees, master_seed=0, depth=2, learner="kernel",
+        forest = Forest(trees=trees, master_seed=0, depth=2,
                         feature_dims=(8,), config=ForestConfig())
         x = rng.normal(size=(8, 30))
         for tree, block in zip(trees, encode_dataset(forest, x)):
@@ -662,7 +662,7 @@ class TestGroupedEncode:
             forest.trees = other.trees
         trees = list(forest.trees)
         trees[1] = other.trees[1]
-        replaced = encode_dataset(Forest(trees=trees, master_seed=5, depth=3, learner="kernel",
+        replaced = encode_dataset(Forest(trees=trees, master_seed=5, depth=3,
                                          feature_dims=(12,), config=forest.config), x)
         np.testing.assert_array_equal(replaced[1], encode_dataset(other, x)[1])
         for i in (0, 2, 3, 4):
@@ -675,7 +675,7 @@ class TestGroupedEncode:
         assert [g.stop - g.start for g in forest._groups[0]] == [4, 4]
         trees = forest.trees[::-1]
         replaced = dataclasses.replace(forest, trees=trees)
-        made = Forest(trees=trees, master_seed=5, depth=2, learner="kernel",
+        made = Forest(trees=trees, master_seed=5, depth=2,
                       feature_dims=(16,), config=forest.config)
         assert pools_equal(replaced.pools[0], made.pools[0])
         for a, b in zip(encode_dataset(replaced, view.features),
@@ -692,7 +692,7 @@ class TestGroupedEncode:
         for tree in (deeper, wider):
             with pytest.raises(InvalidInputError, match="tree 1 differs"):
                 Forest(trees=[forest.trees[0], tree], master_seed=3, depth=2,
-                       learner="linear", feature_dims=(12,), config=FAST_CFG)
+                       feature_dims=(12,), config=FAST_CFG)
 
     def test_overflowing_group_map_rejected(self):
         (view,) = encode_views(5, (12,))
@@ -734,9 +734,9 @@ def shared_anchor_forest(seed, kind, n_views, depth, n_trees):
                 nodes[pos].append(SplitNode(proj_pos=rng.normal(size=(2, a)),
                                             proj_neg=rng.normal(size=(2, a)), net=net,
                                             class_partition={0: "neg", 1: "pos"}))
-        trees.append(HashTree(depth=depth, nodes=nodes, learner="kernel", tree_seed=t,
+        trees.append(HashTree(depth=depth, nodes=nodes, tree_seed=t,
                               kernels=tuple(kernels), feature_dims=dims))
-    forest = Forest(trees=trees, master_seed=seed, depth=depth, learner="kernel",
+    forest = Forest(trees=trees, master_seed=seed, depth=depth,
                     feature_dims=dims, config=ForestConfig())
     return forest, points
 
@@ -770,7 +770,7 @@ class TestAnchorPool:
         forest, _ = shared_anchor_forest(3, "rbf", 1, 2, 5)
         forest.trees[1].kernels = (KernelConfig(anchors=np.ones((7, 2)), kind="rbf"),)
         with pytest.raises(InvalidInputError, match="differ in dimension"):
-            Forest(trees=forest.trees, master_seed=3, depth=2, learner="kernel",
+            Forest(trees=forest.trees, master_seed=3, depth=2,
                    feature_dims=(8,), config=ForestConfig())
 
     def test_no_pool_without_a_kernel(self):
@@ -927,6 +927,13 @@ class TestForestConfig:
     def test_sigma_may_be_estimated_or_positive(self):
         assert ForestConfig().sigma is None
         assert ForestConfig(sigma=0.5).sigma == 0.5
+
+    def test_the_forest_learner_is_the_configs(self):
+        forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
+        assert forest.learner == forest.config.learner == "linear"
+        # the config states it once, so no copy can disagree with it
+        with pytest.raises(TypeError):
+            dataclasses.replace(forest, learner="neural")
 
 
 def bundled_openblas():

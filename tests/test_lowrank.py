@@ -8,6 +8,7 @@ from leafhash import lowrank
 from leafhash import (
     InvalidInputError,
     KernelConfig,
+    NumericError,
     OptimizerConfig,
     SyntheticSpec,
     fit_transform,
@@ -201,7 +202,7 @@ class TestFitTransform:
         with pytest.raises(InvalidInputError):
             OptimizerConfig(max_iters=0)
         with pytest.raises(InvalidInputError):
-            OptimizerConfig(sv_threshold=-1.0)
+            OptimizerConfig(geometry_iters=-1)
 
 
 def _parallel(a, b):
@@ -313,6 +314,11 @@ class TestKernelFeaturize:
         s1 = median_bandwidth(x, np.random.default_rng(9))
         s2 = median_bandwidth(x, np.random.default_rng(9))
         assert s1 == s2 > 0
+
+    def test_median_bandwidth_that_overflows_is_numeric_error(self, rng):
+        x = rng.normal(size=(4, 50)) * 1e200
+        with pytest.raises(NumericError, match="median distance"):
+            median_bandwidth(x, np.random.default_rng(9))
 
     def test_rbf_needs_positive_sigma(self, rng):
         with pytest.raises(InvalidInputError):

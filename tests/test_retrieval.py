@@ -67,6 +67,26 @@ class TestPackCodes:
         np.testing.assert_array_equal(c.bits(), [1, 1, 0, 1])
 
 
+class TestCodeWords:
+    """A code copies its words: the caller's array is neither changed nor
+    shared, and may be read-only."""
+
+    def test_construction_leaves_the_callers_words_alone(self):
+        words = np.full((2, 1), 2**64 - 1, dtype=np.uint64)
+        codes = PackedCodes(words=words, length=10)
+        one = HashCode(words=words[0], length=10)
+        assert np.all(words == 2**64 - 1)
+        words[:] = 0
+        assert np.all(codes.words == 2**10 - 1) and np.all(one.words == 2**10 - 1)
+
+    def test_read_only_words_build(self):
+        raw = np.full(2, 2**64 - 1, dtype=np.uint64).tobytes()
+        codes = PackedCodes(words=np.frombuffer(raw, np.uint64).reshape(2, 1), length=10)
+        one = HashCode(words=np.frombuffer(raw, np.uint64, count=1), length=10)
+        assert np.all(codes.words == 2**10 - 1) and np.all(one.words == 2**10 - 1)
+        assert codes.code(1).words.tolist() == [2**10 - 1]
+
+
 class TestHamming:
     def test_identical(self):
         assert hamming(code(0b1010), code(0b1010)) == 0
