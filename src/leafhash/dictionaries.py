@@ -22,7 +22,7 @@ from .lowrank import (
     fit_transform,
     kernel_featurize,
 )
-from .network import DenseNet, NetConfig, net_fit, net_forward
+from .network import DenseNet, NetConfig, _forward, net_fit, net_forward
 
 # ridge on the Gram inversion; keeps rank-deficient dictionaries usable
 RIDGE = 1e-8
@@ -212,7 +212,7 @@ def _residuals(node: SplitNode, f, kernel: KernelConfig | None):
     if kernel is not None:
         f = kernel_featurize(f, kernel)
     if node.net is not None:
-        f = net_forward(node.net, f)
+        f = _forward(node.net, f)
     return _column_norms(node.proj_neg @ f), _column_norms(node.proj_pos @ f)
 
 
@@ -236,10 +236,14 @@ def node_route_many(node: SplitNode, x, kernel: KernelConfig | None = None) -> n
     Left iff e_neg < e_pos; exact ties go right; degenerate nodes send
     everything left.  Raises NumericError when a residual is not finite.
     """
-    x = _as_matrix(x, "x")
+    return _route_many(node, _as_matrix(x, "x"), kernel)
+
+
+def _route_many(node: SplitNode, f, kernel: KernelConfig | None = None) -> np.ndarray:
+    """:func:`node_route_many` of the already validated ``f``."""
     if node.degenerate:
-        return np.ones(x.shape[1], dtype=bool)
-    return _go_left(*_residuals(node, x, kernel))
+        return np.ones(f.shape[1], dtype=bool)
+    return _go_left(*_residuals(node, f, kernel))
 
 
 def _go_left(e_neg, e_pos) -> np.ndarray:

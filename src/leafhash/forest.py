@@ -45,6 +45,7 @@ from .dictionaries import (
     SplitNode,
     _column_norms,
     _go_left,
+    _route_many,
     node_route_many,
     train_split_node,
 )
@@ -667,16 +668,18 @@ def _check_batch(feature_dims, x, modality: int):
 
 
 def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
-    """Leaf of every column of ``f``, the tree's feature map of the batch,
-    from its node ``pos`` at ``level`` (0 at the root) down."""
-    for _ in range(level, tree.depth - 1):
+    """Leaf of every column of ``f``, the tree's feature map of a validated
+    batch, from its nodes ``pos`` at ``level`` (0 at the root) down.  Each
+    level routes the columns of each of its nodes that some column reaches."""
+    for level in range(level, tree.depth - 1):
         next_pos = np.empty_like(pos)
-        for p in np.unique(pos):
+        for p in range(2**level - 1, 2 ** (level + 1) - 1):
             mask = pos == p
-            node = tree.nodes[p][modality]
+            if not mask.any():
+                continue
             # a node that takes the whole batch routes it uncopied
             whole = mask.all() and f.flags.c_contiguous
-            go_left = node_route_many(node, f if whole else f[:, mask])
+            go_left = _route_many(tree.nodes[p][modality], f if whole else f[:, mask])
             next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
         pos = next_pos
     return pos - tree.internal_count
@@ -687,8 +690,9 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     of ``trees``, encoded in their ``groups`` (:func:`_tree_groups`).
 
     ``x`` is already checked against the trees' dimensions (:func:`_check_batch`).
-    The batch is validated, and for RBF maps its squared column norms taken,
-    once per call; a batch of no columns has no leaves.  When a group stacks
+    The batch is validated, whatever the learner, and for RBF maps its
+    squared column norms taken, once per call; no node validates it again.
+    A batch of no columns has no leaves.  When a group stacks
     trees, the batch is mapped through the whole anchor ``pool`` of the
     trees' forest once (:func:`_pool_maps`): one pool-by-N product, and for
     RBF maps the clipped squared distances.
@@ -700,18 +704,19 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     one OpenBLAS thread.
     A batch that overflows the arithmetic (a squared norm of an RBF map, a
     polynomial map, or a split residual that is not finite) raises
-    NumericError naming the first tree it could not encode.
+    NumericError naming the first tree it could not encode; a map is not
+    validated, so one that is not finite raises it at the residuals.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
-    if kinds:
-        x = _as_matrix(x, "x", allow_empty=True)
+    x = _as_matrix(x, "x", allow_empty=True)
     if x.shape[1] == 0:
         return [np.zeros(0, dtype=np.int64) for _ in trees]
     stacked = [g for g in groups if g.take is not None]
 
     rows = []
-    # an overflow raises NumericError below, so numpy need not warn of it
-    with _single_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+    # an overflow, or an RBF map divided by a 2 sigma^2 that underflowed to
+    # 0, raises NumericError below, so numpy need not warn of it
+    with _single_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x_sq = _column_sq_norms(x) if "rbf" in kinds else None
         if stacked:
             products, distances = _pool_maps(pool, x, x_sq,

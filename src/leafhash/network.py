@@ -73,12 +73,30 @@ class DenseNet:
 
 def net_forward(net: DenseNet, x) -> np.ndarray:
     """Apply the net to every column of ``x``; returns (output_dim, N)."""
-    h = _as_matrix(x, "x")
+    return _forward(net, _as_matrix(x, "x"))
+
+
+def _layer_output(layer, h):
+    """``W h + b``, rectified for a relu layer, in one new array: the IEEE
+    operations of ``np.maximum(W @ h + b[:, None], 0.0)`` without its two
+    temporaries.  ``h`` is left as it is."""
+    z = layer.weight @ h
+    z += layer.bias[:, None]
+    if layer.activation == "relu":
+        np.maximum(z, 0.0, out=z)
+    return z
+
+
+def _forward(net, h):
+    """:func:`net_forward` of an already validated ``h``, keeping no layer's
+    input.  Raises InvalidInputError when ``h`` does not fit the net."""
     if h.shape[0] != net.input_dim:
         raise InvalidInputError(
             f"input dimension {h.shape[0]} does not match net ({net.input_dim})"
         )
-    return _forward_trace(net, h)[1]
+    for layer in net.layers:
+        h = _layer_output(layer, h)
+    return h
 
 
 def _forward_trace(net, x):
@@ -87,8 +105,7 @@ def _forward_trace(net, x):
     h = x
     for layer in net.layers:
         inputs.append(h)
-        z = layer.weight @ h + layer.bias[:, None]
-        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        h = _layer_output(layer, h)
     return inputs, h
 
 

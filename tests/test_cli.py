@@ -157,6 +157,18 @@ class TestBadOptionValues:
         assert captured.err.startswith("usage error:") and "bits" in captured.err
         assert captured.out == "" and not model.exists()
 
+    def test_sup_bits_beyond_the_trees_are_usage_errors(self, workspace, capsys):
+        # 40 bits of depth-2 trees are 20 blocks, and supervised selection
+        # picks them from only 16 trees
+        model = workspace["tmp"] / "sup40.fhsh"
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]), "--model-out", str(model),
+                   *TRAIN_ARGS, "--bits", "40", "--mode", "sup"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage error:") and "20 trees" in captured.err
+        assert captured.out == "" and not model.exists()
+
     def test_negative_radius_is_usage_error(self, workspace, capsys):
         rc = main(["eval", "--gallery", str(workspace["codes"]),
                    "--queries", str(workspace["codes"]), "--radii", "0,-1"])

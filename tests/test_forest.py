@@ -31,7 +31,7 @@ from leafhash import (
     train_tree,
 )
 from leafhash import forest as forest_module
-from leafhash.dictionaries import node_residuals, node_route_many
+from leafhash.dictionaries import _route_many, node_residuals, node_route_many
 from leafhash.network import DenseLayer, DenseNet
 from leafhash.forest import HashTree, tree_seed_for
 
@@ -509,6 +509,70 @@ class TestEncodeUnchanged:
         assert all(b.dtype == np.uint8 for b in blocks)
 
 
+def hand_node(rng, dim, learner, left_only=False, width=None):
+    """A split node with random projectors, on a random relu net for the
+    neural learner.  A ``left_only`` node has a zero ``proj_neg``, so it
+    sends every point whose projection is not zero left; projectors of
+    another ``width`` do not fit the features, so routing through them fails."""
+    net = None
+    if learner == "neural":
+        net = DenseNet([DenseLayer(rng.normal(size=(5, dim)), rng.normal(size=5)),
+                        DenseLayer(rng.normal(size=(3, 5)), np.zeros(3), "identity")])
+        dim = 3
+    width = width or dim
+    proj_neg = np.zeros((2, width)) if left_only else rng.normal(size=(2, width))
+    return SplitNode(proj_pos=rng.normal(size=(2, width)), proj_neg=proj_neg, net=net,
+                     class_partition={0: "neg", 1: "pos"})
+
+
+class TestDescend:
+    """Each level routes only the nodes that some column reaches."""
+
+    @pytest.mark.parametrize("learner", ["linear", "neural"])
+    @pytest.mark.parametrize("fortran", [False, True])
+    def test_hand_built_depth3_trees_encode_as_routed_one_tree_at_a_time(self, learner,
+                                                                         fortran):
+        rng = np.random.default_rng(11)
+        dim = 4
+        degenerate = SplitNode(class_partition={0: "neg"}, degenerate=True)
+        # node 1 is degenerate, so its columns all take leaf 0
+        with_degenerate = [hand_node(rng, dim, learner), degenerate, hand_node(rng, dim, learner)]
+        # the root sends every column left, so node 2, which would fail, is never routed
+        with_unreached = [hand_node(rng, dim, learner, left_only=True),
+                          hand_node(rng, dim, learner), hand_node(rng, dim, learner, width=7)]
+        trees = [HashTree(depth=3, nodes=[[node] for node in nodes], tree_seed=0,
+                          kernels=(None,), feature_dims=(dim,))
+                 for nodes in (with_degenerate, with_unreached)]
+        forest = Forest(trees=trees, master_seed=0, depth=3, feature_dims=(dim,),
+                        config=ForestConfig(split=SplitConfig(learner=learner)))
+        x = rng.normal(size=(dim, 40))
+        if fortran:
+            x = np.asfortranarray(x)
+
+        blocks = encode_dataset(forest, x)
+        for tree, block in zip(trees, blocks):
+            leaves = per_tree_leaves(tree, x, 0)
+            np.testing.assert_array_equal(block.argmax(axis=0), leaves)
+            assert block.sum() == x.shape[1]
+        first, second = (block.argmax(axis=0) for block in blocks)
+        # both children of the first root are reached
+        assert 0 in first and 1 not in first and {2, 3} & set(first)
+        assert set(second) == {0, 1}
+
+    def test_non_finite_batch_rejected_when_every_root_is_degenerate(self):
+        degenerate = SplitNode(class_partition={0: "neg"}, degenerate=True)
+        trees = [HashTree(depth=2, nodes=[[degenerate]], tree_seed=t, kernels=(None,),
+                          feature_dims=(3,)) for t in range(2)]
+        forest = Forest(trees=trees, master_seed=0, depth=2, feature_dims=(3,),
+                        config=ForestConfig())
+        x = np.ones((3, 5))
+        x[1, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
+            encode_dataset(forest, x)
+        with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
+            encode_tree(trees[0], x[:, 2])
+
+
 def per_tree_leaves_and_margins(tree, x, modality):
     """Leaf of every column, one tree at a time as in :func:`per_tree_leaves`,
     and the smallest relative margin |e_neg - e_pos| / max(e_neg, e_pos) met on
@@ -917,6 +981,22 @@ class TestOverflowingBatch:
         with pytest.raises(NumericError, match="^tree 1: a split residual is not finite"):
             encode_dataset(bad, 1e10 * np.ones((forest.feature_dims[0], 3)))
 
+    def test_rbf_map_that_is_not_finite_is_a_numeric_failure(self):
+        # 2 sigma^2 underflows to 0, so tree 1 maps a point equal to one of its
+        # anchors to 0/0: the batch is finite, the arithmetic is not
+        rng = np.random.default_rng(0)
+        anchors = rng.normal(size=(4, 3))
+        trees = [HashTree(depth=2, nodes=[[hand_node(rng, 3, "linear")]], tree_seed=t,
+                          kernels=(KernelConfig(anchors=anchors, kind="rbf", sigma=sigma),),
+                          feature_dims=(4,))
+                 for t, sigma in enumerate((1.0, 1e-200))]
+        forest = Forest(trees=trees, master_seed=0, depth=2, feature_dims=(4,),
+                        config=ForestConfig(split=SplitConfig(learner="kernel")))
+        assert len(forest._groups[0]) == 2
+        x = np.concatenate([anchors[:, :1], rng.normal(size=(4, 2))], axis=1)
+        with pytest.raises(NumericError, match="^tree 1: a split residual is not finite"):
+            encode_dataset(forest, x)
+
 
 class TestForestConfig:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
@@ -993,9 +1073,9 @@ class TestPoolBlasThreads:
 
         def route(node, x):
             seen.append(blas_threads())
-            return node_route_many(node, x)
+            return _route_many(node, x)
 
-        monkeypatch.setattr(forest_module, "node_route_many", route)
+        monkeypatch.setattr(forest_module, "_route_many", route)
         encode_dataset(forest, ds.features)
         assert seen and set(seen) == {1}
         assert blas_threads() == parent_threads

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leafhash import (
     DenseLayer,
@@ -16,6 +17,7 @@ from leafhash import (
     net_forward,
     principal_angles,
 )
+from leafhash.network import _forward_trace
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -44,6 +46,43 @@ class TestForward:
     def test_final_activation_must_be_identity(self):
         with pytest.raises(InvalidInputError):
             DenseNet([DenseLayer(np.eye(2), np.zeros(2), "relu")])
+
+    @given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+           relu=st.lists(st.booleans(), min_size=4, max_size=4),
+           n=st.integers(1, 50), layout=st.sampled_from(["c", "fortran", "strided", "offset"]),
+           integral=st.booleans(), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_forward_equals_the_traced_forward_bit_for_bit(self, widths, relu, n, layout,
+                                                           integral, seed):
+        # integral weights, biases and inputs make many pre-activations
+        # exactly 0, and about half of them negative
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            if integral:
+                return rng.integers(-2, 3, size=shape).astype(np.float64)
+            return rng.normal(size=shape)
+
+        layers = [DenseLayer(draw(out, inp), draw(out), "relu" if r else "identity")
+                  for inp, out, r in zip(widths, widths[1:-1], relu)]
+        layers.append(DenseLayer(draw(widths[-1], widths[-2]), draw(widths[-1]), "identity"))
+        net = DenseNet(layers)
+        wide = draw(widths[0], 2 * n + 1)
+        x = {"c": np.ascontiguousarray(wide[:, :n]), "fortran": np.asfortranarray(wide[:, :n]),
+             "strided": wide[:, ::2][:, :n], "offset": wide[:, 1:n + 1]}[layout]
+        before = x.copy()
+
+        out = net_forward(net, x)
+        traced = _forward_trace(net, x)[1]
+        expected = x
+        for layer in net.layers:
+            expected = layer.weight @ expected + layer.bias[:, None]
+            if layer.activation == "relu":
+                expected = np.maximum(expected, 0.0)
+        assert out.shape == (widths[-1], n)
+        for other in (traced, expected):
+            assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(other).tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 class TestLossLayer:

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts, so a stale call in one fails here."""
 
+import importlib.util
 import json
 import os
 import struct
@@ -61,3 +62,32 @@ def test_mnist_benchmark_runs_protocol_a(tmp_path):
                      ["--data-dir", str(tmp_path), "--protocol", "A", "--trees", "36",
                       "--per-class", "3", "--workers", "1"])
     assert "precision@0=" in out and "recall@0=" in out
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary():
+    metrics = [{"name": "fit_s", "better": "lower", "bound": 0.25},
+               {"name": "encode_pts_per_s", "better": "higher", "bound": 0.25}]
+    parent = [{"fit_s": f, "encode_pts_per_s": e}
+              for f, e in ((4.0, 100.0), (5.0, 90.0), (6.0, 110.0), (5.0, 80.0))]
+    change = [{"fit_s": f, "encode_pts_per_s": e}
+              for f, e in ((6.0, 200.0), (6.5, 60.0), (6.0, 210.0), (7.0, 190.0))]
+    fit, rate = load_script("bench_pairs").summarize(list(zip(parent, change)), metrics)
+    assert fit["parent"] == [4.0, 5.0, 6.0, 5.0] and fit["change"] == [6.0, 6.5, 6.0, 7.0]
+    assert (fit["parent_median"], fit["change_median"]) == (5.0, 6.25)
+    # inclusive quartiles of 4, 5, 5, 6 are 4.75 and 5.25
+    assert fit["parent_iqr"] == 0.5
+    # a tie is no win, and 6.25 is within 25% of 5.0 but 6.26 would not be
+    assert fit["wins"] == 0 and fit["pairs"] == 4 and not fit["worse_beyond_bound"]
+    assert (rate["parent_median"], rate["change_median"]) == (95.0, 195.0)
+    assert rate["parent_iqr"] == 15.0 and rate["wins"] == 3
+    assert not rate["worse_beyond_bound"]
+    slower = [dict(c, encode_pts_per_s=70.0, fit_s=6.3) for c in change]
+    fit, rate = load_script("bench_pairs").summarize(list(zip(parent, slower)), metrics)
+    assert fit["worse_beyond_bound"] and rate["worse_beyond_bound"]
