@@ -14,7 +14,7 @@ round count (from the ``round`` lines on standard error) and its failed
 operations.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload train-neural16-pool2 --pairs 10 --seed 23 [--seconds 5]
+        --workload train-neural16-pool2 --pairs 10 --seed 23
 """
 
 import argparse
@@ -25,12 +25,12 @@ import sys
 from pathlib import Path
 
 
-def run_bench(tree, workload, seed, seconds):
+def run_bench(tree, workload, seed):
     """One ``--trace 0`` run of ``tree``'s own ``bench/run.py``: its metric
     values by name, its round count and its failed operations."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"bench/run.py in {tree} exited {done.returncode}:\n{done.stderr}")
@@ -78,7 +78,6 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=23)
-    ap.add_argument("--seconds", type=float, default=5.0)
     args = ap.parse_args(argv)
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
@@ -88,7 +87,7 @@ def main(argv=None):
         runs = {}
         for side in order:
             tree = args.parent if side == "parent" else args.change
-            runs[side] = run_bench(tree.resolve(), args.workload, args.seed, args.seconds)
+            runs[side] = run_bench(tree.resolve(), args.workload, args.seed)
             values, rounds, failed = runs[side]
             print(f"pair {i + 1} {side}: rounds {rounds}, failed {failed}, "
                   + ", ".join(f"{k} {v:.6g}" for k, v in values.items()), flush=True)

@@ -169,12 +169,9 @@ def cmd_train(opts) -> int:
             f"bits={bits} is not a positive multiple of the per-tree code width {leaf_count}"
         )
     k = bits // leaf_count
-    if k > n_trees and mode == "sup":
-        raise UsageError(f"sup aggregation needs at least k = {k} trees, got {n_trees}")
-    if k > n_trees // 2 and mode in ("unsup", "semi"):
-        raise UsageError(
-            f"{mode} aggregation needs at least 2*k = {2 * k} trees, got {n_trees}"
-        )
+    need = k if mode == "sup" else 2 * k
+    if need > n_trees:
+        raise UsageError(f"{mode} aggregation needs at least {need} trees, got {n_trees}")
     try:
         cfg = ForestConfig(
             split=SplitConfig(

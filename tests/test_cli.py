@@ -157,13 +157,15 @@ class TestBadOptionValues:
         assert captured.err.startswith("usage error:") and "bits" in captured.err
         assert captured.out == "" and not model.exists()
 
-    def test_sup_bits_beyond_the_trees_are_usage_errors(self, workspace, capsys):
-        # 40 bits of depth-2 trees are 20 blocks, and supervised selection
-        # picks them from only 16 trees
-        model = workspace["tmp"] / "sup40.fhsh"
+    @pytest.mark.parametrize("mode, bits", [("sup", "40"), ("unsup", "20"), ("semi", "20")])
+    def test_bits_beyond_the_trees_are_usage_errors(self, workspace, capsys, mode, bits):
+        # 16 depth-2 trees: supervised selection needs a tree per block, so
+        # 40 bits (20 blocks) are too many; unsup and semi need two trees per
+        # block, so 20 bits (10 blocks) are
+        model = workspace["tmp"] / f"{mode}{bits}.fhsh"
         rc = main(["train", "--features", str(workspace["features"]),
                    "--labels", str(workspace["labels"]), "--model-out", str(model),
-                   *TRAIN_ARGS, "--bits", "40", "--mode", "sup"])
+                   *TRAIN_ARGS, "--bits", bits, "--mode", mode])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("usage error:") and "20 trees" in captured.err
