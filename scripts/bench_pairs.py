@@ -11,7 +11,10 @@ medians, the parent's quartile distance, the number of pairs the change
 wins, and whether the change's median is worse than the parent's by more
 than the metric's bound.  As it goes, it prints each run's metrics, its
 round count (from the ``round`` lines on standard error) and its failed
-operations.
+operations.  The summary also gives each side's round counts and flags every
+pair whose two runs did different numbers of rounds: a run of more rounds
+forks later rounds' pools from a larger process, so its ``peak_rss_mb``
+does not compare with a one-round run's.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train-neural16-pool2 --pairs 10 --seed 23
@@ -71,6 +74,14 @@ def summarize(pairs, metrics):
     return rows
 
 
+def round_counts(rounds):
+    """Each side's round counts over ``rounds``, a list of (parent, change)
+    round counts per pair, and the pairs (numbered from 1) whose two runs
+    did different numbers of rounds."""
+    return {"parent": [p for p, _ in rounds], "change": [c for _, c in rounds],
+            "differ": [i + 1 for i, (p, c) in enumerate(rounds) if p != c]}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="source tree to compare against")
@@ -81,7 +92,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
-    pairs = []
+    pairs, round_pairs = [], []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {}
@@ -92,6 +103,7 @@ def main(argv=None):
             print(f"pair {i + 1} {side}: rounds {rounds}, failed {failed}, "
                   + ", ".join(f"{k} {v:.6g}" for k, v in values.items()), flush=True)
         pairs.append((runs["parent"][0], runs["change"][0]))
+        round_pairs.append((runs["parent"][1], runs["change"][1]))
 
     print(f"\n{args.workload}, seed {args.seed}, {len(pairs)} pairs (parent/change):")
     for row in summarize(pairs, metrics):
@@ -101,6 +113,13 @@ def main(argv=None):
               f" {row['wins']}/{row['pairs']},"
               f" {'WORSE beyond bound' if row['worse_beyond_bound'] else 'within bound'}")
         print(f"  pairs: {per_pair}")
+    counts = round_counts(round_pairs)
+    for side in ("parent", "change"):
+        print(f"rounds, {side}: {' '.join(map(str, counts[side]))}")
+    if counts["differ"]:
+        print("ROUNDS DIFFER in pairs " + " ".join(map(str, counts["differ"])))
+    else:
+        print("rounds: equal in every pair")
 
 
 if __name__ == "__main__":

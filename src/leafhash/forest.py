@@ -37,6 +37,7 @@ from .lowrank import (
     _poly_of_products,
     _rbf_distances,
     _rbf_of_distances,
+    check_kernel_constants,
     kernel_featurize,
     median_bandwidth,
 )
@@ -105,10 +106,10 @@ class ForestConfig:
     def __post_init__(self):
         if self.anchor_count < 1:
             raise InvalidInputError("anchor_count must be >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InvalidInputError("sigma must be > 0")
-        if self.kernel_kind not in ("rbf", "polynomial"):
-            raise InvalidInputError(f"unknown kernel kind {self.kernel_kind!r}")
+        if self.sigma is not None:
+            # a given bandwidth is checked whatever the kernel kind
+            check_kernel_constants("rbf", sigma=self.sigma)
+        check_kernel_constants(self.kernel_kind, p=self.poly_p, q=self.poly_q)
 
     @property
     def learner(self) -> str:

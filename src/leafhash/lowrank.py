@@ -321,8 +321,19 @@ def check_kernel_constants(kind: str, sigma: float = KernelConfig.sigma,
         raise InvalidInputError(f"unknown kernel kind {kind!r}")
     if not all(math.isfinite(v) for v in (sigma, p, q)):
         raise InvalidInputError("kernel constants sigma, p and q must be finite")
-    if kind == "rbf" and sigma <= 0:
+    if kind != "rbf":
+        return
+    if sigma <= 0:
         raise InvalidInputError("rbf bandwidth sigma must be positive")
+    try:
+        with np.errstate(over="ignore"):
+            denom = 2.0 * sigma**2  # the map's divisor, computed as the map does
+    except OverflowError:  # a Python float's ** raises where numpy's gives inf
+        denom = math.inf
+    if not 0.0 < denom < math.inf:
+        raise InvalidInputError(
+            f"rbf bandwidth sigma {sigma:g} is out of range: 2 sigma^2 underflows "
+            "to 0 or overflows")
 
 
 def kernel_featurize(x, kc: KernelConfig) -> np.ndarray:

@@ -122,23 +122,40 @@ def lowrank_loss_layer(f_pos, f_neg):
     f_neg = _as_matrix(f_neg, "f_neg")
     if f_pos.shape[0] != f_neg.shape[0]:
         raise InvalidInputError("feature blocks must share their row dimension")
-    n_pos = f_pos.shape[1]
     both = np.concatenate([f_pos, f_neg], axis=1)
-    _, gp, gn, gc = _split_subgrads(f_pos, f_neg, both, SV_THRESHOLD)
     # the loss value goes through the same SVD path as the plain loss
     # evaluation, so the two agree bit-for-bit
-    loss = _split_loss(f_pos, f_neg, both)
-    return loss, gp - gc[:, :n_pos], gn - gc[:, n_pos:]
+    return _split_loss(f_pos, f_neg, both), *_feature_grads(f_pos, f_neg, both)
 
 
-def _loss_and_param_grads(net, x_both, n_pos):
+def _feature_grads(f_pos, f_neg, both):
+    """The split loss's subgradients in ``f_pos`` and ``f_neg``, given
+    ``both``, their concatenation: one full SVD per term."""
+    _, gp, gn, gc = _split_subgrads(f_pos, f_neg, both, SV_THRESHOLD)
+    n_pos = f_pos.shape[1]
+    return gp - gc[:, :n_pos], gn - gc[:, n_pos:]
+
+
+def _evaluate(net, x_both, n_pos):
+    """``(loss, kept)``: the split loss of ``net`` on ``x_both``, whose first
+    ``n_pos`` columns are the positive class, from singular values alone, and
+    the forward trace :func:`_param_grads` backpropagates through."""
     inputs, feats = _forward_trace(net, x_both)
     if not np.all(np.isfinite(feats)):
         raise NumericError(
             "network features are non-finite; inputs or steps are ill-scaled"
         )
-    loss, gp, gn = lowrank_loss_layer(feats[:, :n_pos], feats[:, n_pos:])
-    delta = np.concatenate([gp, gn], axis=1)
+    f_pos, f_neg = feats[:, :n_pos], feats[:, n_pos:]
+    both = np.concatenate([f_pos, f_neg], axis=1)
+    return _split_loss(f_pos, f_neg, both), (inputs, f_pos, f_neg, both)
+
+
+def _param_grads(net, kept):
+    """Every layer's ``(weight, bias)`` gradient of the split loss, by
+    backprop through ``kept``, what :func:`_evaluate` returned for ``net``
+    with its present weights."""
+    inputs, f_pos, f_neg, both = kept
+    delta = np.concatenate(_feature_grads(f_pos, f_neg, both), axis=1)
     grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
@@ -148,7 +165,7 @@ def _loss_and_param_grads(net, x_both, n_pos):
             delta = delta * (inputs[i + 1] > 0)
         grads[i] = (delta @ inputs[i].T, delta.sum(axis=1))
         delta = layer.weight.T @ delta
-    return loss, grads
+    return grads
 
 
 @dataclass(frozen=True)
@@ -199,7 +216,10 @@ def net_fit(
     Full batch is required: the nuclear norm couples every sample in a class
     block.  Fixed-step descent with step halving on any loss increase, so the
     recorded trace is non-increasing and the final loss never exceeds the
-    initial one.  Deterministic given ``seed``.
+    initial one.  A trial step, and a trial shrink of the final layer, is
+    judged by its loss alone; the gradients are taken only where the descent
+    continues, once per epoch at the point it steps from, by backprop through
+    that point's kept forward trace.  Deterministic given ``seed``.
     """
     cfg = cfg or NetConfig()
     x_pos = _as_matrix(x_pos, "x_pos")
@@ -211,7 +231,7 @@ def net_fit(
     x_both = np.concatenate([x_pos, x_neg], axis=1)
     n_pos = x_pos.shape[1]
 
-    loss, grads = _loss_and_param_grads(net, x_both, n_pos)
+    loss, kept = _evaluate(net, x_both, n_pos)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite split loss at initialization: {loss}")
     trace = [loss]
@@ -239,10 +259,10 @@ def net_fit(
             saved = (last.weight.copy(), last.bias.copy())
             last.weight *= 1.0 - shrink
             last.bias *= 1.0 - shrink
-            loss_new, grads_new = _loss_and_param_grads(net, x_both, n_pos)
+            loss_new, kept_new = _evaluate(net, x_both, n_pos)
             check(loss_new)
             if loss_new < loss:
-                return loss_new, grads_new
+                return loss_new, kept_new
             last.weight, last.bias = saved
             shrink *= 0.5
         return None, None
@@ -251,6 +271,7 @@ def net_fit(
         if loss <= loss_floor:
             converged = True
             break
+        grads = _param_grads(net, kept)
         gnorm = np.sqrt(
             sum(float(np.sum(gw**2)) + float(np.sum(gb**2)) for gw, gb in grads)
         )
@@ -261,7 +282,7 @@ def net_fit(
         accepted = False
         while step > _MIN_STEP:
             try_step(step / gnorm)  # fixed step length along the gradient
-            loss_new, grads_new = _loss_and_param_grads(net, x_both, n_pos)
+            loss_new, kept_new = _evaluate(net, x_both, n_pos)
             check(loss_new)
             if loss_new <= loss:
                 accepted = True
@@ -270,15 +291,15 @@ def net_fit(
             step *= 0.5
         stalled = not accepted or loss - loss_new <= REL_TOL * max(abs(loss), 1e-12)
         if accepted:
-            loss, grads = loss_new, grads_new
+            loss, kept = loss_new, kept_new
             trace.append(loss)
         if stalled:
             # gradient progress exhausted; shed scale instead
-            loss_new, grads_new = radial_shrink(loss)
+            loss_new, kept_new = radial_shrink(loss)
             if loss_new is None:
                 converged = True
                 break
-            loss, grads = loss_new, grads_new
+            loss, kept = loss_new, kept_new
             trace.append(loss)
 
     net.loss_trace = np.asarray(trace)
@@ -302,7 +323,7 @@ def grad_check(net: DenseNet, x_pos, x_neg, eps: float = 1e-5) -> float:
         _, feats = _forward_trace(net, x_both)
         return _split_loss(feats[:, :n_pos], feats[:, n_pos:], feats)
 
-    _, grads = _loss_and_param_grads(net, x_both, n_pos)
+    grads = _param_grads(net, _evaluate(net, x_both, n_pos)[1])
     worst = 0.0
     for layer, (gw, gb) in zip(net.layers, grads):
         for arr, grad in ((layer.weight, gw), (layer.bias, gb)):

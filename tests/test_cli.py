@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -169,6 +170,25 @@ class TestBadOptionValues:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("usage error:") and "20 trees" in captured.err
+        assert captured.out == "" and not model.exists()
+
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_sigma_whose_square_underflows_or_overflows_is_usage_error(
+            self, workspace, capsys, monkeypatch, sigma):
+        # the RBF map divides by 2 sigma^2, which would be 0 or inf
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_forest", no_training)
+        model = workspace["tmp"] / f"sigma{sigma}.fhsh"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--features", str(workspace["features"]),
+                       "--labels", str(workspace["labels"]), "--model-out", str(model),
+                       *TRAIN_ARGS, "--learner", "kernel", "--sigma", sigma])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage error:") and "2 sigma^2" in captured.err
         assert captured.out == "" and not model.exists()
 
     def test_negative_radius_is_usage_error(self, workspace, capsys):

@@ -547,6 +547,17 @@ class TestModelDecoding:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == at - 1
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e200])
+    def test_sigma_whose_square_underflows_or_overflows_is_format_error_at_kernel(
+            self, sigma):
+        raw = saved_model_bytes("kernel")
+        forest, _ = load_model_bytes(raw)
+        at = raw.index(struct.pack("<d", forest.trees[0].kernels[0].sigma))
+        changes = list(enumerate(struct.pack("<d", sigma), start=at))
+        with pytest.raises(DataFormatError, match="2 sigma\\^2") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == at - 1
+
     def test_anchor_index_past_the_pool_is_format_error_at_kernel(self):
         raw = saved_model_bytes("kernel")
         record, pool_at = first_kernel_record(raw)

@@ -983,13 +983,15 @@ class TestOverflowingBatch:
 
     def test_rbf_map_that_is_not_finite_is_a_numeric_failure(self):
         # 2 sigma^2 underflows to 0, so tree 1 maps a point equal to one of its
-        # anchors to 0/0: the batch is finite, the arithmetic is not
+        # anchors to 0/0: the batch is finite, the arithmetic is not.  The
+        # constructor rejects such a sigma, so tree 1's kernel is made unchecked
         rng = np.random.default_rng(0)
         anchors = rng.normal(size=(4, 3))
+        kernels = (KernelConfig(anchors=anchors, kind="rbf", sigma=1.0),
+                   KernelConfig._checked(anchors, kind="rbf", sigma=1e-200))
         trees = [HashTree(depth=2, nodes=[[hand_node(rng, 3, "linear")]], tree_seed=t,
-                          kernels=(KernelConfig(anchors=anchors, kind="rbf", sigma=sigma),),
-                          feature_dims=(4,))
-                 for t, sigma in enumerate((1.0, 1e-200))]
+                          kernels=(kc,), feature_dims=(4,))
+                 for t, kc in enumerate(kernels)]
         forest = Forest(trees=trees, master_seed=0, depth=2, feature_dims=(4,),
                         config=ForestConfig(split=SplitConfig(learner="kernel")))
         assert len(forest._groups[0]) == 2
@@ -999,7 +1001,8 @@ class TestOverflowingBatch:
 
 
 class TestForestConfig:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    # 2 sigma^2 of the last two underflows to 0 and overflows
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200, 1e200])
     def test_sigma_must_be_positive(self, sigma):
         with pytest.raises(InvalidInputError, match="sigma"):
             ForestConfig(sigma=sigma)

@@ -324,6 +324,12 @@ class TestKernelFeaturize:
         with pytest.raises(InvalidInputError):
             KernelConfig(anchors=rng.normal(size=(2, 3)), kind="rbf", sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-200, np.float64(1e-200), 1e200, np.float64(1e200)])
+    def test_rbf_sigma_whose_square_underflows_or_overflows_rejected(self, rng, sigma):
+        # the map divides by 2 sigma^2, which would be 0 or inf
+        with pytest.raises(InvalidInputError, match="2 sigma\\^2"):
+            KernelConfig(anchors=rng.normal(size=(2, 3)), kind="rbf", sigma=sigma)
+
     @pytest.mark.parametrize("constants", [
         {"sigma": np.inf}, {"sigma": np.nan}, {"p": np.nan}, {"q": -np.inf},
     ])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from leafhash import (
     DenseLayer,
@@ -17,7 +17,8 @@ from leafhash import (
     net_forward,
     principal_angles,
 )
-from leafhash.network import _forward_trace
+from leafhash import lowrank, network
+from leafhash.network import NetConfig, _forward_trace
 
 E1 = np.array([[1.0], [0.0]])
 
@@ -165,6 +166,44 @@ class TestNetFit:
             with pytest.raises(NumericError):
                 net_fit(huge, -huge, hidden=(8, 8, 8, 8, 8), seed=0)
 
+    def test_svd_budget_of_a_descent(self, monkeypatch):
+        # a case with rejected steps, exhausted steps and radial shrinks
+        case = (3628, 3, 5, 7, (), 3, 45, 1.0)
+        assert "steps exhausted" in BRANCH_EXAMPLES[case]
+        full_svds, events = [], []
+        svd, split_loss, split_subgrads = (
+            np.linalg.svd, network._split_loss, network._split_subgrads)
+
+        def counting_svd(a, *args, **kwargs):
+            full_svds.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        def counting_loss(a_pos, a_neg, a_both):
+            events.append(("loss", a_pos.tobytes()))
+            return split_loss(a_pos, a_neg, a_both)
+
+        def counting_subgrads(a_pos, *args):
+            events.append(("grads", a_pos.tobytes()))
+            return split_subgrads(a_pos, *args)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(network, "_split_loss", counting_loss)
+        monkeypatch.setattr(network, "_split_subgrads", counting_subgrads)
+        net = fit_case(present_net_fit, *case)
+
+        kinds = [kind for kind, _ in events]
+        n_loss, n_grads = kinds.count("loss"), kinds.count("grads")
+        assert len(full_svds) == 3 * (n_loss + n_grads)
+        assert sum(full_svds) == 3 * n_grads
+        # each gradient point is the point just evaluated, with no second
+        # evaluation, and the descent steps from it: a trial at another point
+        for i, (kind, point) in enumerate(events):
+            if kind == "grads":
+                assert i > 0 and events[i - 1] == ("loss", point)
+                assert events[i + 1][0] == "loss" and events[i + 1][1] != point
+        # rejected trials and the last point took no gradients
+        assert n_grads < len(net.loss_trace) < n_loss
+
 
 class TestGradCheck:
     def test_small_net_backprop(self, rng):
@@ -181,3 +220,185 @@ class TestGradCheck:
         net = build_net(2, (), 2, seed=0)
         with pytest.raises(InvalidInputError):
             grad_check(net, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), eps=0.0)
+
+
+def reference_net_fit(x_pos, x_neg, hidden, output_dim, epochs, seed, reached):
+    """:func:`net_fit` as it was when every trial point took the loss and the
+    gradients, kept as the reference the present descent must equal bit for
+    bit.  Adds to ``reached`` each branch the descent takes."""
+
+    def loss_and_param_grads(net, x_both, n_pos):
+        inputs, feats = _forward_trace(net, x_both)
+        if not np.all(np.isfinite(feats)):
+            raise NumericError(
+                "network features are non-finite; inputs or steps are ill-scaled"
+            )
+        f_pos, f_neg = feats[:, :n_pos], feats[:, n_pos:]
+        both = np.concatenate([f_pos, f_neg], axis=1)
+        _, gp, gn, gc = lowrank._split_subgrads(f_pos, f_neg, both, lowrank.SV_THRESHOLD)
+        loss = lowrank._split_loss(f_pos, f_neg, both)
+        delta = np.concatenate([gp - gc[:, :n_pos], gn - gc[:, n_pos:]], axis=1)
+        grads = [None] * len(net.layers)
+        for i in range(len(net.layers) - 1, -1, -1):
+            layer = net.layers[i]
+            if layer.activation == "relu":
+                delta = delta * (inputs[i + 1] > 0)
+            grads[i] = (delta @ inputs[i].T, delta.sum(axis=1))
+            delta = layer.weight.T @ delta
+        return loss, grads
+
+    s_dim = x_pos.shape[0]
+    net = build_net(s_dim, tuple(hidden), output_dim or s_dim, seed)
+    x_both = np.concatenate([x_pos, x_neg], axis=1)
+    n_pos = x_pos.shape[1]
+
+    loss, grads = loss_and_param_grads(net, x_both, n_pos)
+    if not np.isfinite(loss):
+        raise NumericError(f"non-finite split loss at initialization: {loss}")
+    trace = [loss]
+    step = network.STEP_SIZE
+    converged = False
+    loss_floor = 1e-9 * max(abs(loss), 1.0)
+    last = net.layers[-1]
+
+    def try_step(scale):
+        for layer, (gw, gb) in zip(net.layers, grads):
+            layer.weight -= scale * gw
+            layer.bias -= scale * gb
+
+    def check(loss_new):
+        if not np.isfinite(loss_new):
+            raise NumericError(
+                f"split loss diverged to {loss_new}; inputs may be ill-scaled"
+            )
+
+    def radial_shrink(loss):
+        shrink = 0.5
+        while shrink > 1e-8:
+            saved = (last.weight.copy(), last.bias.copy())
+            last.weight *= 1.0 - shrink
+            last.bias *= 1.0 - shrink
+            loss_new, grads_new = loss_and_param_grads(net, x_both, n_pos)
+            check(loss_new)
+            if loss_new < loss:
+                return loss_new, grads_new
+            last.weight, last.bias = saved
+            shrink *= 0.5
+        return None, None
+
+    for _ in range(epochs):
+        if loss <= loss_floor:
+            reached.add("loss floor")
+            converged = True
+            break
+        gnorm = np.sqrt(
+            sum(float(np.sum(gw**2)) + float(np.sum(gb**2)) for gw, gb in grads)
+        )
+        if gnorm <= 1e-15 * max(abs(loss), 1.0):
+            reached.add("zero gradient")
+            converged = True
+            break
+        step = min(2.0 * step, network.STEP_SIZE)
+        accepted = False
+        while step > network._MIN_STEP:
+            try_step(step / gnorm)
+            loss_new, grads_new = loss_and_param_grads(net, x_both, n_pos)
+            check(loss_new)
+            if loss_new <= loss:
+                accepted = True
+                break
+            reached.add("rejected step")
+            try_step(-step / gnorm)
+            step *= 0.5
+        stalled = not accepted or loss - loss_new <= network.REL_TOL * max(abs(loss), 1e-12)
+        if accepted:
+            loss, grads = loss_new, grads_new
+            trace.append(loss)
+        else:
+            reached.add("steps exhausted")
+        if stalled:
+            loss_new, grads_new = radial_shrink(loss)
+            if loss_new is None:
+                reached.add("shrink exhausted")
+                converged = True
+                break
+            reached.add("radial shrink")
+            loss, grads = loss_new, grads_new
+            trace.append(loss)
+
+    net.loss_trace = np.asarray(trace)
+    net.converged = converged
+    return net
+
+
+def fit_case(fit, seed, dim, n_pos, n_neg, hidden, output_dim, epochs, scale):
+    """``fit`` (called as :func:`reference_net_fit` is, less ``reached``) on
+    two normal class matrices scaled by ``scale``: the net, or the message of
+    the NumericError it raised."""
+    rng = np.random.default_rng(seed)
+    x_pos = scale * rng.normal(size=(dim, n_pos))
+    x_neg = scale * rng.normal(size=(dim, n_neg))
+    with np.errstate(all="ignore"):
+        try:
+            return fit(x_pos, x_neg, hidden, output_dim, epochs, seed)
+        except NumericError as exc:
+            return str(exc)
+
+
+def present_net_fit(x_pos, x_neg, hidden, output_dim, epochs, seed):
+    return net_fit(x_pos, x_neg, hidden=hidden, output_dim=output_dim,
+                   cfg=NetConfig(epochs=epochs), seed=seed)
+
+
+# (seed, dim, n_pos, n_neg, hidden, output_dim, epochs, scale) and what the
+# reference descent reaches on it
+BRANCH_EXAMPLES = {
+    (5929, 4, 3, 4, (4, 4), 4, 61, 1.0):
+        {"loss floor", "radial shrink", "rejected step", "steps exhausted"},
+    (3628, 3, 5, 7, (), 3, 45, 1.0): {"radial shrink", "rejected step", "steps exhausted"},
+    (8265, 4, 9, 8, (1, 5), 4, 58, 1e307): "non-finite split loss at initialization",
+    (3049, 2, 9, 9, (2,), 3, 33, 1e307): "network features are non-finite",
+}
+
+
+
+def with_branch_examples(test):
+    """``test`` with every case of ``BRANCH_EXAMPLES`` as a Hypothesis example."""
+    fields = ("seed", "dim", "n_pos", "n_neg", "hidden", "output_dim", "epochs", "scale")
+    for case in BRANCH_EXAMPLES:
+        test = example(**dict(zip(fields, case)))(test)
+    return test
+
+
+class TestNetFitMatchesTheReference:
+    @pytest.mark.parametrize("case", list(BRANCH_EXAMPLES))
+    def test_examples_reach_their_branches(self, case):
+        reached = set()
+        out = fit_case(lambda *args: reference_net_fit(*args, reached), *case)
+        expected = BRANCH_EXAMPLES[case]
+        if isinstance(expected, str):
+            assert out.startswith(expected)
+        else:
+            assert reached == expected
+
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 4), n_pos=st.integers(1, 9),
+           n_neg=st.integers(1, 9),
+           hidden=st.lists(st.integers(1, 6), max_size=2).map(tuple),
+           output_dim=st.none() | st.integers(1, 4), epochs=st.integers(1, 80),
+           scale=st.sampled_from([1.0, 1e-3, 1e150, 1e300, 1e307]))
+    @settings(max_examples=60, deadline=None)
+    @with_branch_examples
+    def test_net_fit_equals_the_reference_byte_for_byte(self, seed, dim, n_pos, n_neg,
+                                                        hidden, output_dim, epochs, scale):
+        case = (seed, dim, n_pos, n_neg, hidden, output_dim, epochs, scale)
+        expected = fit_case(lambda *args: reference_net_fit(*args, set()), *case)
+        got = fit_case(present_net_fit, *case)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert len(got.layers) == len(expected.layers)
+        for a, b in zip(got.layers, expected.layers):
+            assert a.weight.tobytes() == b.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+        assert got.loss_trace.tobytes() == expected.loss_trace.tobytes()
+        assert got.converged == expected.converged

@@ -91,3 +91,8 @@ def test_bench_pairs_summary():
     slower = [dict(c, encode_pts_per_s=70.0, fit_s=6.3) for c in change]
     fit, rate = load_script("bench_pairs").summarize(list(zip(parent, slower)), metrics)
     assert fit["worse_beyond_bound"] and rate["worse_beyond_bound"]
+    # pairs 2 and 4 did a second round on one side only
+    round_counts = load_script("bench_pairs").round_counts
+    counts = round_counts([(1, 1), (1, 2), (1, 1), (2, 1)])
+    assert counts == {"parent": [1, 1, 1, 2], "change": [1, 2, 1, 1], "differ": [2, 4]}
+    assert round_counts([(1, 1)] * 3)["differ"] == []
