@@ -8,13 +8,15 @@ The parent tree is any checkout of the commit to compare against, such as
 one made with ``git worktree add`` or ``git archive``.  For every end-to-end
 metric that ``BENCHMARK.json`` declares, it prints each pair's values, both
 medians, the parent's quartile distance, the number of pairs the change
-wins, and whether the change's median is worse than the parent's by more
-than the metric's bound.  As it goes, it prints each run's metrics, its
-round count (from the ``round`` lines on standard error) and its failed
-operations.  The summary also gives each side's round counts and flags every
-pair whose two runs did different numbers of rounds: a run of more rounds
-forks later rounds' pools from a larger process, so its ``peak_rss_mb``
-does not compare with a one-round run's.
+wins, whether the change's median is worse than the parent's by more than
+the metric's bound, and a verdict (``summarize``): ``gain``,
+``unresolved``, ``worse beyond bound`` or ``within bound``.  As it goes, it
+prints each run's metrics, its round count (from the ``round`` lines on
+standard error) and its failed operations.  The summary also gives each
+side's round counts and flags every pair whose two runs did different
+numbers of rounds: a run of more rounds forks later rounds' pools from a
+larger process, so its ``peak_rss_mb`` does not compare with a one-round
+run's.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train-neural16-pool2 --pairs 10 --seed 23
@@ -22,6 +24,7 @@ does not compare with a one-round run's.
 
 import argparse
 import json
+import operator
 import statistics
 import subprocess
 import sys
@@ -55,22 +58,39 @@ def summarize(pairs, metrics):
     """One row per end-to-end metric of ``metrics`` (``BENCHMARK.json``'s
     ``end_to_end`` entries) over ``pairs``, a list of (parent, change)
     metric-value dicts: the per-pair values, both medians, the parent's
-    quartile distance, the pairs in which the change is strictly better, and
+    quartile distance, the pairs in which the change is strictly better,
     whether the change's median is worse than the parent's by more than the
-    metric's bound (a fraction of the parent's median)."""
+    metric's bound (a fraction of the parent's median), and a verdict:
+
+    - ``gain`` when the change is better in at least nine of ten pairs (a
+      tie counts for neither side) and its median is better than the
+      parent's by more than the parent's quartile distance;
+    - else ``unresolved`` when that distance is wider than the bound, unless
+      every change run is better than every parent run;
+    - else ``worse beyond bound`` or ``within bound``.
+    """
     rows = []
     for spec in metrics:
-        name, bound, lower = spec["name"], spec["bound"], spec["better"] == "lower"
+        name, bound = spec["name"], spec["bound"]
+        better = operator.lt if spec["better"] == "lower" else operator.gt
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        limit = p_med * (1 + bound) if lower else p_med * (1 - bound)
-        worse = c_med > limit if lower else c_med < limit
+        iqr = quartile_distance(parent)
+        wins = sum(better(c, p) for p, c in zip(parent, change))
+        limit = p_med * (1 + bound) if better is operator.lt else p_med * (1 - bound)
+        worse = better(limit, c_med)
+        if 10 * wins >= 9 * len(pairs) and better(c_med, p_med) and abs(c_med - p_med) > iqr:
+            verdict = "gain"
+        elif iqr > bound * abs(p_med) and not all(better(c, p) for c in change
+                                                  for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "worse beyond bound" if worse else "within bound"
         rows.append({"name": name, "parent": parent, "change": change,
                      "parent_median": p_med, "change_median": c_med,
-                     "parent_iqr": quartile_distance(parent), "wins": wins,
-                     "pairs": len(pairs), "worse_beyond_bound": worse})
+                     "parent_iqr": iqr, "wins": wins, "pairs": len(pairs),
+                     "worse_beyond_bound": worse, "verdict": verdict})
     return rows
 
 
@@ -111,7 +131,8 @@ def main(argv=None):
         print(f"{row['name']}: median {row['parent_median']:.6g} -> {row['change_median']:.6g}"
               f" (parent IQR {row['parent_iqr']:.6g}), change better in"
               f" {row['wins']}/{row['pairs']},"
-              f" {'WORSE beyond bound' if row['worse_beyond_bound'] else 'within bound'}")
+              f" {'WORSE beyond bound' if row['worse_beyond_bound'] else 'within bound'}:"
+              f" {row['verdict']}")
         print(f"  pairs: {per_pair}")
     counts = round_counts(round_pairs)
     for side in ("parent", "change"):

@@ -651,8 +651,11 @@ def load_model(path):
     """Read an FHSH04 container; returns ``(forest, selection)``.
 
     The forest is made with the anchor pools it was read with, so it does
-    not build them again.  A pool not of its modality's dimension, or a net
-    or projector that does not fit its tree's map, raises ``DataFormatError``.
+    not build them again.  A pool not of its modality's dimension, a net
+    or projector that does not fit its tree's map, or a tree that does not
+    fit the config's learner (a kernel or a net where the learner has none,
+    or none where it has one) raises ``DataFormatError``; the last is
+    reported at the config, which states the learner.
     """
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
@@ -676,8 +679,11 @@ def load_model(path):
              for (seed, _, tree_nodes), kernels in zip(read, _kernels(pools, records))]
     read_pools = [AnchorPool.of(pools[m], [rec[m][1] for rec in records]) if m in pools
                   else None for m in range(n_modalities)]
-    forest = Forest(trees=trees, master_seed=master_seed, depth=depth,
-                    feature_dims=feature_dims, config=config, read_pools=read_pools)
+    try:
+        forest = Forest(trees=trees, master_seed=master_seed, depth=depth,
+                        feature_dims=feature_dims, config=config, read_pools=read_pools)
+    except InvalidInputError as exc:  # a tree that does not fit the config's learner
+        raise DataFormatError(f"bad forest: {exc}", offset=config_offset) from exc
     return forest, selection
 
 

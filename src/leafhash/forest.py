@@ -23,7 +23,7 @@ import functools
 import glob
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -152,7 +152,8 @@ class Forest:
     it there.  ``trees`` may be given as a list; it is stored as a tuple.  The
     constructor rejects a tree whose depth or feature dimensions are not the
     forest's, or whose kernel anchors do not have ``feature_dims[m]`` rows, so
-    encoding checks a batch against ``feature_dims`` alone.  It then builds,
+    encoding checks a batch against ``feature_dims`` alone.  It also rejects
+    a tree that does not fit the learner (:func:`_learner_misfit`).  It then builds,
     for every modality ``m``, the trees' anchor pool ``pools[m]``
     (:func:`anchor_pool`; None without a kernel tree) and their encode groups
     ``_groups[m]`` (:func:`_tree_groups`).  Both are derived from the trees, so
@@ -176,6 +177,10 @@ class Forest:
             for m, kc in enumerate(tree.kernels):
                 if kc is not None and kc.anchors.shape[0] != self.feature_dims[m]:
                     raise InvalidInputError(f"kernel anchors of modality {m} differ in dimension")
+            misfit = _learner_misfit(tree, self.learner)
+            if misfit:
+                raise InvalidInputError(f"tree {t} does not fit the {self.learner} learner: "
+                                        f"{misfit}")
         pools = read_pools or [anchor_pool(trees, m) for m in range(len(self.feature_dims))]
         object.__setattr__(self, "trees", trees)
         object.__setattr__(self, "pools", tuple(pools))
@@ -194,6 +199,25 @@ class Forest:
     @property
     def leaf_count(self) -> int:
         return 2 ** (self.depth - 1)
+
+
+def _learner_misfit(tree, learner: str) -> str | None:
+    """Why ``tree`` cannot be a tree of a ``learner`` forest, or None: a
+    linear tree has no kernel and no net; a kernel tree has a kernel on
+    every modality and no net; a neural tree has no kernel, and a net on
+    every node that is not degenerate."""
+    if learner == "kernel":
+        if any(kc is None for kc in tree.kernels):
+            return "a modality has no kernel"
+    elif any(kc is not None for kc in tree.kernels):
+        return "a modality has a kernel"
+    nodes = [node for per_mod in tree.nodes for node in per_mod if not node.degenerate]
+    if learner == "neural":
+        if any(node.net is None for node in nodes):
+            return "a node has no net"
+    elif any(node.net is not None for node in nodes):
+        return "a node has a net"
+    return None
 
 
 def partition_classes(classes, rng):
@@ -389,14 +413,18 @@ def _single_blas_thread():
     """Run the block with one OpenBLAS thread, then restore the caller's count.
 
     An encode's products are small (a few anchors or node features by one
-    batch), yet OpenBLAS splits each over all its threads and waits for the
-    slowest, so another process on any core stalls every product.  On a
-    2-core machine beside one busy loop, a 16-d, 24-tree forest encoded
-    about 3x slower with two threads and no slower with one.  Two threads
-    do encode 784-d batches about a quarter faster on a quiet machine.
-    Training runs under it too, serial or pooled, so the thread count cannot
-    change a tree.  The count is process-wide: other threads' BLAS calls
-    meanwhile run on one.
+    batch), yet OpenBLAS splits each over all its threads, which spin while
+    they wait for the slowest, so another process on any core stalls every
+    product.  On a 2-core machine beside one busy loop, a 16-d, 24-tree
+    forest encoded about 3x slower with OpenBLAS's two threads and no slower
+    with one.  That finding is about OpenBLAS's own threads: Python threads
+    that each run one-thread BLAS calls on trees of their own
+    (:func:`_leaf_rows`) encode large 16-d batches about 1.3-1.9x faster.
+    Two OpenBLAS threads do encode 784-d batches about a quarter faster on a
+    quiet machine.  Training runs under it too, serial or pooled, so the
+    thread count cannot change a tree.  The count is process-wide: other
+    threads' BLAS calls meanwhile run on one, and an entry while the count
+    is already 1, as in an encode thread, changes nothing.
     """
     threads = _openblas_threads()
     before = threads[0]() if threads is not None else 1
@@ -560,7 +588,8 @@ class _TreeGroup:
     """Trees ``start:stop`` of a list, encoded together (see :func:`_tree_groups`).
 
     A group of one tree has no stacks: its tree maps the batch through its own
-    kernel (if any) and routes it alone.  A larger group takes its trees'
+    kernel (if any) and routes it alone, and ``muladds`` is what that costs
+    per column (:func:`_root_muladds`).  A larger group takes its trees'
     maps from the pool's (:func:`_pool_maps`): rows ``take`` of the pool,
     tree by tree, then ``denom`` (an RBF group's ``2 sigma^2`` per row, a
     column) or ``poly`` (a polynomial group's ``p`` and ``q``).  It routes
@@ -575,6 +604,7 @@ class _TreeGroup:
     poly: tuple[float, float] | None = None
     proj_neg: np.ndarray | None = None
     proj_pos: np.ndarray | None = None
+    muladds: int = 0
 
     def kernel_map(self, products, distances) -> np.ndarray:
         """The group's trees' maps, one row per anchor, from the pool's
@@ -603,17 +633,30 @@ def _stack_key(tree, modality):
     """What a tree must share with its neighbours to be stacked with them, or
     None when it is encoded alone: no kernel, a kernel of one anchor (whose
     own ``anchor_sq_norms`` numpy sums pairwise, not in order as the pool's
-    are summed), a degenerate root or one with a net (whose output, not the
-    map, is what it routes), or projectors whose shapes do not fit the map
-    (which the tree alone rejects)."""
+    are summed), a degenerate root, or projectors whose shapes do not fit the
+    map (which the tree alone rejects).  A kernel tree has no net
+    (:func:`_learner_misfit`), so its root routes the map itself."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
-    if kc is None or kc.n_anchors == 1 or root.degenerate or root.net is not None:
+    if kc is None or kc.n_anchors == 1 or root.degenerate:
         return None
     shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
     if any(s[1:] != (kc.n_anchors,) for s in shapes[1:]):
         return None
     poly = (kc.p, kc.q) if kc.kind == "polynomial" else None
     return kc.kind, poly, shapes
+
+
+def _root_muladds(tree, modality: int) -> int:
+    """Multiply-adds per column of a tree's map and root: its kernel's
+    anchor product, its root net's layers and its root projectors (none for
+    a degenerate root).  Deeper nodes share the columns, so they are left out."""
+    kc, root = tree.kernels[modality], tree.nodes[0][modality]
+    muladds = 0 if kc is None else kc.anchors.size
+    if not root.degenerate:
+        if root.net is not None:
+            muladds += sum(layer.weight.size for layer in root.net.layers)
+        muladds += root.proj_neg.size + root.proj_pos.size
+    return muladds
 
 
 def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
@@ -641,7 +684,7 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     groups = []
     for start, stop in runs:
         if stop - start == 1:
-            groups.append(_TreeGroup(start, stop))
+            groups.append(_TreeGroup(start, stop, muladds=_root_muladds(trees[start], modality)))
             continue
         kernels = [t.kernels[modality] for t in trees[start:stop]]
         roots = [t.nodes[0][modality] for t in trees[start:stop]]
@@ -686,6 +729,53 @@ def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
     return pos - tree.internal_count
 
 
+# fewest multiply-adds (:func:`_root_muladds` times columns) a batch must
+# cost each tree, on average over the trees, for a forest without stacked
+# groups to encode it on threads.  Each numpy call hands the interpreter lock
+# from thread to thread, so a batch must make each call long enough to pay
+# for that.  On a 2-core machine threads broke even at about 2.5M (linear,
+# 16-d, 5000 columns), 2.8M (neural, 16-32-16, 1800) and 3.7M multiply-adds
+# (RBF, 64 anchors over 16-d, 400 columns), and encoded 3000 columns of the
+# neural and RBF forests about 1.3x and 1.6-1.9x faster.
+THREAD_MULADDS = 2**22
+
+
+def _quiet():
+    """The error state every encode step runs in.  An overflow, or an RBF map
+    divided by a 2 sigma^2 that underflowed to 0, raises NumericError at the
+    residuals, so numpy need not warn of it.  numpy keeps the state per
+    thread, so each encode thread enters it itself."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _encode_groups(trees, x, x_sq, modality: int, groups, pool_maps) -> list[np.ndarray]:
+    """Leaf rows of the trees of ``groups``, a run of consecutive groups of
+    ``trees``, in tree order (see :func:`_leaf_rows`).  ``pool_maps`` are
+    the pool's :func:`_pool_maps` of the batch when a group stacks trees.
+    The first tree that cannot be encoded stops the run with a NumericError
+    that names it."""
+    rows = []
+    with _quiet():
+        for group in groups:
+            members = trees[group.start:group.stop]
+            try:
+                if group.take is None:
+                    (tree,) = members
+                    kc = tree.kernels[modality]
+                    f = _kernel_map(x, x_sq, kc) if kc is not None else x
+                    rows.append(_descend(tree, f, modality,
+                                         np.zeros(f.shape[1], np.int64), 0))
+                    continue
+                f = group.kernel_map(*pool_maps)
+                roots_left = _go_left(*group.root_residuals(f))
+                maps = f.reshape(len(members), -1, f.shape[1])
+                for tree, f_tree, go_left in zip(members, maps, roots_left):
+                    rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
+            except NumericError as exc:
+                raise NumericError(f"tree {groups[0].start + len(rows)}: {exc}") from exc
+    return rows
+
+
 def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
     of ``trees``, encoded in their ``groups`` (:func:`_tree_groups`).
@@ -701,45 +791,50 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     feature map is held at a time.  A one-tree group maps the batch through
     its tree's kernel (if any) and routes it.  A larger group takes its rows
     of the pool's map, finishes its trees' maps, and routes its roots with
-    one matmul per side; deeper levels route per tree.  All of it runs on
-    one OpenBLAS thread.
+    one matmul per side; deeper levels route per tree.
+    When no group stacks trees and the batch costs each tree at least
+    ``THREAD_MULADDS`` multiply-adds on average, the trees are split into as
+    many contiguous runs as this process may use CPUs (at most one run per
+    tree), and each run is encoded on a thread of its own, one tree, so one
+    feature map, at a time per thread.  Every thread makes the calls the
+    serial path makes, on the same arrays, so the leaves are the same.  All
+    of it runs on one OpenBLAS thread, which the caller sets until every
+    thread is done.
     A batch that overflows the arithmetic (a squared norm of an RBF map, a
     polynomial map, or a split residual that is not finite) raises
-    NumericError naming the first tree it could not encode; a map is not
-    validated, so one that is not finite raises it at the residuals.
+    NumericError naming the first tree it could not encode, threads or not;
+    a map is not validated, so one that is not finite raises it at the
+    residuals.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     x = _as_matrix(x, "x", allow_empty=True)
     if x.shape[1] == 0:
         return [np.zeros(0, dtype=np.int64) for _ in trees]
     stacked = [g for g in groups if g.take is not None]
+    threads = 1
+    if not stacked and (x.shape[1] * sum(g.muladds for g in groups)
+                        >= THREAD_MULADDS * len(groups)):
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        threads = min(cpus, len(groups))
 
-    rows = []
-    # an overflow, or an RBF map divided by a 2 sigma^2 that underflowed to
-    # 0, raises NumericError below, so numpy need not warn of it
-    with _single_blas_thread(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x_sq = _column_sq_norms(x) if "rbf" in kinds else None
-        if stacked:
-            products, distances = _pool_maps(pool, x, x_sq,
-                                             any(g.poly is None for g in stacked))
-        for group in groups:
-            members = trees[group.start:group.stop]
-            try:
-                if group.take is None:
-                    (tree,) = members
-                    kc = tree.kernels[modality]
-                    f = _kernel_map(x, x_sq, kc) if kc is not None else x
-                    rows.append(_descend(tree, f, modality,
-                                         np.zeros(f.shape[1], np.int64), 0))
-                    continue
-                f = group.kernel_map(products, distances)
-                roots_left = _go_left(*group.root_residuals(f))
-                maps = f.reshape(len(members), -1, f.shape[1])
-                for tree, f_tree, go_left in zip(members, maps, roots_left):
-                    rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
-            except NumericError as exc:
-                raise NumericError(f"tree {len(rows)}: {exc}") from exc
-    return rows
+    with _single_blas_thread():
+        with _quiet():
+            x_sq = _column_sq_norms(x) if "rbf" in kinds else None
+            pool_maps = None
+            if stacked:
+                pool_maps = _pool_maps(pool, x, x_sq, any(g.poly is None for g in stacked))
+        if threads == 1:
+            return _encode_groups(trees, x, x_sq, modality, groups, pool_maps)
+        cuts = [len(groups) * k // threads for k in range(threads + 1)]
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            runs = [executor.submit(_encode_groups, trees, x, x_sq, modality,
+                                    groups[lo:hi], pool_maps)
+                    for lo, hi in zip(cuts, cuts[1:])]
+            # read in tree order: the first failing run, which stopped at its
+            # first failing tree, names the lowest one.  Leaving the block
+            # waits for every thread.
+            return [row for run in runs for row in run.result()]
 
 
 def _as_batch(x) -> np.ndarray:

@@ -478,6 +478,20 @@ class TestConfigStringDecoding:
             load_model_bytes(body + struct.pack("<I", zlib.crc32(body[6:])))
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("learner, stated", [("linear", "kernel"), ("linear", "neural"),
+                                                 ("kernel", "linear"), ("kernel", "neural"),
+                                                 ("neural", "linear"), ("neural", "kernel")])
+    def test_trees_of_another_learner_are_format_error_at_config(self, learner, stated):
+        # the learners' names are six letters each, so one replaces another in place
+        raw = saved_model_bytes(learner)
+        offset, length = config_span(raw)
+        key = f'"learner": "{learner}"'.encode()
+        at = raw.index(key, offset + 4, offset + 4 + length) + len(key) - 7
+        changes = list(enumerate(stated.encode(), start=at))
+        with pytest.raises(DataFormatError, match=f"does not fit the {stated} learner") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == offset
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_mutated_config_loads_or_raises_format_error(self, data):

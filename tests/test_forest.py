@@ -2,6 +2,8 @@ import ctypes
 import dataclasses
 import glob
 import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -606,7 +608,7 @@ def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False,
     """An untrained depth-2 kernel tree: only its shapes and constants count,
     unless ``anchor_rng`` draws its anchors.  A ``net_root`` reverses the
     order of the map's rows, and its projectors keep the first half of the
-    rows (``proj_neg``) or the rest."""
+    rows (``proj_neg``) or the rest; no kernel forest takes such a tree."""
     anchor_rows = (np.ones((dim, anchors)) if anchor_rng is None
                    else anchor_rng.normal(size=(dim, anchors)))
     kc = KernelConfig(anchors=anchor_rows, kind=kind, p=1.0, q=q)
@@ -644,27 +646,15 @@ class TestGroupedEncode:
                  fake_kernel_tree(8, 2, degenerate_root=True),
                  fake_kernel_tree(8, 2), fake_kernel_tree(8, 2)]
         assert group_sizes(mixed) == [1, 2, 1, 1, 2]
-        # a root with a net routes the net's output, not the map: alone
-        with_net = [fake_kernel_tree(8, 2), fake_kernel_tree(8, 2, net_root=True),
-                    fake_kernel_tree(8, 2), fake_kernel_tree(8, 2)]
-        assert group_sizes(with_net) == [1, 1, 2]
 
-    def test_kernel_tree_with_a_net_root_routes_through_its_net(self):
+    def test_kernel_tree_with_a_net_root_rejected(self):
         rng = np.random.default_rng(4)
         trees = [fake_kernel_tree(8, 4, net_root=net, anchor_rng=rng)
                  for net in (False, True, True, False)]
-        forest = Forest(trees=trees, master_seed=0, depth=2,
-                        feature_dims=(8,), config=ForestConfig())
-        x = rng.normal(size=(8, 30))
-        for tree, block in zip(trees, encode_dataset(forest, x)):
-            expected = np.where(node_route_many(tree.nodes[0][0],
-                                                kernel_featurize(x, tree.kernels[0])), 0, 1)
-            np.testing.assert_array_equal(block.argmax(axis=0), expected)
-        # the nets change routes, so a grouped root that skipped its net shows
-        for tree in trees[1:3]:
-            root, f = tree.nodes[0][0], kernel_featurize(x, tree.kernels[0])
-            no_net = SplitNode(proj_neg=root.proj_neg, proj_pos=root.proj_pos)
-            assert np.any(node_route_many(no_net, f) != node_route_many(root, f))
+        with pytest.raises(InvalidInputError,
+                           match="^tree 1 does not fit the kernel learner: a node has a net$"):
+            Forest(trees=trees, master_seed=0, depth=2, feature_dims=(8,),
+                   config=grouped_config("rbf", 4))
 
     @given(kind=st.sampled_from(["rbf", "polynomial"]), two_views=st.booleans(),
            depth=st.integers(2, 4), anchors=st.integers(2, 4), extra=st.integers(0, 6),
@@ -772,8 +762,7 @@ def shared_anchor_forest(seed, kind, n_views, depth, n_trees):
     Each tree draws 2 (trees 0-2) or 3 anchors with replacement from 4
     points, and tree 0 repeats its first anchor, so the pool dedups within
     and across trees.  Runs of trees with equal anchor counts stack, up to
-    d = 8 anchors; a degenerate root on the last tree, and a root with a net
-    on tree 2 of a 6-tree forest, make one-tree groups."""
+    d = 8 anchors; a degenerate root on the last tree makes a one-tree group."""
     rng = np.random.default_rng(seed)
     dims = (8, 9)[:n_views]
     points = [rng.normal(size=(d, 4)) for d in dims]
@@ -793,15 +782,13 @@ def shared_anchor_forest(seed, kind, n_views, depth, n_trees):
                 if pos == 0 and t == n_trees - 1:
                     nodes[pos].append(SplitNode(degenerate=True))
                     continue
-                net = (DenseNet([DenseLayer(np.eye(a)[::-1], np.zeros(a), "identity")])
-                       if pos == 0 and t == 2 and n_trees == 6 else None)
                 nodes[pos].append(SplitNode(proj_pos=rng.normal(size=(2, a)),
-                                            proj_neg=rng.normal(size=(2, a)), net=net,
+                                            proj_neg=rng.normal(size=(2, a)),
                                             class_partition={0: "neg", 1: "pos"}))
         trees.append(HashTree(depth=depth, nodes=nodes, tree_seed=t,
                               kernels=tuple(kernels), feature_dims=dims))
-    forest = Forest(trees=trees, master_seed=seed, depth=depth,
-                    feature_dims=dims, config=ForestConfig())
+    forest = Forest(trees=trees, master_seed=seed, depth=depth, feature_dims=dims,
+                    config=ForestConfig(split=SplitConfig(learner="kernel"), kernel_kind=kind))
     return forest, points
 
 
@@ -835,7 +822,7 @@ class TestAnchorPool:
         forest.trees[1].kernels = (KernelConfig(anchors=np.ones((7, 2)), kind="rbf"),)
         with pytest.raises(InvalidInputError, match="differ in dimension"):
             Forest(trees=forest.trees, master_seed=3, depth=2,
-                   feature_dims=(8,), config=ForestConfig())
+                   feature_dims=(8,), config=forest.config)
 
     def test_no_pool_without_a_kernel(self):
         forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
@@ -1000,6 +987,112 @@ class TestOverflowingBatch:
             encode_dataset(forest, x)
 
 
+def force_threads(monkeypatch, cpus=3):
+    """Encode every batch of a forest without stacked groups on threads, as
+    if this process could use ``cpus`` CPUs, and record each run of trees
+    that :func:`forest._encode_groups` encodes: ``(thread id, first tree,
+    tree count)``."""
+    monkeypatch.setattr(forest_module, "THREAD_MULADDS", 0)
+    monkeypatch.setattr(forest_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    runs = []
+    encode_groups = forest_module._encode_groups
+
+    def record(trees, x, x_sq, modality, groups, pool_maps):
+        runs.append((threading.get_ident(), groups[0].start, groups[-1].stop - groups[0].start))
+        return encode_groups(trees, x, x_sq, modality, groups, pool_maps)
+
+    monkeypatch.setattr(forest_module, "_encode_groups", record)
+    return runs
+
+
+def serial_blocks(forest, x, modality):
+    """``encode_dataset``'s blocks when no batch is large enough for threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest_module, "THREAD_MULADDS", float("inf"))
+        return encode_dataset(forest, x, modality=modality)
+
+
+class TestThreadedEncode:
+    """A large batch of a forest without stacked groups is encoded on threads,
+    each taking a run of whole trees, with the serial path's leaves and errors."""
+
+    @pytest.mark.parametrize("kind, dims", [("linear", (6,)), ("rbf", (6,)),
+                                            ("polynomial", (6,)), ("neural", (6,)),
+                                            ("rbf", (9, 6)), ("neural", (9, 6))])
+    def test_threaded_leaves_equal_serial_leaves(self, monkeypatch, kind, dims):
+        views = encode_views(8, dims)
+        forest = train_multimodal_forest(views, 0, 5, 3, ENCODE_CONFIGS[kind], master_seed=8)
+        rng = np.random.default_rng(8)
+        for modality, view in enumerate(views):
+            assert not any(g.take is not None for g in forest._groups[modality])
+            x = np.concatenate([view.features, rng.normal(size=(dims[modality], 20))], axis=1)
+            expected = serial_blocks(forest, x, modality)
+            runs = force_threads(monkeypatch)
+            blocks = encode_dataset(forest, x, modality=modality)
+            monkeypatch.undo()
+            # 5 trees over 3 threads: runs of 1, 2 and 2 trees, none on this one
+            assert sorted((start, count) for _, start, count in runs) == [(0, 1), (1, 2), (3, 2)]
+            assert threading.get_ident() not in {ident for ident, _, _ in runs}
+            for block, want in zip(blocks, expected, strict=True):
+                np.testing.assert_array_equal(block, want)
+
+    def test_more_cpus_than_trees_take_a_tree_each(self, monkeypatch):
+        forest = _nonfinite_forest("neural")
+        x = np.random.default_rng(1).normal(size=(6, 30))
+        expected = serial_blocks(forest, x, 0)
+        runs = force_threads(monkeypatch, cpus=8)
+        blocks = encode_dataset(forest, x)
+        assert sorted((start, count) for _, start, count in runs) == [(0, 1), (1, 1)]
+        for block, want in zip(blocks, expected, strict=True):
+            np.testing.assert_array_equal(block, want)
+
+    def test_stacked_groups_and_small_batches_stay_serial(self, monkeypatch):
+        (view,) = encode_views(5, (12,))
+        stacked = train_forest(view, 3, 2, grouped_config("rbf", 4), master_seed=5)
+        runs = force_threads(monkeypatch)
+        encode_dataset(stacked, view.features)
+        assert runs == [(threading.get_ident(), 0, 3)]
+        monkeypatch.undo()
+        # below the threshold: THREAD_MULADDS is set, only the CPUs are forced
+        runs = force_threads(monkeypatch)
+        monkeypatch.setattr(forest_module, "THREAD_MULADDS", 2**22)
+        forest = _nonfinite_forest("rbf")
+        encode_dataset(forest, np.ones((6, 30)))
+        assert runs == [(threading.get_ident(), 0, 2)]
+
+    def test_failure_names_the_lowest_failing_tree_and_warns_of_nothing(self, monkeypatch):
+        (view,) = encode_views(3, (6,))
+        forest = train_forest(view, 5, 2, ENCODE_CONFIGS["linear"], master_seed=3)
+        trees = list(forest.trees)
+        # trees 2 and 4 overflow: their root projectors are scaled up
+        for t in (2, 4):
+            root = trees[t].nodes[0][0]
+            huge = dataclasses.replace(root, proj_neg=root.proj_neg * 1e300,
+                                       proj_pos=root.proj_pos * 1e300)
+            trees[t] = dataclasses.replace(trees[t], nodes=[[huge]])
+        bad = dataclasses.replace(forest, trees=trees)
+        runs = force_threads(monkeypatch)
+        descend = forest_module._descend
+
+        def late_for_tree_2(tree, *args):
+            # tree 4's thread fails first
+            if tree is trees[2]:
+                threading.Event().wait(0.05)
+            return descend(tree, *args)
+
+        monkeypatch.setattr(forest_module, "_descend", late_for_tree_2)
+        x = 1e10 * np.ones((6, 4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError, match="^tree 2: a split residual is not finite"):
+                encode_dataset(bad, x)
+        assert [w.message for w in caught] == []
+        assert threading.get_ident() not in {ident for ident, _, _ in runs}
+        monkeypatch.undo()
+        with pytest.raises(NumericError, match="^tree 2: a split residual is not finite"):
+            encode_dataset(bad, x)
+
+
 class TestForestConfig:
     # 2 sigma^2 of the last two underflows to 0 and overflows
     @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), 1e-200, 1e200])
@@ -1010,6 +1103,40 @@ class TestForestConfig:
     def test_sigma_may_be_estimated_or_positive(self):
         assert ForestConfig().sigma is None
         assert ForestConfig(sigma=0.5).sigma == 0.5
+
+    @pytest.mark.parametrize("learner, kernels, node, misfit", [
+        ("linear", 0, "plain", None),
+        ("linear", 1, "plain", "a modality has a kernel"),
+        ("linear", 0, "net", "a node has a net"),
+        ("kernel", 2, "plain", None),
+        ("kernel", 1, "plain", "a modality has no kernel"),
+        ("neural", 0, "net", None),
+        ("neural", 0, "degenerate", None),
+        ("neural", 1, "net", "a modality has a kernel"),
+        ("neural", 0, "plain", "a node has no net"),
+    ])
+    def test_trees_must_fit_the_learner(self, learner, kernels, node, misfit):
+        # a two-view tree whose first ``kernels`` views have a kernel; a
+        # kernel tree with a net is TestGroupedEncode's
+        rng = np.random.default_rng(0)
+        kc = KernelConfig(anchors=rng.normal(size=(4, 4)), kind="rbf", sigma=1.0)
+        nodes = {"plain": hand_node(rng, 4, "linear"), "net": hand_node(rng, 4, "neural"),
+                 "degenerate": SplitNode(class_partition={0: "neg"}, degenerate=True)}
+        trees = [HashTree(depth=2, nodes=[[nodes[node], nodes["degenerate"]]], tree_seed=0,
+                          kernels=(kc, kc)[:kernels] + (None, None)[kernels:],
+                          feature_dims=(4, 4))]
+        config = ForestConfig(split=SplitConfig(learner=learner))
+
+        def make():
+            return Forest(trees=trees, master_seed=0, depth=2, feature_dims=(4, 4),
+                          config=config)
+
+        if misfit is None:
+            assert make().learner == learner
+        else:
+            with pytest.raises(InvalidInputError,
+                               match=f"^tree 0 does not fit the {learner} learner: {misfit}$"):
+                make()
 
     def test_the_forest_learner_is_the_configs(self):
         forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
@@ -1071,16 +1198,25 @@ class TestPoolBlasThreads:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
         parent_threads = blas_threads()
         ds = small_dataset()
-        forest = train_forest(ds, 2, 2, FAST_CFG, master_seed=3)
+        forest = train_forest(ds, 3, 2, FAST_CFG, master_seed=3)
         seen = []
 
         def route(node, x):
-            seen.append(blas_threads())
+            seen.append((threading.get_ident(), blas_threads()))
             return _route_many(node, x)
 
         monkeypatch.setattr(forest_module, "_route_many", route)
         encode_dataset(forest, ds.features)
-        assert seen and set(seen) == {1}
+        assert seen == [(threading.get_ident(), 1)] * 3
+        assert blas_threads() == parent_threads
+
+        # a threaded batch: every worker routes on one BLAS thread, and the
+        # caller's count comes back only after the last of them is done
+        seen.clear()
+        force_threads(monkeypatch)
+        encode_dataset(forest, ds.features)
+        assert len(seen) == 3 and {count for _, count in seen} == {1}
+        assert threading.get_ident() not in {ident for ident, _ in seen}
         assert blas_threads() == parent_threads
 
     def test_missing_library_or_setter_is_a_no_op(self, monkeypatch):

@@ -72,13 +72,14 @@ def load_script(name):
 
 
 def test_bench_pairs_summary():
+    summarize = load_script("bench_pairs").summarize
     metrics = [{"name": "fit_s", "better": "lower", "bound": 0.25},
                {"name": "encode_pts_per_s", "better": "higher", "bound": 0.25}]
     parent = [{"fit_s": f, "encode_pts_per_s": e}
               for f, e in ((4.0, 100.0), (5.0, 90.0), (6.0, 110.0), (5.0, 80.0))]
     change = [{"fit_s": f, "encode_pts_per_s": e}
               for f, e in ((6.0, 200.0), (6.5, 60.0), (6.0, 210.0), (7.0, 190.0))]
-    fit, rate = load_script("bench_pairs").summarize(list(zip(parent, change)), metrics)
+    fit, rate = summarize(list(zip(parent, change)), metrics)
     assert fit["parent"] == [4.0, 5.0, 6.0, 5.0] and fit["change"] == [6.0, 6.5, 6.0, 7.0]
     assert (fit["parent_median"], fit["change_median"]) == (5.0, 6.25)
     # inclusive quartiles of 4, 5, 5, 6 are 4.75 and 5.25
@@ -88,11 +89,41 @@ def test_bench_pairs_summary():
     assert (rate["parent_median"], rate["change_median"]) == (95.0, 195.0)
     assert rate["parent_iqr"] == 15.0 and rate["wins"] == 3
     assert not rate["worse_beyond_bound"]
+    # 3 of 4 pairs is less than nine of ten
+    assert fit["verdict"] == rate["verdict"] == "within bound"
     slower = [dict(c, encode_pts_per_s=70.0, fit_s=6.3) for c in change]
-    fit, rate = load_script("bench_pairs").summarize(list(zip(parent, slower)), metrics)
+    fit, rate = summarize(list(zip(parent, slower)), metrics)
     assert fit["worse_beyond_bound"] and rate["worse_beyond_bound"]
+    assert fit["verdict"] == rate["verdict"] == "worse beyond bound"
     # pairs 2 and 4 did a second round on one side only
     round_counts = load_script("bench_pairs").round_counts
     counts = round_counts([(1, 1), (1, 2), (1, 1), (2, 1)])
     assert counts == {"parent": [1, 1, 1, 2], "change": [1, 2, 1, 1], "differ": [2, 4]}
     assert round_counts([(1, 1)] * 3)["differ"] == []
+
+    # verdicts, one metric at a time
+    def verdict(spec, parent, change):
+        name = spec["name"]
+        (row,) = summarize([({name: p}, {name: c}) for p, c in zip(parent, change)], [spec])
+        return row["verdict"]
+
+    fit, rate = metrics
+
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+    # better in 9 of 10 pairs, by far more than the parent's quartile distance
+    change = [120.0, 121.0, 119.0, 122.0, 118.0, 120.0, 99.0, 121.0, 120.0, 123.0]
+    assert verdict(rate, parent, change) == "gain"
+    # a tie counts for neither side: 8 wins of 10
+    tied = change[:]
+    tied[0] = parent[0]
+    assert verdict(rate, parent, tied) == "within bound"
+    # 9 of 10, but the medians differ by less than the quartile distance (1.75)
+    close = [p + 1.0 for p in parent]
+    close[6] = parent[6]
+    assert verdict(rate, parent, close) == "within bound"
+    # the parent spreads (quartile distance 2) wider than the bound (25% of 4)
+    assert verdict(fit, [2.0, 3.0, 4.0, 5.0, 6.0], [3.0, 4.0, 5.0, 6.0, 2.5]) == "unresolved"
+    # unless every change run is better than every parent run
+    assert verdict(fit, [3.9, 4.0, 4.0, 6.0, 8.0], [3.5] * 5) == "within bound"
+    assert verdict(fit, [3.9, 4.0, 4.0, 6.0, 8.0], [3.5, 3.5, 3.5, 3.5, 4.0]) == "unresolved"
+    assert verdict(fit, [4.0, 4.1, 4.0, 3.9, 4.0], [5.1] * 5) == "worse beyond bound"
