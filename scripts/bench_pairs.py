@@ -16,7 +16,10 @@ standard error) and its failed operations.  The summary also gives each
 side's round counts and flags every pair whose two runs did different
 numbers of rounds: a run of more rounds forks later rounds' pools from a
 larger process, so its ``peak_rss_mb`` does not compare with a one-round
-run's.
+run's.  Each run's minor page faults and system CPU seconds, its own and
+those of every process it waited for (setup probes, pool workers), are
+printed with it, and each side's medians in the summary; they show how much
+of a run goes to faulting memory in afresh, and carry no verdict.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload train-neural16-pool2 --pairs 10 --seed 23
@@ -25,25 +28,38 @@ run's.
 import argparse
 import json
 import operator
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+def child_churn(run):
+    """``run()``'s result, and the minor page faults (``minflt``) and system
+    CPU seconds (``stime_s``) of the child processes that ended, and were
+    waited for, while it ran: their own and their waited-for children's."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = run()
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return out, {"minflt": after.ru_minflt - before.ru_minflt,
+                 "stime_s": after.ru_stime - before.ru_stime}
+
+
 def run_bench(tree, workload, seed):
     """One ``--trace 0`` run of ``tree``'s own ``bench/run.py``: its metric
-    values by name, its round count and its failed operations."""
-    done = subprocess.run(
+    values by name, its round count, its failed operations and its
+    :func:`child_churn`."""
+    done, churn = child_churn(lambda: subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False))
     if done.returncode != 0:
         raise SystemExit(f"bench/run.py in {tree} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     rounds = sum(1 for line in done.stderr.splitlines() if line.startswith("round "))
     values = {name: m["value"] for name, m in result["metrics"].items()}
-    return values, rounds, result["failed"]
+    return values, rounds, result["failed"], churn
 
 
 def quartile_distance(values):
@@ -113,14 +129,17 @@ def main(argv=None):
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     pairs, round_pairs = [], []
+    churns = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         runs = {}
         for side in order:
             tree = args.parent if side == "parent" else args.change
             runs[side] = run_bench(tree.resolve(), args.workload, args.seed)
-            values, rounds, failed = runs[side]
+            values, rounds, failed, churn = runs[side]
+            churns[side].append(churn)
             print(f"pair {i + 1} {side}: rounds {rounds}, failed {failed}, "
+                  f"minflt {churn['minflt']}, stime_s {churn['stime_s']:.3f}, "
                   + ", ".join(f"{k} {v:.6g}" for k, v in values.items()), flush=True)
         pairs.append((runs["parent"][0], runs["change"][0]))
         round_pairs.append((runs["parent"][1], runs["change"][1]))
@@ -134,6 +153,10 @@ def main(argv=None):
               f" {'WORSE beyond bound' if row['worse_beyond_bound'] else 'within bound'}:"
               f" {row['verdict']}")
         print(f"  pairs: {per_pair}")
+    for side in ("parent", "change"):
+        print(f"churn, {side}: median minflt"
+              f" {statistics.median(c['minflt'] for c in churns[side]):.0f},"
+              f" median stime_s {statistics.median(c['stime_s'] for c in churns[side]):.3f}")
     counts = round_counts(round_pairs)
     for side in ("parent", "change"):
         print(f"rounds, {side}: {' '.join(map(str, counts[side]))}")

@@ -204,15 +204,21 @@ def cmd_train(opts) -> int:
     _emit("mode", mode)
     if selection.lam is not None:
         _emit("lambda", selection.lam)
+    nonconverged = degenerate = 0
     for i, tree in enumerate(forest.trees):
+        nodes = [node for per_mod in tree.nodes for node in per_mod]
         # a neural node keeps its trace on its net, the others on the transform
-        fitted = [node.net if node.net is not None else node.transform
-                  for per_mod in tree.nodes for node in per_mod]
+        fitted = [node.net if node.net is not None else node.transform for node in nodes]
         traces = [f.loss_trace for f in fitted if f is not None]
         initial = float(np.mean([t[0] for t in traces])) if traces else 0.0
         final = float(np.mean([t[-1] for t in traces])) if traces else 0.0
         _emit(f"tree_{i:03d}_initial_loss", initial)
         _emit(f"tree_{i:03d}_final_loss", final)
+        degenerate += sum(node.degenerate for node in nodes)
+        nonconverged += sum(not node.degenerate and f is not None and not f.converged
+                            for node, f in zip(nodes, fitted))
+    _emit("nonconverged_nodes", nonconverged)
+    _emit("degenerate_nodes", degenerate)
     _emit("selected_blocks", ",".join(str(i) for i in selection.chosen))
     _emit("selection_gains", ",".join(_fmt(g) for g in selection.gains))
     _emit("model", opts["model-out"])
@@ -250,8 +256,6 @@ def cmd_eval(opts) -> int:
 
     gallery_codes, gallery_labels = dio.load_codes(opts["gallery"])
     query_codes, query_labels = dio.load_codes(opts["queries"])
-    if len(query_codes) == 0:
-        raise InvalidInputError("query set is empty")
     if gallery_codes.length != query_codes.length:
         raise InvalidInputError(
             f"code lengths differ: gallery {gallery_codes.length}, "

@@ -22,6 +22,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import InitVar, dataclass
@@ -408,6 +409,16 @@ def _openblas_threads():
     return None
 
 
+# holders of _single_blas_thread, and the OpenBLAS count the first of them
+# found; _BLAS_LOCK guards both while they change, never across a block, and
+# is taken across a fork, so a pool worker starts with it free
+_BLAS_LOCK = threading.Lock()
+_blas_holders = 0
+_blas_count_before = 1
+os.register_at_fork(before=_BLAS_LOCK.acquire, after_in_parent=_BLAS_LOCK.release,
+                    after_in_child=_BLAS_LOCK.release)
+
+
 @contextlib.contextmanager
 def _single_blas_thread():
     """Run the block with one OpenBLAS thread, then restore the caller's count.
@@ -422,20 +433,28 @@ def _single_blas_thread():
     (:func:`_leaf_rows`) encode large 16-d batches about 1.3-1.9x faster.
     Two OpenBLAS threads do encode 784-d batches about a quarter faster on a
     quiet machine.  Training runs under it too, serial or pooled, so the
-    thread count cannot change a tree.  The count is process-wide: other
-    threads' BLAS calls meanwhile run on one, and an entry while the count
-    is already 1, as in an encode thread, changes nothing.
+    thread count cannot change a tree.
+
+    The count is process-wide, so the guard counts its holders: the first
+    records the count and sets 1, and the last restores it.  Threads that
+    enter it at once, and entries nested in one thread, all run on one
+    OpenBLAS thread until the last of them leaves; other threads' BLAS calls
+    meanwhile run on one too.
     """
+    global _blas_holders, _blas_count_before
     threads = _openblas_threads()
-    before = threads[0]() if threads is not None else 1
-    if before == 1:
-        yield
-        return
-    threads[1](1)
+    with _BLAS_LOCK:
+        if _blas_holders == 0 and threads is not None:
+            _blas_count_before = threads[0]()
+            threads[1](1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        threads[1](before)
+        with _BLAS_LOCK:
+            _blas_holders -= 1
+            if _blas_holders == 0 and threads is not None:
+                threads[1](_blas_count_before)
 
 
 def _train_one(args, index):
@@ -753,9 +772,10 @@ def _encode_groups(trees, x, x_sq, modality: int, groups, pool_maps) -> list[np.
     ``trees``, in tree order (see :func:`_leaf_rows`).  ``pool_maps`` are
     the pool's :func:`_pool_maps` of the batch when a group stacks trees.
     The first tree that cannot be encoded stops the run with a NumericError
-    that names it."""
+    that names it.  The run holds :func:`_single_blas_thread` itself, so an
+    encode thread keeps one OpenBLAS thread whoever else leaves the guard."""
     rows = []
-    with _quiet():
+    with _single_blas_thread(), _quiet():
         for group in groups:
             members = trees[group.start:group.stop]
             try:
@@ -798,8 +818,8 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
     tree), and each run is encoded on a thread of its own, one tree, so one
     feature map, at a time per thread.  Every thread makes the calls the
     serial path makes, on the same arrays, so the leaves are the same.  All
-    of it runs on one OpenBLAS thread, which the caller sets until every
-    thread is done.
+    of it runs on one OpenBLAS thread: the caller and every encode thread
+    hold :func:`_single_blas_thread`.
     A batch that overflows the arithmetic (a squared norm of an RBF map, a
     polynomial map, or a split residual that is not finite) raises
     NumericError naming the first tree it could not encode, threads or not;

@@ -35,6 +35,8 @@ SV_THRESHOLD = 1e-3
 REL_TOL = 1e-6
 # point pairs median_bandwidth samples
 BANDWIDTH_PAIRS = 1000
+# pairs median_bandwidth takes the distances of at a time
+_BANDWIDTH_BLOCK = 64
 
 
 def _as_matrix(a, name="matrix", allow_empty=False):
@@ -423,10 +425,30 @@ def median_bandwidth(x, rng) -> float:
     ok = i != j
     if not np.any(ok):
         return 1.0
+    i, j = i[ok], j[ok]
+    # Points as rows, and the pairs a block at a time through two small
+    # buffers: sample-sized temporaries would be faulted in afresh for every
+    # tree.  Each distance sums its squares along one contiguous row, by
+    # numpy's pairwise summation, as np.linalg.norm sums the columns of the
+    # Fortran-ordered ``x[:, i] - x[:, j]``, so the distances are the same
+    # bit for bit; a Gram formula, einsum or a strided sum rounds otherwise.
+    # The indices are in range, and take's default mode="raise" would copy
+    # through a temporary instead of writing to ``out``.
+    points = np.ascontiguousarray(x.T)
+    a = np.empty((_BANDWIDTH_BLOCK, points.shape[1]))
+    b = np.empty_like(a)
+    d = np.empty(i.size)
     # an overflow raises NumericError below, so numpy need not warn of it
     with np.errstate(over="ignore"):
-        d = np.linalg.norm(x[:, i[ok]] - x[:, j[ok]], axis=0)
-    med = float(np.median(d))
+        for lo in range(0, i.size, _BANDWIDTH_BLOCK):
+            hi = min(lo + _BANDWIDTH_BLOCK, i.size)
+            ab, bb = a[: hi - lo], b[: hi - lo]
+            np.take(points, i[lo:hi], axis=0, out=ab, mode="clip")
+            np.take(points, j[lo:hi], axis=0, out=bb, mode="clip")
+            np.subtract(ab, bb, out=ab)
+            np.square(ab, out=ab)
+            np.add.reduce(ab, axis=1, out=d[lo:hi])
+        med = float(np.median(np.sqrt(d, out=d)))
     if not math.isfinite(med):
         raise NumericError("the median distance between points overflows")
     return med if med > 0 else 1.0

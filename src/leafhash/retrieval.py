@@ -157,9 +157,17 @@ def rank_query(idx: HammingIndex, q: HashCode) -> np.ndarray:
     return np.argsort(idx.distances(q), kind="stable")
 
 
-def _require_labels(idx):
+def _check_queries(idx, queries, query_labels) -> np.ndarray:
+    """``query_labels`` as an array, once the index has labels and the
+    queries are neither empty nor of another count than their labels."""
     if idx.labels is None:
         raise InvalidInputError("the index was built without labels")
+    if len(queries) == 0:
+        raise InvalidInputError("query set is empty")
+    query_labels = np.asarray(query_labels)
+    if query_labels.shape[0] != len(queries):
+        raise InvalidInputError("query labels length does not match the queries")
+    return query_labels
 
 
 def precision_recall_at_radius(idx: HammingIndex, queries: PackedCodes,
@@ -168,12 +176,9 @@ def precision_recall_at_radius(idx: HammingIndex, queries: PackedCodes,
 
     Precision of an empty retrieval counts as 0.  Queries with no relevant
     gallery item are skipped in the recall mean but kept in the precision
-    mean.
+    mean.  An empty query set has no mean: InvalidInputError.
     """
-    _require_labels(idx)
-    query_labels = np.asarray(query_labels)
-    if query_labels.shape[0] != len(queries):
-        raise InvalidInputError("query labels length does not match the queries")
+    query_labels = _check_queries(idx, queries, query_labels)
     precisions = []
     recalls = []
     for i in range(len(queries)):
@@ -194,12 +199,10 @@ def precision_recall_at_radius(idx: HammingIndex, queries: PackedCodes,
 def mean_average_precision(idx: HammingIndex, queries: PackedCodes, query_labels) -> float:
     """Mean over queries of average precision along the full Hamming ranking.
 
-    Every query must have at least one relevant gallery item.
+    Every query must have at least one relevant gallery item, and there
+    must be at least one query.
     """
-    _require_labels(idx)
-    query_labels = np.asarray(query_labels)
-    if query_labels.shape[0] != len(queries):
-        raise InvalidInputError("query labels length does not match the queries")
+    query_labels = _check_queries(idx, queries, query_labels)
     aps = []
     for i in range(len(queries)):
         order = rank_query(idx, queries.code(i))

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from leafhash import (
     Forest,
+    ForestConfig,
+    SplitConfig,
     SyntheticSpec,
     gen_synthetic,
     load_codes,
@@ -114,6 +116,27 @@ class TestTrain:
                 value = report[f"tree_{i:03d}_{key}_loss"]
                 assert value == f"{np.mean([t[pick] for t in traces]):.6g}"
                 assert float(value) != 0.0
+
+    def test_report_counts_nonconverged_and_degenerate_nodes(self, workspace, capsys):
+        # depth-4 neural trees on 4 classes: some nodes get one class and are
+        # degenerate, and some nets stop at their epoch budget
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]),
+                   "--model-out", str(workspace["tmp"] / "deep.fhsh"),
+                   "--trees", "6", "--depth", "4", "--learner", "neural",
+                   "--bits", "8", "--seed", "3", "--atoms", "4", "--sparsity", "2"])
+        report = parse_report(capsys.readouterr().out)
+        assert rc == 0
+        forest = train_forest(workspace["ds"], 6, 4,
+                              ForestConfig(split=SplitConfig(learner="neural", atoms=4,
+                                                             sparsity=2)),
+                              master_seed=3)
+        nodes = [node for tree in forest.trees for per_mod in tree.nodes for node in per_mod]
+        degenerate = sum(node.degenerate for node in nodes)
+        nonconverged = sum(not node.degenerate and not node.net.converged for node in nodes)
+        assert 0 < degenerate < len(nodes) and 0 < nonconverged
+        assert report["degenerate_nodes"] == str(degenerate)
+        assert report["nonconverged_nodes"] == str(nonconverged)
 
     def test_undecodable_csv_is_data_error(self, workspace, capsys):
         raw = bytearray(workspace["features"].read_bytes())
@@ -289,14 +312,18 @@ class TestEval:
     def test_empty_query_set_is_error(self, workspace, capsys):
         empty = workspace["tmp"] / "empty.raw"
         save_matrix(np.zeros((10, 0)), empty, "raw-f64")
+        no_labels = workspace["tmp"] / "empty-labels.txt"
+        save_labels([], no_labels)
         empty_codes = workspace["tmp"] / "empty2.fhcd"
         main(["encode", "--model", str(workspace["model"]),
               "--features", str(empty), "--format", "raw-f64",
-              "--codes-out", str(empty_codes)])
-        rc = main(["eval", "--gallery", str(workspace["codes"]),
-                   "--queries", str(empty_codes)])
+              "--labels", str(no_labels), "--codes-out", str(empty_codes)])
         capsys.readouterr()
-        assert rc == 2
+        for metrics in ("pr", "map"):
+            rc = main(["eval", "--gallery", str(workspace["codes"]),
+                       "--queries", str(empty_codes), "--metrics", metrics])
+            assert rc == 2
+            assert "data error: query set is empty" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, workspace, capsys):
         rc = main(["eval", "--gallery", "/nonexistent.fhcd",

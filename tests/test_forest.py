@@ -2,7 +2,9 @@ import ctypes
 import dataclasses
 import glob
 import os
+import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -134,6 +136,28 @@ class TestTrainTree:
         with pytest.warns(RuntimeWarning, match="depth 7"):
             tree = train_tree(ds, 7, FAST_CFG, tree_seed_for(0, 0))
         assert tree.leaf_count == 64
+
+    def test_784_dimensional_kernel_tree_trains_in_little_memory(self):
+        # 300 points of 784-d in 10 classes, 16 RBF anchors and a capped
+        # optimizer: one tree as the serve-784 benchmark trains it.  Its
+        # bandwidth sample once made 6 MB temporaries, about 19 MB at the peak
+        geometry = np.random.default_rng(7)
+        bases = [np.linalg.qr(geometry.normal(size=(784, 12)))[0] for _ in range(10)]
+        x = np.concatenate([b @ geometry.normal(size=(12, 30))
+                            + 0.1 * geometry.normal(size=(784, 30)) for b in bases], axis=1)
+        ds = LabeledDataset(x, np.repeat(np.arange(10), 30))
+        cfg = ForestConfig(split=SplitConfig(learner="kernel", ksvd_iters=2,
+                                             optimizer=OptimizerConfig(max_iters=20,
+                                                                       geometry_iters=20)),
+                           kernel_kind="rbf", anchor_count=16)
+        train_tree(ds, 2, cfg, tree_seed_for(0, 0))  # first calls allocate caches
+        tracemalloc.start()
+        try:
+            train_tree(ds, 2, cfg, tree_seed_for(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestTrainForest:
@@ -1218,6 +1242,127 @@ class TestPoolBlasThreads:
         assert len(seen) == 3 and {count for _, count in seen} == {1}
         assert threading.get_ident() not in {ident for ident, _ in seen}
         assert blas_threads() == parent_threads
+
+    def test_concurrent_holders_keep_one_thread_until_the_last_leaves(self):
+        lib = bundled_openblas()
+        if lib is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        caller_threads = blas_threads()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            if blas_threads() != 2:
+                pytest.skip("OpenBLAS would not run two threads here")
+            a_in, b_in, a_out, checked = (threading.Event() for _ in range(4))
+            seen = {}
+
+            def thread_a():
+                with forest_module._single_blas_thread():
+                    a_in.set()
+                    b_in.wait(30)
+                a_out.set()
+
+            def thread_b():
+                a_in.wait(30)
+                with forest_module._single_blas_thread():
+                    b_in.set()
+                    a_out.wait(30)
+                    seen["b after a left"] = blas_threads()
+                    checked.wait(30)
+
+            threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+            for t in threads:
+                t.start()
+            assert a_out.wait(30)
+            seen["caller while b holds"] = blas_threads()
+            checked.set()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+            assert seen == {"b after a left": 1, "caller while b holds": 1}
+            assert blas_threads() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(caller_threads)
+
+    def test_threads_that_train_and_encode_at_once_match_serial_runs(self):
+        ds = small_dataset()
+        cfg = ForestConfig(split=SplitConfig(learner="kernel", atoms=4, sparsity=2),
+                           anchor_count=8)
+        serial = train_forest(ds, 3, 2, cfg, master_seed=5)
+        blocks = encode_dataset(serial, ds.features)
+        start = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def train():
+            start.wait()
+            results["train"] = train_forest(ds, 3, 2, cfg, master_seed=5)
+
+        def encode():
+            start.wait()
+            results["encode"] = [encode_dataset(serial, ds.features) for _ in range(5)]
+
+        threads = [threading.Thread(target=train), threading.Thread(target=encode)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert forests_equal(results["train"], serial)
+        assert all(np.array_equal(a, b) for run in results["encode"]
+                   for a, b in zip(run, blocks, strict=True))
+
+    def test_many_threads_entering_at_once_lose_no_holder(self):
+        lib = bundled_openblas()
+        if lib is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        caller_threads = blas_threads()
+        lib.scipy_openblas_set_num_threads64_(2)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = set()
+
+            def enter_and_leave():
+                for _ in range(200):
+                    with forest_module._single_blas_thread():
+                        with forest_module._single_blas_thread():
+                            counts.add(blas_threads())
+
+            threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            assert counts == {1}
+            assert forest_module._blas_holders == 0 and blas_threads() == 2
+        finally:
+            sys.setswitchinterval(switch)
+            lib.scipy_openblas_set_num_threads64_(caller_threads)
+
+    def test_nested_entries_and_encode_threads_are_holders(self, monkeypatch):
+        if bundled_openblas() is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
+        parent_threads = blas_threads()
+        with forest_module._single_blas_thread():
+            with forest_module._single_blas_thread():
+                assert forest_module._blas_holders == 2
+            assert blas_threads() == 1
+        assert forest_module._blas_holders == 0 and blas_threads() == parent_threads
+
+        ds = small_dataset()
+        forest = train_forest(ds, 3, 2, FAST_CFG, master_seed=3)
+        holders = []
+
+        def route(node, x):
+            holders.append(forest_module._blas_holders)
+            return _route_many(node, x)
+
+        monkeypatch.setattr(forest_module, "_route_many", route)
+        force_threads(monkeypatch)
+        encode_dataset(forest, ds.features)
+        # the caller and each thread hold the guard; a thread may run alone
+        assert len(holders) == 3 and min(holders) >= 2
+        assert forest_module._blas_holders == 0 and blas_threads() == parent_threads
 
     def test_missing_library_or_setter_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(forest_module.glob, "glob",

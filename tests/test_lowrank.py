@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ from leafhash import (
 
 E1 = np.array([[1.0], [0.0]])
 E2 = np.array([[0.0], [1.0]])
+
+
+def column_norm_distances(x, rng):
+    """The distances ``median_bandwidth`` samples, as it once took them: the
+    norms of the columns of one sample-sized difference."""
+    i = rng.integers(0, x.shape[1], size=lowrank.BANDWIDTH_PAIRS)
+    j = rng.integers(0, x.shape[1], size=lowrank.BANDWIDTH_PAIRS)
+    ok = i != j
+    return np.linalg.norm(x[:, i[ok]] - x[:, j[ok]], axis=0)
 
 
 def small_matrices(max_dim=6):
@@ -319,6 +329,42 @@ class TestKernelFeaturize:
         x = rng.normal(size=(4, 50)) * 1e200
         with pytest.raises(NumericError, match="median distance"):
             median_bandwidth(x, np.random.default_rng(9))
+
+    def test_median_bandwidth_of_one_point_is_one(self):
+        assert median_bandwidth(np.ones((3, 1)), np.random.default_rng(9)) == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 800), n=st.integers(2, 300),
+           log_scale=st.floats(-3, 150), distinct=st.integers(1, 6),
+           coincident=st.booleans(),
+           pairs=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 1000]),
+           fortran=st.booleans())
+    def test_median_bandwidth_distances_equal_the_column_norms_bit_for_bit(
+            self, seed, d, n, log_scale, distinct, coincident, pairs, fortran):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(d, n)) * 10.0**log_scale
+        if coincident:  # few distinct points, so many pairs are 0 apart
+            x = x[:, rng.integers(0, min(distinct, n), size=n)]
+        if fortran:
+            x = np.asfortranarray(x)
+        seen = []
+        real_median = np.median
+
+        def median(a, *args, **kwargs):
+            seen.append(a.copy())
+            return real_median(a, *args, **kwargs)
+
+        with mock.patch.object(lowrank, "BANDWIDTH_PAIRS", pairs), \
+                mock.patch.object(np, "median", median):
+            sigma = median_bandwidth(x, np.random.default_rng(seed))
+            want = column_norm_distances(np.ascontiguousarray(x), np.random.default_rng(seed))
+        if want.size == 0:
+            assert sigma == 1.0 and seen == []
+            return
+        (got,) = seen
+        assert got.tobytes() == want.tobytes()
+        med = float(real_median(want))
+        assert sigma == (med if med > 0 else 1.0)
 
     def test_rbf_needs_positive_sigma(self, rng):
         with pytest.raises(InvalidInputError):

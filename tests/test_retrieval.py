@@ -210,6 +210,13 @@ class TestPrecisionRecall:
         assert p == pytest.approx(0.5)  # one query hits, one retrieves wrong class
         assert r == pytest.approx(0.5)  # only the second query has relevant items
 
+    def test_empty_query_set_rejected(self):
+        idx = HammingIndex(codes=codes_from_values([2, 3, 9], length=4),
+                           labels=np.array([0, 1, 0]))
+        with pytest.raises(InvalidInputError, match="query set is empty"):
+            precision_recall_at_radius(idx, codes_from_values([], length=4),
+                                       np.array([], dtype=np.int64), 1)
+
 
 class TestMeanAveragePrecision:
     def test_perfect_ranking(self):
@@ -237,3 +244,10 @@ class TestMeanAveragePrecision:
         queries = codes_from_values([0b0], length=3)
         with pytest.raises(InvalidInputError):
             mean_average_precision(idx, queries, np.array([5]))
+
+    def test_empty_query_set_rejected(self):
+        idx = HammingIndex(codes=codes_from_values([0b0, 0b1, 0b11], length=3),
+                           labels=np.array([0, 1, 0]))
+        with pytest.raises(InvalidInputError, match="query set is empty"):
+            mean_average_precision(idx, codes_from_values([], length=3),
+                                   np.array([], dtype=np.int64))

@@ -127,3 +127,20 @@ def test_bench_pairs_summary():
     assert verdict(fit, [3.9, 4.0, 4.0, 6.0, 8.0], [3.5] * 5) == "within bound"
     assert verdict(fit, [3.9, 4.0, 4.0, 6.0, 8.0], [3.5, 3.5, 3.5, 3.5, 4.0]) == "unresolved"
     assert verdict(fit, [4.0, 4.1, 4.0, 3.9, 4.0], [5.1] * 5) == "worse beyond bound"
+
+
+def test_bench_pairs_child_churn_counts_the_faults_of_finished_children():
+    child_churn = load_script("bench_pairs").child_churn
+    out, churn = child_churn(lambda: 7)
+    assert out == 7 and churn == {"minflt": 0, "stime_s": 0.0}
+    # a child that writes to 40 MB of fresh memory in 4 KiB pages faults in
+    # each page once
+    touch = ("import mmap\n"
+             "m = mmap.mmap(-1, 40_000_000)\n"
+             "m.madvise(getattr(mmap, 'MADV_NOHUGEPAGE', mmap.MADV_NORMAL))\n"
+             "for i in range(0, len(m), 4096):\n"
+             "    m[i] = 1\n")
+    done, churn = child_churn(lambda: subprocess.run([sys.executable, "-c", touch],
+                                                     check=True))
+    assert done.returncode == 0
+    assert churn["minflt"] >= 40_000_000 // 4096 and churn["stime_s"] >= 0.0
