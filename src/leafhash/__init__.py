@@ -24,7 +24,6 @@ from .dictionaries import (
     SplitConfig,
     SplitNode,
     ksvd_fit,
-    node_route,
     omp,
     residual_projector,
     train_split_node,
@@ -34,8 +33,6 @@ from .network import (
     DenseNet,
     NetConfig,
     build_net,
-    grad_check,
-    lowrank_loss_layer,
     net_fit,
     net_forward,
 )
@@ -45,7 +42,6 @@ from .forest import (
     HashTree,
     LabeledDataset,
     encode_dataset,
-    encode_tree,
     partition_classes,
     train_forest,
     train_multimodal_forest,
@@ -58,26 +54,21 @@ from .aggregation import (
     block_covariance,
     conditional_variance,
     estimate_lambda,
-    exhaustive_select,
     greedy_semisupervised,
     greedy_supervised,
     greedy_unsupervised,
-    label_mi,
     select_blocks,
-    set_mutual_information,
     unsupervised_gain,
 )
 from .retrieval import (
     HammingIndex,
     HashCode,
     PackedCodes,
-    hamming,
     mean_average_precision,
     pack_codes,
     precision_recall_at_radius,
     radius_query,
     rank_query,
-    unpack_codes,
 )
 from .data import (
     SyntheticSpec,

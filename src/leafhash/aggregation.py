@@ -16,13 +16,12 @@ deterministic: score ties resolve to the lowest block index.  Like training,
 the loop and the lambda estimate run on one OpenBLAS thread, on which their
 ``np.linalg.solve`` calls round the same on every machine.
 The greedy objective has diminishing returns, which keeps the greedy choice
-within (1 - 1/e) of the exhaustive optimum (checked against
-:func:`exhaustive_select` in the tests).
+within (1 - 1/e) of the exhaustive optimum; the tests check it against an
+exhaustive search over every k-subset.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from .forest import _single_blas_thread
 
 JITTER = 1e-8
 _VAR_FLOOR = 1e-12
-_EXHAUSTIVE_LIMIT = 100_000
 
 
 @dataclass
@@ -137,28 +135,6 @@ def unsupervised_gain(cov: BlockCovariance, y: int, selected) -> float:
     return 0.5 * math.log(v_sel / v_rest)
 
 
-def set_mutual_information(cov: BlockCovariance, subset) -> float:
-    """Gaussian mutual information between a block subset and its complement.
-
-    Evaluated as 1/2 (logdet Sigma_BB + logdet Sigma_RR - logdet Sigma) on the
-    jittered covariance; the exhaustive objective for the unsupervised mode.
-    """
-    m = cov.sigma.shape[0]
-    subset = sorted(set(int(i) for i in subset))
-    rest = [i for i in range(m) if i not in subset]
-    sigma = cov.sigma + cov.jitter * np.eye(m)
-
-    def logdet(idx):
-        if not idx:
-            return 0.0
-        sign, val = np.linalg.slogdet(sigma[np.ix_(idx, idx)])
-        if sign <= 0:
-            raise InvalidInputError("covariance submatrix is not positive definite")
-        return float(val)
-
-    return 0.5 * (logdet(subset) + logdet(rest) - logdet(list(range(m))))
-
-
 def _check_k(k: int, high: int, m: int):
     if not 0 <= k <= high:
         raise InvalidInputError(f"k must be in [0, {high}] for {m} blocks, got {k}")
@@ -246,19 +222,6 @@ def greedy_unsupervised(bs: BlockSet, k: int) -> SelectionResult:
     return SelectionResult(chosen=chosen, gains=gains, mode="unsup")
 
 
-def label_mi(blocks_subset, bs: BlockSet, labels) -> float:
-    """Plug-in mutual information (nats) between the concatenated codes of the
-    selected blocks and the class labels; empty selection gives 0."""
-    ids, labels = _labeled(bs, labels)
-    subset = list(blocks_subset)
-    if not subset:
-        return 0.0
-    joint = np.zeros(bs.n_samples, dtype=np.int64)
-    for y in subset:
-        joint = _fold(joint, ids[y], bs.leaf_count)
-    return _mi_ids_labels(joint, labels)
-
-
 def greedy_supervised(bs: BlockSet, labels, k: int) -> SelectionResult:
     """Pick k blocks greedily by label mutual-information gain."""
     ids, labels = _labeled(bs, labels)
@@ -301,34 +264,6 @@ def greedy_semisupervised(
         lam = estimate_lambda(bs, labels, unlabeled, labeled)
     chosen, gains = _greedy(bs, k, block_covariance(bs, unlabeled), ids, lab, lam)
     return SelectionResult(chosen=chosen, gains=gains, mode="semi", lam=float(lam))
-
-
-def exhaustive_select(bs: BlockSet, labels, k: int, mode: str) -> SelectionResult:
-    """Exact argmax over all k-subsets; the test oracle for the greedy modes.
-
-    mode "unsup" maximizes the Gaussian subset/complement mutual information,
-    mode "sup" the label mutual information.  Refuses instances with more than
-    100k subsets.
-    """
-    m = bs.n_blocks
-    if mode not in ("unsup", "sup"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    _check_k(k, m, m)
-    n_subsets = math.comb(m, k)
-    if n_subsets > _EXHAUSTIVE_LIMIT:
-        raise InvalidInputError(
-            f"{n_subsets} subsets exceed the exhaustive limit of {_EXHAUSTIVE_LIMIT}"
-        )
-    cov = block_covariance(bs) if mode == "unsup" else None
-    best_subset, best_value = (), -np.inf
-    for subset in itertools.combinations(range(m), k):
-        if mode == "unsup":
-            value = set_mutual_information(cov, subset)
-        else:
-            value = label_mi(subset, bs, labels)
-        if value > best_value:
-            best_subset, best_value = subset, value
-    return SelectionResult(chosen=list(best_subset), gains=[best_value], mode=mode)
 
 
 def select_blocks(bs: BlockSet, labels, k: int, mode: str, lam=None) -> SelectionResult:

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .lowrank import (
-    KernelConfig,
-    OptimizerConfig,
-    Transform,
-    _as_matrix,
-    fit_transform,
-    kernel_featurize,
-)
+from .lowrank import OptimizerConfig, Transform, _as_matrix, fit_transform
 from .network import DenseNet, NetConfig, _forward, net_fit, net_forward
 
 # ridge on the Gram inversion; keeps rank-deficient dictionaries usable
@@ -207,10 +200,8 @@ class SplitConfig:
             raise InvalidInputError("atoms, sparsity and ksvd_iters must be >= 1")
 
 
-def _residuals(node: SplitNode, f, kernel: KernelConfig | None):
+def _residuals(node: SplitNode, f):
     """(e_neg, e_pos) for every column of the already validated ``f``."""
-    if kernel is not None:
-        f = kernel_featurize(f, kernel)
     if node.net is not None:
         f = _forward(node.net, f)
     return _column_norms(node.proj_neg @ f), _column_norms(node.proj_pos @ f)
@@ -223,27 +214,20 @@ def _column_norms(a, axis=0):
     return np.sqrt(np.add.reduce(a, axis=axis))
 
 
-def node_residuals(node: SplitNode, x, kernel: KernelConfig | None = None):
-    """Vectorized (e_neg, e_pos) for every column of ``x``."""
-    if node.degenerate:
-        raise InvalidInputError("degenerate node has no residuals")
-    return _residuals(node, _as_matrix(x, "x"), kernel)
-
-
-def node_route_many(node: SplitNode, x, kernel: KernelConfig | None = None) -> np.ndarray:
+def node_route_many(node: SplitNode, x) -> np.ndarray:
     """Boolean go-left mask for every column of ``x``.
 
     Left iff e_neg < e_pos; exact ties go right; degenerate nodes send
     everything left.  Raises NumericError when a residual is not finite.
     """
-    return _route_many(node, _as_matrix(x, "x"), kernel)
+    return _route_many(node, _as_matrix(x, "x"))
 
 
-def _route_many(node: SplitNode, f, kernel: KernelConfig | None = None) -> np.ndarray:
+def _route_many(node: SplitNode, f) -> np.ndarray:
     """:func:`node_route_many` of the already validated ``f``."""
     if node.degenerate:
         return np.ones(f.shape[1], dtype=bool)
-    return _go_left(*_residuals(node, f, kernel))
+    return _go_left(*_residuals(node, f))
 
 
 def _go_left(e_neg, e_pos) -> np.ndarray:
@@ -255,28 +239,21 @@ def _go_left(e_neg, e_pos) -> np.ndarray:
     return e_neg < e_pos
 
 
-def node_route(node: SplitNode, x, kernel: KernelConfig | None = None) -> str:
-    """Route one point: returns "left" or "right"."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return "left" if node_route_many(node, x, kernel)[0] else "right"
-
-
 def train_split_node(
     x_pos,
     x_neg,
     partition: dict[int, str],
     cfg: SplitConfig | None = None,
-    kernel: KernelConfig | None = None,
     rng=None,
 ) -> SplitNode:
     """Train one routing node on the pooled class groups.
 
-    Pipeline: optional kernel featurization, transform fitting (or net
-    training for the neural learner), one k-SVD dictionary per group, residual
-    projectors.  An empty group, or one whose features are all zero after the
-    transform or net, yields a degenerate node.
+    Pipeline: transform fitting (or net training for the neural learner), one
+    k-SVD dictionary per group, residual projectors.  A kernel learner's node
+    takes its samples already mapped through the tree's kernel
+    (:func:`leafhash.lowrank.kernel_featurize`), and routes mapped points.  An
+    empty group, or one whose features are all zero after the transform or
+    net, yields a degenerate node.
     """
     cfg = cfg or SplitConfig()
     rng = np.random.default_rng(rng)
@@ -297,9 +274,6 @@ def train_split_node(
 
     x_pos = _as_matrix(x_pos, "x_pos")
     x_neg = _as_matrix(x_neg, "x_neg")
-    if kernel is not None:
-        x_pos = kernel_featurize(x_pos, kernel)
-        x_neg = kernel_featurize(x_neg, kernel)
 
     net = None
     if cfg.learner == "neural":

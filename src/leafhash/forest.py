@@ -263,132 +263,6 @@ def tree_seed_for(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0]) & (2**63 - 1)
 
 
-def _tree_kernels(boot_features, cfg, rng):
-    kernels = []
-    for feats in boot_features:
-        if cfg.learner != "kernel":
-            kernels.append(None)
-            continue
-        n_take = min(cfg.anchor_count, feats.shape[1])
-        idx = rng.choice(feats.shape[1], size=n_take, replace=False)
-        anchors = feats[:, idx].copy()
-        if cfg.kernel_kind == "rbf":
-            sigma = cfg.sigma if cfg.sigma is not None else median_bandwidth(feats, rng)
-            kernels.append(KernelConfig(anchors=anchors, kind="rbf", sigma=sigma))
-        else:
-            kernels.append(
-                KernelConfig(anchors=anchors, kind="polynomial", p=cfg.poly_p, q=cfg.poly_q)
-            )
-    return tuple(kernels)
-
-
-def train_tree(
-    ds,
-    depth: int,
-    cfg: ForestConfig | None = None,
-    tree_seed: int = 0,
-    dominant: int = 0,
-) -> HashTree:
-    """Train one hash tree on a bootstrap subset of the data.
-
-    ``ds`` is a LabeledDataset or a list of aligned per-modality datasets; the
-    dominant modality's split nodes route the training samples while growing
-    the tree.
-    """
-    views = [ds] if isinstance(ds, LabeledDataset) else list(ds)
-    cfg = cfg or ForestConfig()
-    _check_depth(depth)
-    _check_views(views)
-    if not 0 <= dominant < len(views):
-        raise InvalidInputError(f"dominant modality {dominant} out of range")
-    rng = np.random.default_rng(tree_seed)
-
-    n = views[0].n_samples
-    take = int(np.ceil(BOOTSTRAP_FRACTION * n))
-    boot = rng.choice(n, size=take, replace=False)
-    boot_features = [v.features[:, boot] for v in views]
-    labels = views[0].labels[boot]
-    if np.unique(labels).size < 2:
-        raise InvalidInputError("bootstrap sample contains fewer than 2 classes")
-
-    kernels = _tree_kernels(boot_features, cfg, rng)
-    feats = [
-        kernel_featurize(f, k) if k is not None else f
-        for f, k in zip(boot_features, kernels)
-    ]
-
-    internal = 2 ** (depth - 1) - 1
-    nodes: list[list[SplitNode] | None] = [None] * internal
-    min_samples = 2 * (cfg.split.sparsity + 1)
-
-    def build(pos, sample_idx):
-        arriving = labels[sample_idx]
-        classes = np.unique(arriving)
-        groups = None
-        if classes.size >= 2 and sample_idx.size >= min_samples:
-            groups = partition_classes(classes, rng)
-        if groups is None:
-            partition = {int(c): "neg" for c in classes}
-            per_mod = [
-                SplitNode(class_partition=dict(partition), degenerate=True)
-                for _ in views
-            ]
-            nodes[pos] = per_mod
-            left_idx, right_idx = sample_idx, sample_idx[:0]
-        else:
-            group_neg, group_pos = groups
-            partition = {c: "neg" for c in group_neg}
-            partition.update({c: "pos" for c in group_pos})
-            neg_mask = np.isin(arriving, sorted(group_neg))
-            per_mod = [
-                train_split_node(
-                    f[:, sample_idx[~neg_mask]],
-                    f[:, sample_idx[neg_mask]],
-                    partition,
-                    cfg.split,
-                    kernel=None,  # features are already mapped
-                    rng=int(rng.integers(0, 2**63 - 1)),
-                )
-                for f in feats
-            ]
-            nodes[pos] = per_mod
-            go_left = node_route_many(per_mod[dominant], feats[dominant][:, sample_idx])
-            left_idx, right_idx = sample_idx[go_left], sample_idx[~go_left]
-        left_child = 2 * pos + 1
-        if left_child < internal:
-            build(left_child, left_idx)
-            build(left_child + 1, right_idx)
-
-    build(0, np.arange(take))
-    return HashTree(
-        depth=depth,
-        nodes=nodes,
-        tree_seed=int(tree_seed),
-        kernels=kernels,
-        feature_dims=tuple(v.feature_dim for v in views),
-    )
-
-
-def _check_views(views):
-    if not views:
-        raise InvalidInputError("at least one modality is required")
-    n = views[0].n_samples
-    for i, v in enumerate(views):
-        if not isinstance(v, LabeledDataset):
-            raise InvalidInputError("each modality must be a LabeledDataset")
-        if v.n_samples != n:
-            raise InvalidInputError(
-                f"modality {i} has {v.n_samples} samples, expected {n}"
-            )
-        if not np.array_equal(v.labels, views[0].labels):
-            raise InvalidInputError(f"modality {i} labels are misaligned")
-
-
-# Process-pool plumbing: workers receive the shared inputs once through the
-# initializer and then only tree indices per task.
-_POOL_ARGS = None
-
-
 @functools.cache
 def _openblas_threads():
     """(getter, setter) of numpy's bundled OpenBLAS thread count, or None.
@@ -457,18 +331,146 @@ def _single_blas_thread():
                 threads[1](_blas_count_before)
 
 
+def _tree_kernels(boot_features, cfg, rng):
+    kernels = []
+    for feats in boot_features:
+        if cfg.learner != "kernel":
+            kernels.append(None)
+            continue
+        n_take = min(cfg.anchor_count, feats.shape[1])
+        idx = rng.choice(feats.shape[1], size=n_take, replace=False)
+        anchors = feats[:, idx].copy()
+        if cfg.kernel_kind == "rbf":
+            sigma = cfg.sigma if cfg.sigma is not None else median_bandwidth(feats, rng)
+            kernels.append(KernelConfig(anchors=anchors, kind="rbf", sigma=sigma))
+        else:
+            kernels.append(
+                KernelConfig(anchors=anchors, kind="polynomial", p=cfg.poly_p, q=cfg.poly_q)
+            )
+    return tuple(kernels)
+
+
+@_single_blas_thread()
+def train_tree(
+    ds,
+    depth: int,
+    cfg: ForestConfig | None = None,
+    tree_seed: int = 0,
+    dominant: int = 0,
+) -> HashTree:
+    """Train one hash tree on a bootstrap subset of the data.
+
+    ``ds`` is a LabeledDataset or a list of aligned per-modality datasets; the
+    dominant modality's split nodes route the training samples while growing
+    the tree.  The tree trains on one OpenBLAS thread
+    (:func:`_single_blas_thread`): at 784-d, a product split over threads
+    rounds differently, so the caller's thread count would otherwise change
+    the tree.
+    """
+    views = [ds] if isinstance(ds, LabeledDataset) else list(ds)
+    cfg = cfg or ForestConfig()
+    _check_depth(depth)
+    _check_views(views)
+    if not 0 <= dominant < len(views):
+        raise InvalidInputError(f"dominant modality {dominant} out of range")
+    rng = np.random.default_rng(tree_seed)
+
+    n = views[0].n_samples
+    take = int(np.ceil(BOOTSTRAP_FRACTION * n))
+    boot = rng.choice(n, size=take, replace=False)
+    boot_features = [v.features[:, boot] for v in views]
+    labels = views[0].labels[boot]
+    if np.unique(labels).size < 2:
+        raise InvalidInputError("bootstrap sample contains fewer than 2 classes")
+
+    kernels = _tree_kernels(boot_features, cfg, rng)
+    feats = [
+        kernel_featurize(f, k) if k is not None else f
+        for f, k in zip(boot_features, kernels)
+    ]
+
+    internal = 2 ** (depth - 1) - 1
+    nodes: list[list[SplitNode] | None] = [None] * internal
+    min_samples = 2 * (cfg.split.sparsity + 1)
+
+    def build(pos, sample_idx):
+        arriving = labels[sample_idx]
+        classes = np.unique(arriving)
+        groups = None
+        if classes.size >= 2 and sample_idx.size >= min_samples:
+            groups = partition_classes(classes, rng)
+        if groups is None:
+            partition = {int(c): "neg" for c in classes}
+            per_mod = [
+                SplitNode(class_partition=dict(partition), degenerate=True)
+                for _ in views
+            ]
+            nodes[pos] = per_mod
+            left_idx, right_idx = sample_idx, sample_idx[:0]
+        else:
+            group_neg, group_pos = groups
+            partition = {c: "neg" for c in group_neg}
+            partition.update({c: "pos" for c in group_pos})
+            neg_mask = np.isin(arriving, sorted(group_neg))
+            per_mod = [
+                train_split_node(
+                    f[:, sample_idx[~neg_mask]],
+                    f[:, sample_idx[neg_mask]],
+                    partition,
+                    cfg.split,
+                    rng=int(rng.integers(0, 2**63 - 1)),
+                )
+                for f in feats
+            ]
+            nodes[pos] = per_mod
+            go_left = node_route_many(per_mod[dominant], feats[dominant][:, sample_idx])
+            left_idx, right_idx = sample_idx[go_left], sample_idx[~go_left]
+        left_child = 2 * pos + 1
+        if left_child < internal:
+            build(left_child, left_idx)
+            build(left_child + 1, right_idx)
+
+    build(0, np.arange(take))
+    return HashTree(
+        depth=depth,
+        nodes=nodes,
+        tree_seed=int(tree_seed),
+        kernels=kernels,
+        feature_dims=tuple(v.feature_dim for v in views),
+    )
+
+
+def _check_views(views):
+    if not views:
+        raise InvalidInputError("at least one modality is required")
+    n = views[0].n_samples
+    for i, v in enumerate(views):
+        if not isinstance(v, LabeledDataset):
+            raise InvalidInputError("each modality must be a LabeledDataset")
+        if v.n_samples != n:
+            raise InvalidInputError(
+                f"modality {i} has {v.n_samples} samples, expected {n}"
+            )
+        if not np.array_equal(v.labels, views[0].labels):
+            raise InvalidInputError(f"modality {i} labels are misaligned")
+
+
+# Process-pool plumbing: workers receive the shared inputs once through the
+# initializer and then only tree indices per task.
+_POOL_ARGS = None
+
+
 def _train_one(args, index):
     """Tree ``index`` of the forest that ``train_multimodal_forest`` trains
     on ``args`` (its views, depth, config, master seed and dominant
-    modality), trained on one OpenBLAS thread.  A failure propagates with a
-    ``tree {index}`` note, which survives a pool's pickling."""
+    modality).  A failure propagates with a ``tree {index}`` note, which
+    survives a pool's pickling."""
     views, depth, cfg, master_seed, dominant = args
-    with _single_blas_thread():
-        try:
-            return train_tree(views, depth, cfg, tree_seed_for(master_seed, index), dominant)
-        except Exception as exc:
-            exc.add_note(f"tree {index}")
-            raise
+    try:
+        return train_tree(views, depth, cfg, tree_seed_for(master_seed, index), dominant)
+    except Exception as exc:
+        exc.add_note(f"tree {index}")
+        raise
 
 
 def _pool_init(args):
@@ -494,10 +496,10 @@ def train_multimodal_forest(
     Every node draws a single class partition shared by all modalities and
     trains one split node per modality on it; the ``dominant`` modality routes
     the training samples.  A per-tree failure propagates with a note naming
-    the tree index.  Every tree trains through :func:`_train_one`, on one
-    OpenBLAS thread, in this process or in a pool worker: at 784-d, a
-    product split over threads rounds differently, so the thread count
-    would otherwise change the trees.
+    the tree index.  Every tree trains through :func:`train_tree`, on one
+    OpenBLAS thread, in this process or in a pool worker, so the trees are
+    those :func:`train_tree` gives for the same seeds, whatever the worker
+    count.
     """
     views = [views] if isinstance(views, LabeledDataset) else list(views)
     cfg = cfg or ForestConfig()
@@ -636,7 +638,8 @@ class _TreeGroup:
 
     def root_residuals(self, f):
         """(e_neg, e_pos), each trees x N, of every root for the group map
-        ``f``: per tree, the arithmetic of ``node_residuals`` on its rows."""
+        ``f``: per tree, the arithmetic of ``dictionaries._residuals`` on its
+        rows."""
         f = f.reshape(self.stop - self.start, -1, f.shape[1])
         return (_column_norms(np.matmul(self.proj_neg, f), axis=1),
                 _column_norms(np.matmul(self.proj_pos, f), axis=1))
@@ -860,18 +863,6 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
 def _as_batch(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[:, None] if x.ndim == 1 else x
-
-
-def encode_tree(tree: HashTree, x, modality: int = 0) -> np.ndarray:
-    """One-hot leaf code (length 2^(depth-1), uint8) for a single point."""
-    x = _as_batch(x)
-    _check_batch(tree.feature_dims, x, modality)
-    (leaf,) = _leaf_rows([tree], x, modality, [_TreeGroup(0, 1)])
-    if leaf.size != 1:
-        raise InvalidInputError("encode_tree takes a single point; use encode_dataset")
-    out = np.zeros(tree.leaf_count, dtype=np.uint8)
-    out[leaf[0]] = 1
-    return out
 
 
 def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:

@@ -109,25 +109,6 @@ def _forward_trace(net, x):
     return inputs, h
 
 
-def lowrank_loss_layer(f_pos, f_neg):
-    """Split loss on two feature blocks plus its subgradients.
-
-    Returns ``(loss, grad_f_pos, grad_f_neg)``.  Each term's subgradient
-    keeps the singular directions above ``SV_THRESHOLD`` times its largest
-    singular value; the concatenated term's is split column-wise and enters
-    with sign -1.  The loss value is exactly
-    :func:`leafhash.lowrank.lowrank_loss` with the identity transform.
-    """
-    f_pos = _as_matrix(f_pos, "f_pos")
-    f_neg = _as_matrix(f_neg, "f_neg")
-    if f_pos.shape[0] != f_neg.shape[0]:
-        raise InvalidInputError("feature blocks must share their row dimension")
-    both = np.concatenate([f_pos, f_neg], axis=1)
-    # the loss value goes through the same SVD path as the plain loss
-    # evaluation, so the two agree bit-for-bit
-    return _split_loss(f_pos, f_neg, both), *_feature_grads(f_pos, f_neg, both)
-
-
 def _feature_grads(f_pos, f_neg, both):
     """The split loss's subgradients in ``f_pos`` and ``f_neg``, given
     ``both``, their concatenation: one full SVD per term."""
@@ -305,38 +286,3 @@ def net_fit(
     net.loss_trace = np.asarray(trace)
     net.converged = converged
     return net
-
-
-def grad_check(net: DenseNet, x_pos, x_neg, eps: float = 1e-5) -> float:
-    """Max relative error of backprop against central finite differences.
-
-    Perturbs every weight and bias entry; intended for small nets.
-    """
-    if eps is None or eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    x_pos = _as_matrix(x_pos, "x_pos")
-    x_neg = _as_matrix(x_neg, "x_neg")
-    x_both = np.concatenate([x_pos, x_neg], axis=1)
-    n_pos = x_pos.shape[1]
-
-    def total_loss():
-        _, feats = _forward_trace(net, x_both)
-        return _split_loss(feats[:, :n_pos], feats[:, n_pos:], feats)
-
-    grads = _param_grads(net, _evaluate(net, x_both, n_pos)[1])
-    worst = 0.0
-    for layer, (gw, gb) in zip(net.layers, grads):
-        for arr, grad in ((layer.weight, gw), (layer.bias, gb)):
-            flat = arr.ravel()
-            gflat = grad.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = total_loss()
-                flat[i] = orig - eps
-                down = total_loss()
-                flat[i] = orig
-                numeric = (up - down) / (2.0 * eps)
-                denom = max(abs(numeric), abs(gflat[i]), 1e-8)
-                worst = max(worst, abs(numeric - gflat[i]) / denom)
-    return worst

@@ -44,11 +44,6 @@ class HashCode:
         _mask_padding(words, self.length)
         object.__setattr__(self, "words", words)
 
-    def bits(self) -> np.ndarray:
-        """Unpacked bit vector, length L, uint8."""
-        idx = np.arange(self.length, dtype=np.uint64)
-        return ((self.words[idx >> 6] >> (idx & 63)) & 1).astype(np.uint8)
-
 
 @dataclass
 class PackedCodes:
@@ -78,12 +73,17 @@ def pack_codes(blocks, order) -> PackedCodes:
 
     ``blocks`` is the full list of (leaf_count, N) binary blocks and ``order``
     the selected block indices; sample j's code is the concatenation of the
-    selected blocks' j-th columns in selection order.
+    selected blocks' j-th columns in selection order.  An index outside
+    ``0..len(blocks)-1`` raises InvalidInputError naming its entry.
     """
     order = list(order)
     if not order:
         raise InvalidInputError("selection is empty")
     blocks = [np.asarray(b, dtype=np.uint8) for b in blocks]
+    for t, b in enumerate(order):
+        if not 0 <= b < len(blocks):
+            raise InvalidInputError(
+                f"selection entry {t} is block {b}, outside 0..{len(blocks) - 1}")
     leaf_count, n = blocks[order[0]].shape
     length = len(order) * leaf_count
     words = np.zeros((n, _words_for(length)), dtype=np.uint64)
@@ -97,20 +97,6 @@ def pack_codes(blocks, order) -> PackedCodes:
             words, (rows, (bitpos >> 6).astype(np.int64)), np.uint64(1) << (bitpos & 63)
         )
     return PackedCodes(words=words, length=length)
-
-
-def unpack_codes(codes: PackedCodes) -> np.ndarray:
-    """Bit matrix (L, n) uint8; inverse of :func:`pack_codes`' layout."""
-    idx = np.arange(codes.length, dtype=np.uint64)
-    bits = (codes.words[:, (idx >> 6).astype(np.int64)] >> (idx & 63)) & 1
-    return bits.astype(np.uint8).T
-
-
-def hamming(a: HashCode, b: HashCode) -> int:
-    """Number of differing bits between two equal-length codes."""
-    if a.length != b.length:
-        raise InvalidInputError(f"code lengths differ: {a.length} vs {b.length}")
-    return int(np.bitwise_count(a.words ^ b.words).sum())
 
 
 @dataclass

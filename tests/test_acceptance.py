@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 import leafhash as lh
-from leafhash.aggregation import set_mutual_information, unsupervised_gain
+from leafhash.aggregation import unsupervised_gain
 from leafhash.dictionaries import node_route_many
 
 from conftest import random_blockset, treelike_blockset
+from oracles import exhaustive_select, grad_check, hamming, label_mi, set_mutual_information
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -79,7 +80,7 @@ def test_criterion_2_subgradient_correctness():
     assert worst <= 1e-4, f"worst directional-derivative error {worst:.2e} > 1e-4"
 
     net = lh.build_net(4, (8,), 4, seed=1)
-    err = lh.grad_check(net, rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
+    err = grad_check(net, rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
     assert err <= 1e-3, f"backprop grad check {err:.2e} > 1e-3"
     report(2, f"directional-derivative err {worst:.2e}, grad check {err:.2e}")
 
@@ -97,10 +98,11 @@ def test_criterion_3_two_circles_rbf():
     f_test, l_test = ds.features[:, test], ds.labels[test]
     kc = lh.KernelConfig(anchors=f_train[:, ::2], kind="rbf",
                          sigma=lh.median_bandwidth(f_train, np.random.default_rng(0)))
-    node = lh.train_split_node(f_train[:, l_train == 1], f_train[:, l_train == 0],
+    node = lh.train_split_node(lh.kernel_featurize(f_train[:, l_train == 1], kc),
+                               lh.kernel_featurize(f_train[:, l_train == 0], kc),
                                {0: "neg", 1: "pos"},
-                               lh.SplitConfig(learner="kernel"), kernel=kc, rng=0)
-    left = node_route_many(node, f_test, kernel=kc)
+                               lh.SplitConfig(learner="kernel"), rng=0)
+    left = node_route_many(node, lh.kernel_featurize(f_test, kc))
     accuracy = ((left & (l_test == 0)) | (~left & (l_test == 1))).mean()
     assert accuracy >= 0.90, f"held-out routing accuracy {accuracy:.3f} < 0.90"
     report(3, f"held-out routing accuracy {accuracy:.3f}")
@@ -118,11 +120,11 @@ def test_criterion_4_greedy_near_optimality():
         bs, labels = treelike_blockset(8, n, 4, 0.1, rng)
         cov = lh.block_covariance(bs)
         value = set_mutual_information(cov, lh.greedy_unsupervised(bs, 3).chosen)
-        best = lh.exhaustive_select(bs, None, 3, "unsup").gains[0]
+        best = exhaustive_select(bs, None, 3, "unsup").gains[0]
         assert value >= bound * best - 1e-9, f"unsup bound violated: {value} < {bound * best}"
         near_unsup += value >= 0.95 * best
-        value = lh.label_mi(lh.greedy_supervised(bs, labels, 3).chosen, bs, labels)
-        best = lh.exhaustive_select(bs, labels, 3, "sup").gains[0]
+        value = label_mi(lh.greedy_supervised(bs, labels, 3).chosen, bs, labels)
+        best = exhaustive_select(bs, labels, 3, "sup").gains[0]
         assert value >= bound * best - 1e-9, f"sup bound violated: {value} < {bound * best}"
         near_sup += value >= 0.95 * best
     assert near_unsup >= 45, f"unsup >=0.95*opt in only {near_unsup}/50 trials"
@@ -333,7 +335,7 @@ def test_criterion_8_metric_oracles():
     for r in (0, 2, 6):
         for qi in range(0, 1000, 137):
             q = big.code(qi)
-            naive = [i for i in range(1000) if lh.hamming(big.code(i), q) <= r]
+            naive = [i for i in range(1000) if hamming(big.code(i), q) <= r]
             np.testing.assert_array_equal(lh.radius_query(big_idx, q, r), naive)
     report(8, "hand-computed P/R/mAP values exact; radius query matches "
               "naive scan on 1000 random codes")

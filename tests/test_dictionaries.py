@@ -9,9 +9,9 @@ from leafhash import (
     SplitNode,
     SyntheticSpec,
     gen_synthetic,
+    kernel_featurize,
     ksvd_fit,
     median_bandwidth,
-    node_route,
     omp,
     residual_projector,
     train_split_node,
@@ -20,9 +20,9 @@ from leafhash import dictionaries
 from leafhash.dictionaries import node_route_many
 
 
-def routing_consistency(node, x_pos, x_neg, kernel=None):
-    left_neg = node_route_many(node, x_neg, kernel)
-    left_pos = node_route_many(node, x_pos, kernel)
+def routing_consistency(node, x_pos, x_neg):
+    left_neg = node_route_many(node, x_neg)
+    left_pos = node_route_many(node, x_pos)
     return (left_neg.mean() + (1.0 - left_pos.mean())) / 2.0
 
 
@@ -189,26 +189,31 @@ class TestNodeRoute:
         return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg,
                          class_partition={0: "neg", 1: "pos"})
 
+    @staticmethod
+    def _left(node, x):
+        """Whether the one point ``x`` goes left."""
+        return node_route_many(node, x[:, None])[0]
+
     def test_zero_neg_residual_goes_left(self):
         node = self._node(np.eye(2), np.zeros((2, 2)))
-        assert node_route(node, np.array([1.0, 0.0])) == "left"
+        assert self._left(node, np.array([1.0, 0.0]))
 
     def test_in_pos_span_goes_right(self):
         node = self._node(np.zeros((2, 2)), np.eye(2))
-        assert node_route(node, np.array([1.0, 0.0])) == "right"
+        assert not self._left(node, np.array([1.0, 0.0]))
 
     def test_exact_tie_goes_right(self):
         node = self._node(np.eye(2), np.eye(2))
-        assert node_route(node, np.array([1.0, 0.0])) == "right"
+        assert not self._left(node, np.array([1.0, 0.0]))
 
     def test_degenerate_goes_left(self):
         node = SplitNode(class_partition={0: "neg"}, degenerate=True)
-        assert node_route(node, np.array([1.0, 0.0])) == "left"
+        assert self._left(node, np.array([1.0, 0.0]))
 
     def test_deterministic(self, rng):
         node = self._node(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
         x = rng.normal(size=3)
-        assert node_route(node, x) == node_route(node, x)
+        assert self._left(node, x) == self._left(node, x)
 
     @given(seed=st.integers(0, 10_000), rows=st.integers(1, 40), n=st.integers(1, 300))
     @settings(max_examples=40, deadline=None)
@@ -217,7 +222,7 @@ class TestNodeRoute:
         rng = np.random.default_rng(seed)
         node = self._node(rng.normal(size=(rows, 5)), rng.normal(size=(rows, 5)))
         x = rng.normal(size=(5, n)) * 10.0 ** rng.integers(-3, 4)
-        e_neg, e_pos = dictionaries.node_residuals(node, x)
+        e_neg, e_pos = dictionaries._residuals(node, x)
         np.testing.assert_array_equal(e_neg, np.linalg.norm(node.proj_neg @ x, axis=0))
         np.testing.assert_array_equal(e_pos, np.linalg.norm(node.proj_pos @ x, axis=0))
 
@@ -253,10 +258,11 @@ class TestTrainSplitNode:
         ftr, ltr = ds.features[:, train], ds.labels[train]
         kc = KernelConfig(anchors=ftr[:, ::2], kind="rbf",
                           sigma=median_bandwidth(ftr, np.random.default_rng(0)))
-        node = train_split_node(ftr[:, ltr == 1], ftr[:, ltr == 0],
+        node = train_split_node(kernel_featurize(ftr[:, ltr == 1], kc),
+                                kernel_featurize(ftr[:, ltr == 0], kc),
                                 {0: "neg", 1: "pos"},
-                                SplitConfig(learner="kernel"), kernel=kc, rng=0)
-        left = node_route_many(node, ftr, kernel=kc)
+                                SplitConfig(learner="kernel"), rng=0)
+        left = node_route_many(node, kernel_featurize(ftr, kc))
         train_acc = ((left & (ltr == 0)) | (~left & (ltr == 1))).mean()
         assert train_acc >= 0.90
 

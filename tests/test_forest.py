@@ -24,7 +24,6 @@ from leafhash import (
     SplitNode,
     SyntheticSpec,
     encode_dataset,
-    encode_tree,
     gen_synthetic,
     kernel_featurize,
     load_model,
@@ -35,7 +34,7 @@ from leafhash import (
     train_tree,
 )
 from leafhash import forest as forest_module
-from leafhash.dictionaries import _route_many, node_residuals, node_route_many
+from leafhash.dictionaries import _residuals, _route_many, node_route_many
 from leafhash.network import DenseLayer, DenseNet
 from leafhash.forest import HashTree, tree_seed_for
 
@@ -228,25 +227,32 @@ def forced_node(direction):
                      class_partition={0: "neg", 1: "pos"})
 
 
+def one_tree_forest(tree):
+    return Forest(trees=[tree], master_seed=0, depth=tree.depth,
+                  feature_dims=tree.feature_dims, config=ForestConfig())
+
+
 class TestEncodeTree:
+    """One point through one tree: its one-column block."""
+
     def test_depth2_left(self):
         tree = HashTree(depth=2, nodes=[[forced_node("left")]],
                         tree_seed=0, kernels=(None,), feature_dims=(2,))
-        np.testing.assert_array_equal(encode_tree(tree, np.array([1.0, 0.0])), [1, 0])
+        (block,) = encode_dataset(one_tree_forest(tree), np.array([[1.0], [0.0]]))
+        np.testing.assert_array_equal(block[:, 0], [1, 0])
 
     def test_depth3_right_then_left(self):
         nodes = [[forced_node("right")], [forced_node("left")], [forced_node("left")]]
         tree = HashTree(depth=3, nodes=nodes, tree_seed=0,
                         kernels=(None,), feature_dims=(2,))
-        np.testing.assert_array_equal(
-            encode_tree(tree, np.array([1.0, 0.0])), [0, 0, 1, 0]
-        )
+        (block,) = encode_dataset(one_tree_forest(tree), np.array([[1.0], [0.0]]))
+        np.testing.assert_array_equal(block[:, 0], [0, 0, 1, 0])
 
     def test_dimension_mismatch(self):
         tree = HashTree(depth=2, nodes=[[forced_node("left")]],
                         tree_seed=0, kernels=(None,), feature_dims=(2,))
         with pytest.raises(InvalidInputError):
-            encode_tree(tree, np.array([1.0, 0.0, 0.0]))
+            encode_dataset(one_tree_forest(tree), np.array([[1.0], [0.0], [0.0]]))
 
     @given(st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -254,7 +260,7 @@ class TestEncodeTree:
         ds = small_dataset(seed=2)
         forest = train_forest(ds, 2, 3, FAST_CFG, master_seed=9)
         x = np.random.default_rng(seed).normal(size=12)
-        code = encode_tree(forest.trees[seed % 2], x)
+        code = encode_dataset(forest, x[:, None])[seed % 2][:, 0]
         assert code.sum() == 1
         assert code.shape == (4,)
 
@@ -517,7 +523,7 @@ class TestEncodeUnchanged:
         with pytest.raises(InvalidInputError):
             encode_dataset(forest, x)
         with pytest.raises(InvalidInputError):
-            encode_tree(forest.trees[0], x[:, col % n])
+            encode_dataset(forest, x[:, [col % n]])
 
     @pytest.mark.parametrize("kind, stacked", [("linear", False), ("neural", False),
                                                ("rbf", False), ("rbf", True),
@@ -596,7 +602,7 @@ class TestDescend:
         with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
             encode_dataset(forest, x)
         with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
-            encode_tree(trees[0], x[:, 2])
+            encode_dataset(forest, x[:, [2]])
 
 
 def per_tree_leaves_and_margins(tree, x, modality):
@@ -614,7 +620,7 @@ def per_tree_leaves_and_margins(tree, x, modality):
             node = tree.nodes[p][modality]
             go_left = node_route_many(node, f[:, mask])
             if not node.degenerate:
-                e_neg, e_pos = node_residuals(node, f[:, mask])
+                e_neg, e_pos = _residuals(node, f[:, mask])
                 scale = np.maximum(np.maximum(e_neg, e_pos), 1e-300)
                 margin[mask] = np.minimum(margin[mask], np.abs(e_neg - e_pos) / scale)
             next_pos[mask] = np.where(go_left, 2 * p + 1, 2 * p + 2)
@@ -712,7 +718,7 @@ class TestGroupedEncode:
             for tree, f_tree, neg, pos in zip(members, maps, e_neg, e_pos):
                 alone = kernel_featurize(x, tree.kernels[modality])
                 assert np.max(np.abs(f_tree - alone)) <= 1e-12 * np.max(np.abs(alone))
-                ref_neg, ref_pos = node_residuals(tree.nodes[0][modality], f_tree)
+                ref_neg, ref_pos = _residuals(tree.nodes[0][modality], f_tree)
                 np.testing.assert_array_equal(neg, ref_neg)
                 np.testing.assert_array_equal(pos, ref_pos)
 
@@ -928,7 +934,7 @@ OVERFLOW_KINDS = sorted(ENCODE_CONFIGS) + ["stacked-polynomial", "stacked-rbf"]
 def assert_routed_on_finite_residuals(tree, x, leaves):
     """Every column of ``x`` reached its leaf in ``leaves`` through finite
     maps and residuals that send it that way, recomputed here with plain
-    numpy (``node_residuals`` does not check that they are finite)."""
+    numpy (``dictionaries._residuals`` does not check that they are finite)."""
     kc = tree.kernels[0]
     with np.errstate(over="ignore", invalid="ignore"):
         if kc is None:
@@ -947,7 +953,7 @@ def assert_routed_on_finite_residuals(tree, x, leaves):
                 parent = (pos - 1) // 2
                 node = tree.nodes[parent][0]
                 if not node.degenerate:
-                    e_neg, e_pos = node_residuals(node, f[:, j])
+                    e_neg, e_pos = _residuals(node, f[:, [j]])
                     assert np.isfinite(e_neg[0]) and np.isfinite(e_pos[0])
                     assert (e_neg[0] < e_pos[0]) == (pos == 2 * parent + 1)
                 pos = parent
@@ -978,7 +984,7 @@ class TestOverflowingBatch:
         with pytest.raises(NumericError):
             encode_dataset(forest, x)
         with pytest.raises(NumericError):
-            encode_tree(forest.trees[0], x[:, 0])
+            encode_dataset(forest, x[:, [0]])
 
     def test_error_names_the_tree(self):
         forest = overflow_forest("linear")
@@ -1185,17 +1191,21 @@ def blas_threads():
 
 
 def record_blas_threads(monkeypatch):
-    """Make every tree ``train_forest`` trains carry the OpenBLAS thread
-    count it was trained on, as ``blas_threads``; pool workers are forked
-    with the patch."""
-    train = forest_module.train_tree
+    """Make every split node ``train_forest`` trains carry the OpenBLAS
+    thread count it was trained on, as ``blas_threads``; pool workers are
+    forked with the patch."""
+    train = forest_module.train_split_node
 
-    def train_and_record(*args):
-        tree = train(*args)
-        tree.blas_threads = blas_threads()
-        return tree
+    def train_and_record(*args, **kwargs):
+        node = train(*args, **kwargs)
+        node.blas_threads = blas_threads()
+        return node
 
-    monkeypatch.setattr(forest_module, "train_tree", train_and_record)
+    monkeypatch.setattr(forest_module, "train_split_node", train_and_record)
+
+
+def root_blas_threads(forest):
+    return [tree.nodes[0][0].blas_threads for tree in forest.trees]
 
 
 class TestPoolBlasThreads:
@@ -1205,7 +1215,7 @@ class TestPoolBlasThreads:
         parent_threads = blas_threads()
         record_blas_threads(monkeypatch)
         forest = train_forest(small_dataset(), 3, 2, FAST_CFG, master_seed=3, workers=2)
-        assert [t.blas_threads for t in forest.trees] == [1, 1, 1]
+        assert root_blas_threads(forest) == [1, 1, 1]
         assert blas_threads() == parent_threads
 
     def test_serial_training_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
@@ -1214,8 +1224,38 @@ class TestPoolBlasThreads:
         parent_threads = blas_threads()
         record_blas_threads(monkeypatch)
         forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
-        assert [t.blas_threads for t in forest.trees] == [1, 1]
+        assert root_blas_threads(forest) == [1, 1]
         assert blas_threads() == parent_threads
+
+    def test_train_tree_on_two_blas_threads_gives_train_forests_trees(self):
+        # at 784-d a product split over two OpenBLAS threads rounds otherwise
+        # than on one, so a tree trained directly must hold the guard itself
+        threads = forest_module._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 CPUs are usable")
+        get_threads, set_threads = threads
+        ds = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=10, ambient_dim=784,
+                                         intrinsic_dim=8, samples_per_class=40, seed=7))
+        cfg = ForestConfig(split=SplitConfig(learner="kernel", atoms=4, sparsity=2,
+                                             optimizer=OptimizerConfig(max_iters=20)),
+                           anchor_count=16)
+        forest = train_forest(ds, 6, 2, cfg, master_seed=0)
+        before = get_threads()
+        set_threads(2)
+        try:
+            if get_threads() != 2:
+                pytest.skip("OpenBLAS would not run two threads here")
+            direct = [train_tree(ds, 2, cfg, tree_seed_for(0, t)) for t in range(6)]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        for tree, want in zip(direct, forest.trees, strict=True):
+            got, expected = tree_arrays(tree), tree_arrays(want)
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
 
     def test_serial_encode_runs_one_blas_thread_and_restores_the_count(self, monkeypatch):
         if bundled_openblas() is None:

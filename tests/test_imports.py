@@ -1,7 +1,11 @@
 """The package depends on numpy alone: its modules import nothing else from
-outside the standard library.  Importing it leaves the command line unloaded."""
+outside the standard library.  Importing it leaves the command line unloaded.
+Every public name is in the README, and the package neither exports nor
+defines a test oracle of ``tests/oracles.py``."""
 
 import ast
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +37,38 @@ def test_import_loads_neither_the_cli_nor_argparse():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent)
     assert out.stdout.strip() == "[]"
+
+
+def defined_names(path):
+    """Names a module defines at its top level: functions, classes and
+    assigned constants."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_public_name_is_in_the_readme():
+    import leafhash
+
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    public = [name for name in dir(leafhash) if not name.startswith("_")
+              and not inspect.ismodule(getattr(leafhash, name))]
+    assert public
+    missing = [name for name in public if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
+
+
+def test_the_package_neither_exports_nor_defines_a_test_oracle():
+    import leafhash
+
+    oracles = defined_names(Path(__file__).with_name("oracles.py"))
+    assert oracles
+    assert sorted(oracles & set(dir(leafhash))) == []
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert sorted(oracles & defined_names(path)) == [], path.name

@@ -7,16 +7,15 @@ from leafhash import (
     HashCode,
     InvalidInputError,
     PackedCodes,
-    hamming,
     mean_average_precision,
     pack_codes,
     precision_recall_at_radius,
     radius_query,
     rank_query,
-    unpack_codes,
 )
 
 from conftest import one_hot_block
+from oracles import hamming, unpack_codes
 
 
 def code(value, length=8):
@@ -57,6 +56,14 @@ class TestPackCodes:
         with pytest.raises(InvalidInputError):
             pack_codes([one_hot_block([0], 2)], [])
 
+    @pytest.mark.parametrize("bad", [-1, 3, 5])
+    def test_block_index_out_of_range_rejected(self, rng, bad):
+        # a negative index would otherwise pack a block from the end
+        blocks = [one_hot_block(rng.integers(0, 2, 5), 2) for _ in range(3)]
+        with pytest.raises(InvalidInputError,
+                           match=rf"^selection entry 1 is block {bad}, outside 0\.\.2$"):
+            pack_codes(blocks, [0, bad])
+
     def test_padding_is_zero(self, rng):
         blocks = [one_hot_block(rng.integers(0, 2, 5), 2) for _ in range(3)]
         packed = pack_codes(blocks, [0, 1, 2])  # L = 6
@@ -64,7 +71,8 @@ class TestPackCodes:
 
     def test_single_code_bit_view(self):
         c = HashCode(words=np.array([0b1011], dtype=np.uint64), length=4)
-        np.testing.assert_array_equal(c.bits(), [1, 1, 0, 1])
+        one = PackedCodes(words=c.words[None, :], length=c.length)
+        np.testing.assert_array_equal(unpack_codes(one)[:, 0], [1, 1, 0, 1])
 
 
 class TestCodeWords:
