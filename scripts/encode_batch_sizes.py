@@ -5,15 +5,19 @@ Trains 128 depth-2 RBF-kernel trees (16 anchors each) on 784-d synthetic
 subspace data shaped like MNIST, then times ``encode_dataset`` on batches of
 N points for each N.  Every repetition visits all batch sizes in turn and
 encodes batches of one size until a quarter second has passed, so load from
-elsewhere on the machine hits every size alike; it then times one
-``load_model`` of the saved model, the load a serving process makes before it
-encodes.  One warm-up call comes first, so the forest's first-encode set-up
-is not timed.  Prints one JSON line: the saved model's size in bytes, the
-forest's distinct and total kernel anchors, the median and quartiles of the
-points/s of the repetitions, per N, and those of the load times (``load_ms``).
+elsewhere on the machine hits every size alike: once as the library decides
+(``pts_per_s``) and once serially (``serial_pts_per_s``), with
+``forest.THREAD_MULADDS`` raised past any batch, alternating which goes first.
+At a size that threads, the two rates show whether threads pay there, which
+is how the threshold's break-even is measured.  It then times one ``load_model`` of the
+saved model, the load a serving process makes before it encodes.  One warm-up
+call comes first, so the forest's first-encode set-up is not timed.  Prints
+one JSON line: the saved model's size in bytes, the forest's distinct and
+total kernel anchors, the median and quartiles of the points/s of the
+repetitions, per N and way, and those of the load times (``load_ms``).
 
     PYTHONPATH=src python scripts/encode_batch_sizes.py [--seed 0] [--reps 7] \
-        [--sizes 1,4,16,64,250,1000]
+        [--sizes 1,4,16,30,64,100,250,1000]
 """
 
 import argparse
@@ -26,8 +30,9 @@ import time
 import numpy as np
 
 import leafhash as lh
+from leafhash import forest as forest_module
 
-SIZES = (1, 4, 16, 64, 250, 1000)
+SIZES = (1, 4, 16, 30, 64, 100, 250, 1000)
 DIM, CLASSES, INTRINSIC, NOISE = 784, 10, 12, 0.1
 MIN_SECONDS = 0.25
 
@@ -51,6 +56,16 @@ def encode_rate(forest, pool, n):
         elapsed = time.perf_counter() - start
         if elapsed >= MIN_SECONDS:
             return points / elapsed
+
+
+def serial_rate(forest, pool, n):
+    """:func:`encode_rate` with no batch large enough for threads."""
+    threshold = forest_module.THREAD_MULADDS
+    forest_module.THREAD_MULADDS = float("inf")
+    try:
+        return encode_rate(forest, pool, n)
+    finally:
+        forest_module.THREAD_MULADDS = threshold
 
 
 def load_ms(path):
@@ -92,14 +107,16 @@ def main():
     fit_s = time.perf_counter() - start
     lh.encode_dataset(forest, pool[:, :1])
 
-    rates, loads = {n: [] for n in sizes}, []
+    rates, serial, loads = {n: [] for n in sizes}, {n: [] for n in sizes}, []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.fhsh")
         lh.save_model(forest, None, path)
         size = os.path.getsize(path)
-        for _ in range(args.reps):
+        for rep in range(args.reps):
             for n in sizes:
-                rates[n].append(encode_rate(forest, pool, n))
+                ways = [(rates, encode_rate), (serial, serial_rate)]
+                for out, rate in ways[::-1] if rep % 2 else ways:
+                    out[n].append(rate(forest, pool, n))
             loads.append(load_ms(path))
     anchors = forest.pools[0]
     print(json.dumps({"seed": args.seed, "reps": args.reps,
@@ -107,6 +124,7 @@ def main():
                       "anchors_distinct": anchors.rows.shape[0],
                       "anchors_total": sum(idx.size for idx in anchors.indices),
                       "pts_per_s": {str(n): quartiles(r) for n, r in rates.items()},
+                      "serial_pts_per_s": {str(n): quartiles(r) for n, r in serial.items()},
                       "load_ms": quartiles(loads, 2)}))
 
 

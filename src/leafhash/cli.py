@@ -27,6 +27,7 @@ from .errors import DataFormatError, InvalidInputError, NumericError
 from .forest import ForestConfig, LabeledDataset, encode_dataset, train_forest
 from .retrieval import (
     HammingIndex,
+    PackedCodes,
     mean_average_precision,
     pack_codes,
     precision_recall_at_radius,
@@ -34,6 +35,8 @@ from .retrieval import (
 )
 
 ENV_PREFIX = "LEAFHASH_"
+# columns `encode` passes to encode_dataset at a time
+_ENCODE_SLICE = 1000
 REQUIRED = object()  # the default of an option that has none
 
 
@@ -232,7 +235,11 @@ def cmd_encode(opts) -> int:
         raise InvalidInputError("model carries no block selection; retrain")
     features = _load_features(opts["features"], opts["format"])
     labels = dio.load_labels(opts["labels"]) if opts["labels"] else None
-    codes = pack_codes(encode_dataset(forest, features), selection.chosen)
+    # slices keep encode_dataset's temporaries, which grow with the batch, small
+    parts = [pack_codes(encode_dataset(forest, features[:, i:i + _ENCODE_SLICE]),
+                        selection.chosen)
+             for i in range(0, max(features.shape[1], 1), _ENCODE_SLICE)]
+    codes = PackedCodes(np.concatenate([part.words for part in parts]), parts[0].length)
     dio.save_codes(codes, labels, opts["codes-out"])
     _emit("count", len(codes))
     _emit("bits", codes.length)

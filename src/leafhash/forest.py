@@ -24,7 +24,7 @@ import glob
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -612,16 +612,18 @@ class _TreeGroup:
     kernel (if any) and routes it alone, and ``muladds`` is what that costs
     per column (:func:`_root_muladds`).  A larger group takes its trees'
     maps from the pool's (:func:`_pool_maps`): rows ``take`` of the pool,
-    tree by tree, then ``denom`` (an RBF group's ``2 sigma^2`` per row, a
-    column) or ``poly`` (a polynomial group's ``p`` and ``q``).  It routes
+    tree by tree, then ``neg_denom`` (an RBF group's ``-2 sigma^2`` per row,
+    a column) or ``poly`` (a polynomial group's ``p`` and ``q``).  It routes
     every root with one matmul per side over the roots' stacked projectors
-    (``proj_neg``/``proj_pos``, trees x r x anchors).
+    (``proj_neg``/``proj_pos``, trees x r x anchors).  Its ``muladds`` are
+    what its thread pays per column once the pool's maps are made: one per
+    map row, and its root projectors' (see ``THREAD_MULADDS``).
     """
 
     start: int
     stop: int
     take: np.ndarray | None = None
-    denom: np.ndarray | None = None
+    neg_denom: np.ndarray | None = None
     poly: tuple[float, float] | None = None
     proj_neg: np.ndarray | None = None
     proj_pos: np.ndarray | None = None
@@ -633,7 +635,7 @@ class _TreeGroup:
         order.  Each row equals its tree's own map up to the rounding of the
         pool's product, which is blocked differently."""
         if self.poly is None:
-            return _rbf_of_distances(distances[self.take], self.denom)
+            return _rbf_of_distances(distances[self.take], self.neg_denom)
         return _poly_of_products(products[self.take], *self.poly)
 
     def root_residuals(self, f):
@@ -711,15 +713,17 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
         kernels = [t.kernels[modality] for t in trees[start:stop]]
         roots = [t.nodes[0][modality] for t in trees[start:stop]]
         rbf = kernels[0].kind == "rbf"
-        denom = np.repeat([2.0 * kc.sigma**2 for kc in kernels],
-                          [kc.n_anchors for kc in kernels])
+        neg_denom = np.repeat([-2.0 * kc.sigma**2 for kc in kernels],
+                              [kc.n_anchors for kc in kernels])
+        take = np.concatenate(indices[start:stop])
+        proj_neg = np.stack([r.proj_neg for r in roots])
+        proj_pos = np.stack([r.proj_pos for r in roots])
         groups.append(_TreeGroup(
-            start, stop,
-            take=np.concatenate(indices[start:stop]),
-            denom=denom[:, None] if rbf else None,
+            start, stop, take=take,
+            neg_denom=neg_denom[:, None] if rbf else None,
             poly=None if rbf else (kernels[0].p, kernels[0].q),
-            proj_neg=np.stack([r.proj_neg for r in roots]),
-            proj_pos=np.stack([r.proj_pos for r in roots])))
+            proj_neg=proj_neg, proj_pos=proj_pos,
+            muladds=take.size + proj_neg.size + proj_pos.size))
     return groups
 
 
@@ -751,14 +755,17 @@ def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
     return pos - tree.internal_count
 
 
-# fewest multiply-adds (:func:`_root_muladds` times columns) a batch must
-# cost each tree, on average over the trees, for a forest without stacked
-# groups to encode it on threads.  Each numpy call hands the interpreter lock
-# from thread to thread, so a batch must make each call long enough to pay
-# for that.  On a 2-core machine threads broke even at about 2.5M (linear,
-# 16-d, 5000 columns), 2.8M (neural, 16-32-16, 1800) and 3.7M multiply-adds
-# (RBF, 64 anchors over 16-d, 400 columns), and encoded 3000 columns of the
-# neural and RBF forests about 1.3x and 1.6-1.9x faster.
+# fewest multiply-adds (a group's ``muladds`` times columns) a batch must
+# cost each group, on average over the groups, to be encoded on threads.
+# Each numpy call hands the interpreter lock from thread to thread, so a batch
+# must make each call long enough to pay for that.  On a 2-core machine
+# threads broke even at about 2.5M (linear, 16-d, 5000 columns), 2.8M (neural,
+# 16-32-16, 1800) and 3.7M multiply-adds (RBF, 64 anchors over 16-d, 400
+# columns), and encoded 3000 columns of the neural and RBF forests about 1.3x
+# and 1.6-1.9x faster.  serve-784's stacked groups (256 map rows and 8192
+# projector entries each) broke even between about 300 and 600 columns in
+# sustained runs, and encoded 750 and 1000 columns about 1.2x faster; a map
+# row counted as one multiply-add puts their threshold at 497 columns.
 THREAD_MULADDS = 2**22
 
 
@@ -770,73 +777,81 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _encode_groups(trees, x, x_sq, modality: int, groups, pool_maps) -> list[np.ndarray]:
-    """Leaf rows of the trees of ``groups``, a run of consecutive groups of
-    ``trees``, in tree order (see :func:`_leaf_rows`).  ``pool_maps`` are
-    the pool's :func:`_pool_maps` of the batch when a group stacks trees.
-    The first tree that cannot be encoded stops the run with a NumericError
-    that names it.  The run holds :func:`_single_blas_thread` itself, so an
-    encode thread keeps one OpenBLAS thread whoever else leaves the guard."""
-    rows = []
+def _encode_groups(trees, x, x_sq, modality: int, groups, pool_maps, leaves) -> None:
+    """Encode the trees of ``groups``, a run of consecutive groups of
+    ``trees``, into their rows of ``leaves`` (see :func:`_leaf_rows`).
+    ``pool_maps`` are the pool's :func:`_pool_maps` of the batch when a group
+    stacks trees; they are only read.  The first tree that cannot be encoded
+    stops the run with a NumericError that names it.  The run holds
+    :func:`_single_blas_thread` itself, so an encode thread keeps one
+    OpenBLAS thread whoever else leaves the guard."""
     with _single_blas_thread(), _quiet():
         for group in groups:
-            members = trees[group.start:group.stop]
+            t = group.start
             try:
                 if group.take is None:
-                    (tree,) = members
+                    tree = trees[t]
                     kc = tree.kernels[modality]
                     f = _kernel_map(x, x_sq, kc) if kc is not None else x
-                    rows.append(_descend(tree, f, modality,
-                                         np.zeros(f.shape[1], np.int64), 0))
+                    leaves[t] = _descend(tree, f, modality, np.zeros(f.shape[1], np.int64), 0)
                     continue
+                members = trees[group.start:group.stop]
                 f = group.kernel_map(*pool_maps)
                 roots_left = _go_left(*group.root_residuals(f))
+                if members[0].depth == 2:
+                    # the roots are the only nodes: leaf 0 left, leaf 1 right
+                    np.logical_not(roots_left, out=leaves[group.start:group.stop])
+                    continue
                 maps = f.reshape(len(members), -1, f.shape[1])
-                for tree, f_tree, go_left in zip(members, maps, roots_left):
-                    rows.append(_descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1))
+                for t, tree, f_tree, go_left in zip(range(group.start, group.stop), members,
+                                                    maps, roots_left):
+                    leaves[t] = _descend(tree, f_tree, modality, np.where(go_left, 1, 2), 1)
             except NumericError as exc:
-                raise NumericError(f"tree {groups[0].start + len(rows)}: {exc}") from exc
-    return rows
+                raise NumericError(f"tree {t}: {exc}") from exc
 
 
-def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
+def _leaf_rows(trees, x, modality: int, groups, pool=None) -> np.ndarray:
     """Leaf index (breadth-first, 0-based) of every column of ``x`` for each
-    of ``trees``, encoded in their ``groups`` (:func:`_tree_groups`).
+    of ``trees``, a (trees, N) int64 array, encoded in their ``groups``
+    (:func:`_tree_groups`).
 
     ``x`` is already checked against the trees' dimensions (:func:`_check_batch`).
     The batch is validated, whatever the learner, and for RBF maps its
     squared column norms taken, once per call; no node validates it again.
     A batch of no columns has no leaves.  When a group stacks
     trees, the batch is mapped through the whole anchor ``pool`` of the
-    trees' forest once (:func:`_pool_maps`): one pool-by-N product, and for
-    RBF maps the clipped squared distances.
+    trees' forest once, by the caller (:func:`_pool_maps`): one pool-by-N
+    product, and for RBF maps the clipped squared distances.
     The trees are then encoded one group at a time, so only one group's
-    feature map is held at a time.  A one-tree group maps the batch through
-    its tree's kernel (if any) and routes it.  A larger group takes its rows
-    of the pool's map, finishes its trees' maps, and routes its roots with
-    one matmul per side; deeper levels route per tree.
-    When no group stacks trees and the batch costs each tree at least
-    ``THREAD_MULADDS`` multiply-adds on average, the trees are split into as
-    many contiguous runs as this process may use CPUs (at most one run per
-    tree), and each run is encoded on a thread of its own, one tree, so one
-    feature map, at a time per thread.  Every thread makes the calls the
+    feature map is held at a time per thread.  A one-tree group maps the
+    batch through its tree's kernel (if any) and routes it.  A larger group
+    takes its rows of the pool's maps, finishes its trees' maps, and routes
+    its roots with one matmul per side; deeper levels route per tree, and a
+    depth-2 tree's leaf is its root's side.
+    When the batch costs each group at least ``THREAD_MULADDS``
+    multiply-adds on average (its ``muladds`` per column), the groups are
+    split into as many contiguous runs of whole groups as this process may
+    use CPUs (at most one run per group).  Each run but the last is encoded
+    on a thread started for this call, the last by the caller, and the call
+    returns only when every thread has ended, so none outlives it.  The runs
+    share the pool's maps, read-only.  Every thread makes the calls the
     serial path makes, on the same arrays, so the leaves are the same.  All
     of it runs on one OpenBLAS thread: the caller and every encode thread
     hold :func:`_single_blas_thread`.
     A batch that overflows the arithmetic (a squared norm of an RBF map, a
     polynomial map, or a split residual that is not finite) raises
-    NumericError naming the first tree it could not encode, threads or not;
-    a map is not validated, so one that is not finite raises it at the
-    residuals.
+    NumericError naming the first tree (of a stacked group, the group's
+    first) it could not encode, threads or not; a map is not validated, so
+    one that is not finite raises it at the residuals.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
     x = _as_matrix(x, "x", allow_empty=True)
+    leaves = np.empty((len(trees), x.shape[1]), dtype=np.int64)
     if x.shape[1] == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in trees]
+        return leaves
     stacked = [g for g in groups if g.take is not None]
     threads = 1
-    if not stacked and (x.shape[1] * sum(g.muladds for g in groups)
-                        >= THREAD_MULADDS * len(groups)):
+    if x.shape[1] * sum(g.muladds for g in groups) >= THREAD_MULADDS * len(groups):
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         threads = min(cpus, len(groups))
@@ -847,17 +862,34 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> list[np.ndarray]:
             pool_maps = None
             if stacked:
                 pool_maps = _pool_maps(pool, x, x_sq, any(g.poly is None for g in stacked))
-        if threads == 1:
-            return _encode_groups(trees, x, x_sq, modality, groups, pool_maps)
         cuts = [len(groups) * k // threads for k in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            runs = [executor.submit(_encode_groups, trees, x, x_sq, modality,
-                                    groups[lo:hi], pool_maps)
-                    for lo, hi in zip(cuts, cuts[1:])]
-            # read in tree order: the first failing run, which stopped at its
-            # first failing tree, names the lowest one.  Leaving the block
-            # waits for every thread.
-            return [row for run in runs for row in run.result()]
+        runs = [groups[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        if len(runs) == 1:
+            _encode_groups(trees, x, x_sq, modality, groups, pool_maps, leaves)
+            return leaves
+        failed = [None] * len(runs)  # the error that stopped each run, if any
+
+        def encode(i):
+            try:
+                _encode_groups(trees, x, x_sq, modality, runs[i], pool_maps, leaves)
+            except Exception as exc:
+                failed[i] = exc
+
+        # the caller encodes the last run itself
+        helpers = [threading.Thread(target=encode, args=(i,)) for i in range(len(runs) - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            encode(len(runs) - 1)
+        finally:
+            for helper in helpers:
+                helper.join()
+    # in tree order: the first failing run, which stopped at its first
+    # failing tree, names the lowest one
+    for exc in failed:
+        if exc is not None:
+            raise exc
+    return leaves
 
 
 def _as_batch(x) -> np.ndarray:
@@ -871,16 +903,14 @@ def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     Every column of every block is exactly 1-sparse; a batch of no columns
     gives (leaf_count, 0) blocks, whatever the learner.  The trees are encoded
     in the forest's groups through its anchor pool (see :func:`_leaf_rows`),
-    both built when the forest was made.
+    both built when the forest was made.  The blocks are the slices, tree by
+    tree, of one (trees, leaf_count, N) array, set in one scatter.
     """
     x = _as_batch(x)
     n = x.shape[1]
     trees = forest.trees
     _check_batch(forest.feature_dims, x, modality)
-    blocks = []
-    for tree, leaves in zip(trees, _leaf_rows(trees, x, modality, forest._groups[modality],
-                                              forest.pools[modality])):
-        block = np.zeros((tree.leaf_count, n), dtype=np.uint8)
-        block[leaves, np.arange(n)] = 1
-        blocks.append(block)
-    return blocks
+    leaves = _leaf_rows(trees, x, modality, forest._groups[modality], forest.pools[modality])
+    blocks = np.zeros((len(trees), forest.leaf_count, n), dtype=np.uint8)
+    blocks[np.arange(len(trees))[:, None], leaves, np.arange(n)] = 1
+    return list(blocks)

@@ -329,7 +329,7 @@ def check_kernel_constants(kind: str, sigma: float = KernelConfig.sigma,
         raise InvalidInputError("rbf bandwidth sigma must be positive")
     try:
         with np.errstate(over="ignore"):
-            denom = 2.0 * sigma**2  # the map's divisor, computed as the map does
+            denom = 2.0 * sigma**2  # the map's divisor, which it divides by negated
     except OverflowError:  # a Python float's ** raises where numpy's gives inf
         denom = math.inf
     if not 0.0 < denom < math.inf:
@@ -372,15 +372,17 @@ def _kernel_map(x, x_sq, kc: KernelConfig) -> np.ndarray:
         )
     if kc.kind == "rbf":
         sq = _rbf_distances(kc.anchor_sq_norms, x_sq, 2.0 * kc.anchors.T @ x)
-        return _rbf_of_distances(sq, 2.0 * kc.sigma**2)
+        return _rbf_of_distances(sq, -2.0 * kc.sigma**2)
     return _poly_of_products(kc.anchors.T @ x, kc.p, kc.q)
 
 
 # The RBF map is (a_sq + x_sq) - (2a)'x, clip at 0, negate, divide by
 # 2 sigma^2, exp.  This exact order keeps maps, and so codes, bit-identical
-# across releases; do not fold or reorder the steps.  The first half
-# (_rbf_distances) depends only on the anchors, so a pool of anchors shared
-# by many kernels takes it once for all of them.
+# across releases; do not fold or reorder the steps.  The one fold made is
+# exact: negating and dividing by 2 sigma^2 is one division by -2 sigma^2,
+# which rounds to the same value (round-to-nearest is symmetric in sign).
+# The first half (_rbf_distances) depends only on the anchors, so a pool of
+# anchors shared by many kernels takes it once for all of them.
 
 def _rbf_distances(anchor_sq, x_sq, doubled_products) -> np.ndarray:
     """Squared distances of every anchor (row) to every point (column), from
@@ -391,11 +393,10 @@ def _rbf_distances(anchor_sq, x_sq, doubled_products) -> np.ndarray:
     return np.maximum(sq, 0.0, out=sq)
 
 
-def _rbf_of_distances(sq, denom) -> np.ndarray:
-    """``exp(-sq / denom)`` in place in ``sq``, where ``denom`` is ``2 sigma^2``
-    (a scalar, or a column of one per row)."""
-    np.negative(sq, out=sq)
-    np.divide(sq, denom, out=sq)
+def _rbf_of_distances(sq, neg_denom) -> np.ndarray:
+    """``exp(-sq / (2 sigma^2))`` in place in ``sq``, where ``neg_denom`` is
+    ``-2 sigma^2`` (a scalar, or a column of one per row)."""
+    np.divide(sq, neg_denom, out=sq)
     return np.exp(sq, out=sq)
 
 

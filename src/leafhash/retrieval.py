@@ -8,6 +8,7 @@ popcounts over whole words need no masking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,21 @@ from .errors import InvalidInputError
 
 def _words_for(length: int) -> int:
     return (length + 63) // 64
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int; InvalidInputError when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _checked_length(length) -> int:
+    length = _as_int(length, "code length")
+    if length < 0:
+        raise InvalidInputError(f"code length must be >= 0, got {length}")
+    return length
 
 
 def _mask_padding(words, length):
@@ -36,6 +52,7 @@ class HashCode:
     length: int
 
     def __post_init__(self):
+        object.__setattr__(self, "length", _checked_length(self.length))
         words = np.array(self.words, dtype=np.uint64, order="C", ndmin=1)
         if words.ndim != 1 or words.shape[0] != _words_for(self.length):
             raise InvalidInputError(
@@ -54,6 +71,7 @@ class PackedCodes:
     length: int
 
     def __post_init__(self):
+        self.length = _checked_length(self.length)
         self.words = np.array(self.words, dtype=np.uint64, order="C")
         if self.words.ndim != 2 or self.words.shape[1] != _words_for(self.length):
             raise InvalidInputError(
@@ -74,9 +92,10 @@ def pack_codes(blocks, order) -> PackedCodes:
     ``blocks`` is the full list of (leaf_count, N) binary blocks and ``order``
     the selected block indices; sample j's code is the concatenation of the
     selected blocks' j-th columns in selection order.  An index outside
-    ``0..len(blocks)-1`` raises InvalidInputError naming its entry.
+    ``0..len(blocks)-1``, or that is not an integer, raises
+    InvalidInputError naming its entry.
     """
-    order = list(order)
+    order = [_as_int(b, f"selection entry {t}") for t, b in enumerate(order)]
     if not order:
         raise InvalidInputError("selection is empty")
     blocks = [np.asarray(b, dtype=np.uint8) for b in blocks]

@@ -13,9 +13,12 @@ from leafhash import (
     ForestConfig,
     SplitConfig,
     SyntheticSpec,
+    encode_dataset,
     gen_synthetic,
     load_codes,
     load_model,
+    pack_codes,
+    save_codes,
     save_labels,
     save_matrix,
     save_model,
@@ -229,6 +232,32 @@ class TestEncode:
         assert len(codes) == workspace["ds"].n_samples
         assert codes.length == 8
         np.testing.assert_array_equal(labels, workspace["ds"].labels)
+
+    @pytest.mark.parametrize("learner", ["linear", "rbf"])
+    def test_file_longer_than_a_slice_gives_one_calls_codes(self, workspace, learner_models,
+                                                            capsys, monkeypatch, learner):
+        # 160 points in slices of 64 columns
+        monkeypatch.setattr(cli, "_ENCODE_SLICE", 64)
+        widths = []
+
+        def record(forest, x, *args):
+            widths.append(x.shape[1])
+            return encode_dataset(forest, x, *args)
+
+        monkeypatch.setattr(cli, "encode_dataset", record)
+        out_path = workspace["tmp"] / f"sliced-{learner}.fhcd"
+        rc = main(["encode", "--model", str(learner_models[learner]),
+                   "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]), "--codes-out", str(out_path)])
+        report = parse_report(capsys.readouterr().out)
+        assert rc == 0 and report["count"] == "160"
+        assert widths == [64, 64, 32]
+        forest, selection = load_model(learner_models[learner])
+        ds = workspace["ds"]
+        whole = workspace["tmp"] / f"whole-{learner}.fhcd"
+        save_codes(pack_codes(encode_dataset(forest, ds.features), selection.chosen),
+                   ds.labels, whole)
+        assert out_path.read_bytes() == whole.read_bytes()
 
     def test_dimension_mismatch_is_data_error(self, workspace, capsys):
         bad = workspace["tmp"] / "bad.csv"

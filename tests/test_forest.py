@@ -1018,18 +1018,17 @@ class TestOverflowingBatch:
 
 
 def force_threads(monkeypatch, cpus=3):
-    """Encode every batch of a forest without stacked groups on threads, as
-    if this process could use ``cpus`` CPUs, and record each run of trees
-    that :func:`forest._encode_groups` encodes: ``(thread id, first tree,
-    tree count)``."""
+    """Encode every batch on threads, as if this process could use ``cpus``
+    CPUs, and record each run of trees that :func:`forest._encode_groups`
+    encodes: ``(thread id, first tree, tree count)``."""
     monkeypatch.setattr(forest_module, "THREAD_MULADDS", 0)
     monkeypatch.setattr(forest_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     runs = []
     encode_groups = forest_module._encode_groups
 
-    def record(trees, x, x_sq, modality, groups, pool_maps):
+    def record(trees, x, x_sq, modality, groups, *args):
         runs.append((threading.get_ident(), groups[0].start, groups[-1].stop - groups[0].start))
-        return encode_groups(trees, x, x_sq, modality, groups, pool_maps)
+        return encode_groups(trees, x, x_sq, modality, groups, *args)
 
     monkeypatch.setattr(forest_module, "_encode_groups", record)
     return runs
@@ -1042,9 +1041,52 @@ def serial_blocks(forest, x, modality):
         return encode_dataset(forest, x, modality=modality)
 
 
+def assert_caller_took_the_last_run(runs, starts):
+    """``runs`` (see :func:`force_threads`) began at ``starts``, and the
+    caller encoded the last of them and no other.  (A helper that has ended
+    may pass its thread id on to the next, so helpers' ids need not differ.)"""
+    assert sorted(start for _, start, _ in runs) == starts
+    on = {start: ident for ident, start, _ in runs}
+    assert [on[start] == threading.get_ident() for start in starts] == (
+        [False] * (len(starts) - 1) + [True])
+
+
+def stacked_forest(kind="rbf", depth=2, dims=(12,), n_trees=8, seed=5):
+    """A kernel forest whose trees stack 3 to a group over 12-d (4 anchors
+    each): groups of 3, 3 and 2 trees of 8."""
+    views = encode_views(seed, dims)
+    return views, train_multimodal_forest(views, 0, n_trees, depth,
+                                          grouped_config(kind, 4), master_seed=seed)
+
+
+def overflow_trees(forest, bad):
+    """``forest`` with the root projectors of the trees ``bad`` scaled by
+    1e300, so a large batch overflows their split residuals."""
+    trees = list(forest.trees)
+    for t in bad:
+        root = trees[t].nodes[0][0]
+        huge = dataclasses.replace(root, proj_neg=root.proj_neg * 1e300,
+                                   proj_pos=root.proj_pos * 1e300)
+        trees[t] = dataclasses.replace(trees[t], nodes=[[huge]] + trees[t].nodes[1:])
+    return dataclasses.replace(forest, trees=trees)
+
+
+def delay_run(monkeypatch, start):
+    """Make the run of trees that begins at tree ``start`` wait 50 ms before
+    it is encoded, so the runs after it finish, or fail, first."""
+    encode_groups = forest_module._encode_groups
+
+    def late(trees, x, x_sq, modality, groups, *args):
+        if groups[0].start == start:
+            threading.Event().wait(0.05)
+        return encode_groups(trees, x, x_sq, modality, groups, *args)
+
+    monkeypatch.setattr(forest_module, "_encode_groups", late)
+
+
 class TestThreadedEncode:
-    """A large batch of a forest without stacked groups is encoded on threads,
-    each taking a run of whole trees, with the serial path's leaves and errors."""
+    """A large batch is encoded on threads, each taking a run of whole groups
+    and the caller the last, with the serial path's leaves and errors."""
 
     @pytest.mark.parametrize("kind, dims", [("linear", (6,)), ("rbf", (6,)),
                                             ("polynomial", (6,)), ("neural", (6,)),
@@ -1060,11 +1102,52 @@ class TestThreadedEncode:
             runs = force_threads(monkeypatch)
             blocks = encode_dataset(forest, x, modality=modality)
             monkeypatch.undo()
-            # 5 trees over 3 threads: runs of 1, 2 and 2 trees, none on this one
+            # 5 trees over 3 threads: runs of 1, 2 and 2 trees, the last on this one
             assert sorted((start, count) for _, start, count in runs) == [(0, 1), (1, 2), (3, 2)]
-            assert threading.get_ident() not in {ident for ident, _, _ in runs}
+            assert_caller_took_the_last_run(runs, [0, 1, 3])
             for block, want in zip(blocks, expected, strict=True):
                 np.testing.assert_array_equal(block, want)
+
+    @pytest.mark.parametrize("kind, depth, dims", [("rbf", 2, (12,)), ("rbf", 3, (12,)),
+                                                   ("polynomial", 2, (12,)),
+                                                   ("polynomial", 3, (12,)),
+                                                   ("rbf", 2, (13, 12)), ("rbf", 3, (13, 12))])
+    def test_threaded_stacked_leaves_equal_serial_leaves(self, monkeypatch, kind, depth, dims):
+        views, forest = stacked_forest(kind, depth, dims)
+        rng = np.random.default_rng(5)
+        for modality, view in enumerate(views):
+            assert [g.stop - g.start for g in forest._groups[modality]] == [3, 3, 2]
+            x = np.concatenate([view.features, rng.normal(size=(dims[modality], 20))], axis=1)
+            expected = serial_blocks(forest, x, modality)
+            runs = force_threads(monkeypatch)
+            blocks = encode_dataset(forest, x, modality=modality)
+            monkeypatch.undo()
+            # a run of one group per thread
+            assert sorted((start, count) for _, start, count in runs) == [(0, 3), (3, 3), (6, 2)]
+            assert_caller_took_the_last_run(runs, [0, 3, 6])
+            for block, want in zip(blocks, expected, strict=True):
+                np.testing.assert_array_equal(block, want)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_depth_2_stacked_groups_descend_no_tree(self, monkeypatch, depth):
+        # a depth-2 tree's leaf is its root's side; deeper trees descend
+        (view,), forest = stacked_forest(depth=depth)
+        descended = []
+        descend = forest_module._descend
+        index = {id(tree): t for t, tree in enumerate(forest.trees)}
+
+        def record(tree, *args):
+            descended.append(index[id(tree)])
+            return descend(tree, *args)
+
+        monkeypatch.setattr(forest_module, "_descend", record)
+        blocks = encode_dataset(forest, view.features)
+        assert descended == ([] if depth == 2 else list(range(8)))
+        for tree, block in zip(forest.trees, blocks, strict=True):
+            leaves, margin = per_tree_leaves_and_margins(tree, view.features, 0)
+            clear = margin > 1e-9
+            assert clear.mean() > 0.9
+            np.testing.assert_array_equal(block.argmax(axis=0)[clear], leaves[clear])
 
     def test_more_cpus_than_trees_take_a_tree_each(self, monkeypatch):
         forest = _nonfinite_forest("neural")
@@ -1076,51 +1159,114 @@ class TestThreadedEncode:
         for block, want in zip(blocks, expected, strict=True):
             np.testing.assert_array_equal(block, want)
 
-    def test_stacked_groups_and_small_batches_stay_serial(self, monkeypatch):
-        (view,) = encode_views(5, (12,))
-        stacked = train_forest(view, 3, 2, grouped_config("rbf", 4), master_seed=5)
-        runs = force_threads(monkeypatch)
-        encode_dataset(stacked, view.features)
-        assert runs == [(threading.get_ident(), 0, 3)]
-        monkeypatch.undo()
-        # below the threshold: THREAD_MULADDS is set, only the CPUs are forced
+    def test_small_batches_stay_serial(self, monkeypatch):
+        # below the threshold: THREAD_MULADDS is kept, only the CPUs are forced
         runs = force_threads(monkeypatch)
         monkeypatch.setattr(forest_module, "THREAD_MULADDS", 2**22)
-        forest = _nonfinite_forest("rbf")
-        encode_dataset(forest, np.ones((6, 30)))
+        (view,), stacked = stacked_forest()
+        encode_dataset(stacked, view.features)
+        assert runs == [(threading.get_ident(), 0, 8)]
+        runs.clear()
+        encode_dataset(_nonfinite_forest("rbf"), np.ones((6, 30)))
         assert runs == [(threading.get_ident(), 0, 2)]
 
-    def test_failure_names_the_lowest_failing_tree_and_warns_of_nothing(self, monkeypatch):
-        (view,) = encode_views(3, (6,))
-        forest = train_forest(view, 5, 2, ENCODE_CONFIGS["linear"], master_seed=3)
-        trees = list(forest.trees)
-        # trees 2 and 4 overflow: their root projectors are scaled up
-        for t in (2, 4):
-            root = trees[t].nodes[0][0]
-            huge = dataclasses.replace(root, proj_neg=root.proj_neg * 1e300,
-                                       proj_pos=root.proj_pos * 1e300)
-            trees[t] = dataclasses.replace(trees[t], nodes=[[huge]])
-        bad = dataclasses.replace(forest, trees=trees)
+    def test_stacked_group_costs_its_map_rows_and_root_projectors(self, monkeypatch):
+        # serve-784's shape: 16-anchor trees over 784-d, 16 trees a group
+        rng = np.random.default_rng(0)
+        trees = [fake_kernel_tree(784, 16, anchor_rng=rng) for _ in range(32)]
+        forest = Forest(trees=trees, master_seed=0, depth=2, feature_dims=(784,),
+                        config=grouped_config("rbf", 16))
+        per_column = 256 + 2 * 16 * 16 * 16
+        assert [g.muladds for g in forest._groups[0]] == [per_column] * 2
+        # the smallest batch whose cost reaches THREAD_MULADDS per group threads
+        fewest = -(-forest_module.THREAD_MULADDS // per_column)
         runs = force_threads(monkeypatch)
-        descend = forest_module._descend
+        monkeypatch.setattr(forest_module, "THREAD_MULADDS", 2**22)
+        x = rng.normal(size=(784, fewest))
+        encode_dataset(forest, x[:, 1:])
+        assert runs == [(threading.get_ident(), 0, 32)]
+        runs.clear()
+        encode_dataset(forest, x)
+        assert_caller_took_the_last_run(runs, [0, 16])
 
-        def late_for_tree_2(tree, *args):
-            # tree 4's thread fails first
-            if tree is trees[2]:
-                threading.Event().wait(0.05)
-            return descend(tree, *args)
-
-        monkeypatch.setattr(forest_module, "_descend", late_for_tree_2)
-        x = 1e10 * np.ones((6, 4))
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_failure_names_the_lowest_failing_tree_and_warns_of_nothing(self, monkeypatch,
+                                                                        stacked):
+        # the lower failing run waits, so the caller's own run, the last,
+        # fails first.  A stacked group's error names the group's first tree.
+        if stacked:
+            (view,), forest = stacked_forest()
+            bad, lower, name = overflow_trees(forest, (4, 7)), 3, "tree 3"
+            x = view.features
+        else:
+            (view,) = encode_views(3, (6,))
+            forest = train_forest(view, 5, 2, ENCODE_CONFIGS["linear"], master_seed=3)
+            bad, lower, name = overflow_trees(forest, (2, 4)), 1, "tree 2"
+            x = 1e10 * np.ones((6, 4))
+        runs = force_threads(monkeypatch)
+        delay_run(monkeypatch, lower)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(NumericError, match="^tree 2: a split residual is not finite"):
+            with pytest.raises(NumericError, match=f"^{name}: a split residual is not finite"):
                 encode_dataset(bad, x)
         assert [w.message for w in caught] == []
-        assert threading.get_ident() not in {ident for ident, _, _ in runs}
+        assert_caller_took_the_last_run(runs, [0, lower, 6 if stacked else 3])
         monkeypatch.undo()
-        with pytest.raises(NumericError, match="^tree 2: a split residual is not finite"):
+        with pytest.raises(NumericError, match=f"^{name}: a split residual is not finite"):
             encode_dataset(bad, x)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_outlives_a_call(self, monkeypatch, fails):
+        (view,), forest = stacked_forest()
+        if fails:
+            forest = overflow_trees(forest, (0,))
+        x = view.features
+        before = threading.active_count()
+        runs = force_threads(monkeypatch)
+        if fails:
+            with pytest.raises(NumericError, match="^tree 0: "):
+                encode_dataset(forest, x)
+        else:
+            encode_dataset(forest, x)
+        assert len(runs) == 3
+        assert threading.active_count() == before
+
+    def test_training_pool_forked_after_a_threaded_encode_gives_the_serial_forest(
+            self, monkeypatch):
+        (view,), forest = stacked_forest()
+        runs = force_threads(monkeypatch)
+        encode_dataset(forest, view.features)
+        assert len(runs) == 3
+        ds = small_dataset()
+        pooled = train_forest(ds, 3, 2, FAST_CFG, master_seed=3, workers=2)
+        monkeypatch.undo()
+        assert forests_equal(pooled, train_forest(ds, 3, 2, FAST_CFG, master_seed=3))
+
+    def test_two_callers_encoding_one_stacked_forest_get_the_serial_blocks(
+            self, monkeypatch):
+        (view,), forest = stacked_forest()
+        x = np.concatenate([view.features, np.random.default_rng(5).normal(size=(12, 40))],
+                           axis=1)
+        expected = serial_blocks(forest, x, 0)
+        runs = force_threads(monkeypatch)
+        start = threading.Barrier(2, timeout=30)
+        results = [None, None]
+
+        def encode(i):
+            start.wait()
+            results[i] = [encode_dataset(forest, x) for _ in range(5)]
+
+        callers = [threading.Thread(target=encode, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+            assert not t.is_alive()
+        assert len(runs) == 2 * 5 * 3
+        for result in results:
+            for blocks in result:
+                for block, want in zip(blocks, expected, strict=True):
+                    np.testing.assert_array_equal(block, want)
 
 
 class TestForestConfig:
@@ -1274,13 +1420,14 @@ class TestPoolBlasThreads:
         assert seen == [(threading.get_ident(), 1)] * 3
         assert blas_threads() == parent_threads
 
-        # a threaded batch: every worker routes on one BLAS thread, and the
-        # caller's count comes back only after the last of them is done
+        # a threaded batch: the caller and every helper route on one BLAS
+        # thread, and the caller's count comes back only after the last of
+        # them is done
         seen.clear()
         force_threads(monkeypatch)
         encode_dataset(forest, ds.features)
         assert len(seen) == 3 and {count for _, count in seen} == {1}
-        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert [ident for ident, _ in seen].count(threading.get_ident()) == 1
         assert blas_threads() == parent_threads
 
     def test_concurrent_holders_keep_one_thread_until_the_last_leaves(self):

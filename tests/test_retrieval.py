@@ -64,6 +64,14 @@ class TestPackCodes:
                            match=rf"^selection entry 1 is block {bad}, outside 0\.\.2$"):
             pack_codes(blocks, [0, bad])
 
+    @pytest.mark.parametrize("bad", [1.0, np.float64(0.0), "1", None])
+    def test_block_index_that_is_not_an_integer_rejected(self, rng, bad):
+        # 1.0 is in range, but a list cannot be indexed by it
+        blocks = [one_hot_block(rng.integers(0, 2, 5), 2) for _ in range(3)]
+        with pytest.raises(InvalidInputError,
+                           match=r"^selection entry 1 must be an integer, got "):
+            pack_codes(blocks, [0, bad])
+
     def test_padding_is_zero(self, rng):
         blocks = [one_hot_block(rng.integers(0, 2, 5), 2) for _ in range(3)]
         packed = pack_codes(blocks, [0, 1, 2])  # L = 6
@@ -93,6 +101,27 @@ class TestCodeWords:
         one = HashCode(words=np.frombuffer(raw, np.uint64, count=1), length=10)
         assert np.all(codes.words == 2**10 - 1) and np.all(one.words == 2**10 - 1)
         assert codes.code(1).words.tolist() == [2**10 - 1]
+
+
+    @pytest.mark.parametrize("length", [-5, -64, -65])
+    def test_negative_length_rejected(self, length):
+        words = np.zeros(0, dtype=np.uint64)
+        with pytest.raises(InvalidInputError, match=rf"^code length must be >= 0, got {length}$"):
+            HashCode(words=words, length=length)
+        with pytest.raises(InvalidInputError, match=rf"^code length must be >= 0, got {length}$"):
+            PackedCodes(words=words.reshape(2, 0), length=length)
+
+    @pytest.mark.parametrize("length", [1.5, 10.0, "10"])
+    def test_length_that_is_not_an_integer_rejected(self, length):
+        with pytest.raises(InvalidInputError, match=r"^code length must be an integer"):
+            HashCode(words=np.zeros(1, dtype=np.uint64), length=length)
+        with pytest.raises(InvalidInputError, match=r"^code length must be an integer"):
+            PackedCodes(words=np.zeros((2, 1), dtype=np.uint64), length=length)
+
+    def test_zero_length_and_numpy_integer_lengths_build(self):
+        assert len(PackedCodes(words=np.zeros((3, 0), dtype=np.uint64), length=0)) == 3
+        code = HashCode(words=np.ones(1, dtype=np.uint64), length=np.uint32(1))
+        assert code.length == 1 and code.words.tolist() == [1]
 
 
 class TestHamming:

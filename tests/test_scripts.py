@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # keys of the one JSON line a script prints, for those that print one
-REPORT_KEYS = {"encode_batch_sizes.py": {"model_bytes", "pts_per_s", "load_ms"}}
+REPORT_KEYS = {"encode_batch_sizes.py": {"model_bytes", "pts_per_s", "serial_pts_per_s",
+                                          "load_ms"}}
 
 
 def run_script(script, args):
@@ -38,6 +39,9 @@ def test_script_runs(script, args):
         report = json.loads(out)
         assert REPORT_KEYS[script] <= report.keys()
         assert set(report["load_ms"]) == {"median", "q1", "q3"}
+        for way in ("pts_per_s", "serial_pts_per_s"):
+            assert set(report[way]) == {"1", "4"}
+            assert all(set(q) == {"median", "q1", "q3"} for q in report[way].values())
 
 
 def write_idx(path, images, labels):
