@@ -63,9 +63,10 @@ def train_and_select(features, labels, trees, bits, seed, workers):
 
 
 def encode(forest, features, chosen, size=1000):
-    """Packed codes of ``features``, encoded ``size`` columns at a time: a
-    column's code does not depend on its batch, and a call's temporaries
-    grow with its batch."""
+    """Packed codes of ``features``, encoded ``size`` columns at a time, as a
+    call's temporaries grow with its batch.  A column's code is the one a
+    larger batch gives it up to the rounding of the matrix products, so a
+    column within that of a split tie may take the other side."""
     codes = [lh.pack_codes(lh.encode_dataset(forest, features[:, i:i + size]), chosen)
              for i in range(0, features.shape[1], size)]
     return lh.PackedCodes(np.concatenate([c.words for c in codes]), codes[0].length)

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .forest import _single_blas_thread
+from .retrieval import _one_hot_blocks
 
 JITTER = 1e-8
 _VAR_FLOOR = 1e-12
@@ -44,19 +45,8 @@ class BlockSet:
 
     @classmethod
     def from_blocks(cls, blocks) -> "BlockSet":
-        blocks = [np.asarray(b) for b in blocks]
-        if not blocks:
-            raise InvalidInputError("no code blocks given")
-        shape = blocks[0].shape
-        for i, b in enumerate(blocks):
-            if b.ndim != 2 or b.shape != shape:
-                raise InvalidInputError(f"block {i} has shape {b.shape}, expected {shape}")
-            if not np.all((b == 0) | (b == 1)):
-                raise InvalidInputError(f"block {i} is not binary")
-            if not np.all(b.sum(axis=0) == 1):
-                raise InvalidInputError(f"block {i} has a column that is not 1-sparse")
-        leaf_ids = np.stack([b.argmax(axis=0) for b in blocks]).astype(np.int32)
-        return cls(leaf_ids=leaf_ids, leaf_count=shape[0])
+        stack = _one_hot_blocks(blocks)
+        return cls(leaf_ids=stack.argmax(axis=1).astype(np.int32), leaf_count=stack.shape[1])
 
     @property
     def n_blocks(self) -> int:
@@ -138,6 +128,16 @@ def unsupervised_gain(cov: BlockCovariance, y: int, selected) -> float:
 def _check_k(k: int, high: int, m: int):
     if not 0 <= k <= high:
         raise InvalidInputError(f"k must be in [0, {high}] for {m} blocks, got {k}")
+
+
+def _check_lambda(lam):
+    """InvalidInputError unless ``lam`` is None or a finite number >= 0."""
+    try:
+        valid = lam is None or math.isfinite(lam) and lam >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise InvalidInputError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
 def _labeled(bs: BlockSet, labels, labeled=None):
@@ -257,8 +257,10 @@ def greedy_semisupervised(
     """Blend of both criteria: per step, unsupervised gain + lambda x label
     gain.  The two terms may be evaluated on different sample subsets
     (``unlabeled``/``labeled`` column indices); both default to all samples.
+    A given ``lam`` must be finite and at least 0.
     """
     _check_k(k, bs.n_blocks // 2, bs.n_blocks)
+    _check_lambda(lam)
     ids, lab = _labeled(bs, labels, labeled)
     if lam is None:
         lam = estimate_lambda(bs, labels, unlabeled, labeled)

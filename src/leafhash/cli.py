@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import data as dio
-from .aggregation import BlockSet, select_blocks
+from .aggregation import BlockSet, _check_lambda, select_blocks
 from .dictionaries import SplitConfig
 from .errors import DataFormatError, InvalidInputError, NumericError
 from .forest import ForestConfig, LabeledDataset, encode_dataset, train_forest
@@ -186,6 +186,7 @@ def cmd_train(opts) -> int:
             anchor_count=opts["anchors"],
             sigma=opts["sigma"],
         )
+        _check_lambda(opts["lambda"])
     except InvalidInputError as exc:
         raise UsageError(exc) from exc
 

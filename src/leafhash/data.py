@@ -94,7 +94,7 @@ def load_matrix(path, fmt: str = "csv") -> np.ndarray:
     """Load a feature matrix (rows are dimensions, columns are samples)."""
     if fmt == "csv":
         return _load_csv(path)
-    if fmt in ("raw-f64", "raw"):
+    if fmt == "raw-f64":
         return _load_raw_f64(path)
     raise InvalidInputError(f"unknown matrix format {fmt!r}")
 
@@ -157,7 +157,7 @@ def save_matrix(matrix, path, fmt: str = "csv"):
         with open(path, "w", encoding="utf-8") as fh:
             for row in matrix:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    elif fmt in ("raw-f64", "raw"):
+    elif fmt == "raw-f64":
         with open(path, "wb") as fh:
             fh.write(struct.pack("<QQ", *matrix.shape))
             fh.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())

@@ -51,6 +51,7 @@ from .dictionaries import (
     node_route_many,
     train_split_node,
 )
+from .retrieval import _as_int
 
 _MAX_SUPPORTED_DEPTH = 6
 # share of the training samples each tree draws, without replacement
@@ -727,14 +728,19 @@ def _tree_groups(trees, modality: int, indices) -> list[_TreeGroup]:
     return groups
 
 
-def _check_batch(feature_dims, x, modality: int):
+def _checked_batch(feature_dims, x, modality) -> np.ndarray:
+    """``x`` as a finite matrix, maybe of no columns (:func:`lowrank._as_matrix`),
+    of ``feature_dims[modality]`` rows, for an integer ``modality`` in range."""
+    modality = _as_int(modality, "modality")
     if not 0 <= modality < len(feature_dims):
         raise InvalidInputError(f"modality {modality} out of range")
+    x = _as_matrix(x, "x", allow_empty=True)
     if x.shape[0] != feature_dims[modality]:
         raise InvalidInputError(
             f"feature dimension {x.shape[0]} does not match tree "
             f"({feature_dims[modality]})"
         )
+    return x
 
 
 def _descend(tree, f, modality: int, pos, level: int) -> np.ndarray:
@@ -815,9 +821,8 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> np.ndarray:
     of ``trees``, a (trees, N) int64 array, encoded in their ``groups``
     (:func:`_tree_groups`).
 
-    ``x`` is already checked against the trees' dimensions (:func:`_check_batch`).
-    The batch is validated, whatever the learner, and for RBF maps its
-    squared column norms taken, once per call; no node validates it again.
+    ``x`` is checked (:func:`_checked_batch`), and for RBF maps its squared
+    column norms are taken, once per call; no node validates it again.
     A batch of no columns has no leaves.  When a group stacks
     trees, the batch is mapped through the whole anchor ``pool`` of the
     trees' forest once, by the caller (:func:`_pool_maps`): one pool-by-N
@@ -845,7 +850,6 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> np.ndarray:
     one that is not finite raises it at the residuals.
     """
     kinds = {t.kernels[modality].kind for t in trees if t.kernels[modality] is not None}
-    x = _as_matrix(x, "x", allow_empty=True)
     leaves = np.empty((len(trees), x.shape[1]), dtype=np.int64)
     if x.shape[1] == 0:
         return leaves
@@ -892,11 +896,6 @@ def _leaf_rows(trees, x, modality: int, groups, pool=None) -> np.ndarray:
     return leaves
 
 
-def _as_batch(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[:, None] if x.ndim == 1 else x
-
-
 def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     """Code blocks for every sample: one (leaf_count, N) uint8 block per tree.
 
@@ -906,10 +905,9 @@ def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     both built when the forest was made.  The blocks are the slices, tree by
     tree, of one (trees, leaf_count, N) array, set in one scatter.
     """
-    x = _as_batch(x)
+    x = _checked_batch(forest.feature_dims, x, modality)
     n = x.shape[1]
     trees = forest.trees
-    _check_batch(forest.feature_dims, x, modality)
     leaves = _leaf_rows(trees, x, modality, forest._groups[modality], forest.pools[modality])
     blocks = np.zeros((len(trees), forest.leaf_count, n), dtype=np.uint8)
     blocks[np.arange(len(trees))[:, None], leaves, np.arange(n)] = 1

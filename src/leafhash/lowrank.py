@@ -40,7 +40,16 @@ _BANDWIDTH_BLOCK = 64
 
 
 def _as_matrix(a, name="matrix", allow_empty=False):
-    a = np.asarray(a, dtype=np.float64)
+    """``a`` as a finite float64 matrix (a vector is one column); any input
+    that is not one raises InvalidInputError."""
+    try:
+        a = np.asarray(a)
+        if a.dtype.kind != "c":  # a cast would drop the imaginary parts
+            a = a.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:  # text, objects, a ragged nesting
+        raise InvalidInputError(f"{name} is not numeric: {exc}") from None
+    if a.dtype.kind == "c":
+        raise InvalidInputError(f"{name} has complex entries")
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:

@@ -28,19 +28,30 @@ def _as_int(value, what: str) -> int:
         raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _checked_length(length) -> int:
+def _code_words(words, length, ndim: int):
+    """``(words, length)`` checked for codes of ``ndim`` dimensions: the words
+    as a C-ordered uint64 copy with the padding bits cleared.  A word that is
+    not an integer in ``0..2^64-1`` raises InvalidInputError."""
     length = _as_int(length, "code length")
     if length < 0:
         raise InvalidInputError(f"code length must be >= 0, got {length}")
-    return length
-
-
-def _mask_padding(words, length):
-    """Zero every bit at position >= length (in place); returns words."""
+    # numpy reads a list that holds 2^63 and a smaller int as floats, so a
+    # list's words are judged one by one as the Python objects they are
+    a = words if isinstance(words, np.ndarray) else np.array(words, dtype=object)
+    if a.dtype == object:
+        valid = all(isinstance(w, (int, np.integer)) and 0 <= w < 2**64 for w in a.flat)
+    else:
+        valid = a.dtype.kind == "u" or a.dtype.kind == "i" and not (a < 0).any()
+    if not (valid or a.size == 0):
+        raise InvalidInputError("code words must be integers in 0..2^64-1")
+    words = np.array(a, dtype=np.uint64, order="C", ndmin=1)
+    if words.ndim != ndim or words.shape[-1] != _words_for(length):
+        raise InvalidInputError(f"expected {ndim}-D words, {_words_for(length)} per code "
+                                f"for {length} bits")
     tail = length % 64
     if tail:
         words[..., -1] &= np.uint64((1 << tail) - 1)
-    return words
+    return words, length
 
 
 @dataclass(frozen=True)
@@ -52,14 +63,9 @@ class HashCode:
     length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "length", _checked_length(self.length))
-        words = np.array(self.words, dtype=np.uint64, order="C", ndmin=1)
-        if words.ndim != 1 or words.shape[0] != _words_for(self.length):
-            raise InvalidInputError(
-                f"expected {_words_for(self.length)} words for {self.length} bits"
-            )
-        _mask_padding(words, self.length)
+        words, length = _code_words(self.words, self.length, 1)
         object.__setattr__(self, "words", words)
+        object.__setattr__(self, "length", length)
 
 
 @dataclass
@@ -71,13 +77,7 @@ class PackedCodes:
     length: int
 
     def __post_init__(self):
-        self.length = _checked_length(self.length)
-        self.words = np.array(self.words, dtype=np.uint64, order="C")
-        if self.words.ndim != 2 or self.words.shape[1] != _words_for(self.length):
-            raise InvalidInputError(
-                f"expected (n, {_words_for(self.length)}) words for {self.length} bits"
-            )
-        _mask_padding(self.words, self.length)
+        self.words, self.length = _code_words(self.words, self.length, 2)
 
     def __len__(self) -> int:
         return self.words.shape[0]
@@ -86,36 +86,55 @@ class PackedCodes:
         return HashCode(words=self.words[i], length=self.length)
 
 
+def _one_hot_blocks(blocks, names=None) -> np.ndarray:
+    """``blocks`` as one (k, leaf_count, N) uint8 array, once each is a 2-D
+    array of numbers of the first one's shape and one-hot (binary, one 1 in
+    every column); else InvalidInputError names the first that is not by
+    ``names`` (or position)."""
+    blocks = [np.asarray(b) for b in blocks]
+    names = range(len(blocks)) if names is None else names
+    if not blocks:
+        raise InvalidInputError("no code blocks given")
+    shape = blocks[0].shape
+    for name, b in zip(names, blocks):
+        if b.ndim != 2 or b.shape != shape or b.dtype.kind not in "biuf":
+            raise InvalidInputError(f"block {name} is a {b.dtype} array of shape {b.shape}, "
+                                    f"expected 2-D numbers of shape {shape}")
+    stack = np.stack(blocks)
+    ones = (stack == 1).view(np.uint8)
+    # each column's ones, counted in uint8 when no count can wrap
+    counts = np.einsum("kln->kn", ones, dtype=np.uint8 if shape[0] < 256 else np.int64)
+    one_hot = (stack == ones).all(axis=(1, 2)) & (counts == 1).all(axis=1)
+    if not one_hot.all() or not shape[0]:
+        raise InvalidInputError(f"block {names[np.argmin(one_hot)]} is not one-hot "
+                                "(binary, one 1 in every column)")
+    return ones
+
+
 def pack_codes(blocks, order) -> PackedCodes:
     """Pack selected code blocks into L-bit codes, one per sample.
 
-    ``blocks`` is the full list of (leaf_count, N) binary blocks and ``order``
+    ``blocks`` is the full list of (leaf_count, N) one-hot blocks and ``order``
     the selected block indices; sample j's code is the concatenation of the
     selected blocks' j-th columns in selection order.  An index outside
     ``0..len(blocks)-1``, or that is not an integer, raises
-    InvalidInputError naming its entry.
+    InvalidInputError naming its entry, and a selected block that is not
+    one-hot (:func:`_one_hot_blocks`) names its index.
     """
     order = [_as_int(b, f"selection entry {t}") for t, b in enumerate(order)]
     if not order:
         raise InvalidInputError("selection is empty")
-    blocks = [np.asarray(b, dtype=np.uint8) for b in blocks]
+    blocks = list(blocks)
     for t, b in enumerate(order):
         if not 0 <= b < len(blocks):
             raise InvalidInputError(
                 f"selection entry {t} is block {b}, outside 0..{len(blocks) - 1}")
-    leaf_count, n = blocks[order[0]].shape
-    length = len(order) * leaf_count
-    words = np.zeros((n, _words_for(length)), dtype=np.uint64)
-    rows = np.arange(n)
-    for t, b in enumerate(order):
-        block = blocks[b]
-        if block.shape != (leaf_count, n):
-            raise InvalidInputError(f"block {b} shape {block.shape} is inconsistent")
-        bitpos = t * leaf_count + block.argmax(axis=0).astype(np.uint64)
-        np.bitwise_or.at(
-            words, (rows, (bitpos >> 6).astype(np.int64)), np.uint64(1) << (bitpos & 63)
-        )
-    return PackedCodes(words=words, length=length)
+    stack = _one_hot_blocks([blocks[b] for b in order], order)
+    length, n = stack.shape[0] * stack.shape[1], stack.shape[2]
+    # one zero-padded row of bits per code: bit i lands at bit i % 64 of word i // 64
+    bits = np.zeros((n, _words_for(length) * 64), dtype=np.uint8)
+    bits[:, :length] = stack.reshape(length, n).T
+    return PackedCodes(np.packbits(bits, axis=1, bitorder="little").view("<u8"), length)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from leafhash import (
     greedy_semisupervised,
     greedy_supervised,
     greedy_unsupervised,
+    select_blocks,
     unsupervised_gain,
 )
 
@@ -47,6 +49,54 @@ class TestBlockCovariance:
         bad = np.array([[1, 1], [1, 0]], dtype=np.uint8)
         with pytest.raises(InvalidInputError):
             BlockSet.from_blocks([bad, bad])
+
+
+class TestFromBlocks:
+    @given(leaf_count=st.integers(1, 64), n=st.integers(0, 300), m=st.integers(1, 6),
+           dtype=st.sampled_from([np.uint8, bool, np.int64, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_ids_are_each_blocks_argmax(self, leaf_count, n, m, dtype, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [one_hot_block(rng.integers(0, leaf_count, n), leaf_count).astype(dtype)
+                  for _ in range(m)]
+        # any iterable of blocks
+        bs = BlockSet.from_blocks(iter(blocks))
+        assert bs.leaf_count == leaf_count and bs.leaf_ids.dtype == np.int32
+        np.testing.assert_array_equal(bs.leaf_ids,
+                                      np.array([b.argmax(axis=0) for b in blocks],
+                                               dtype=np.int32).reshape(m, n))
+
+    @pytest.mark.parametrize("fault, message", [
+        ([[1, 0, 1, 0], [1, 1, 0, 1]], "is not one-hot (binary, one 1 in every column)"),
+        ([[0, 0, 1, 0], [0, 1, 0, 1]], "is not one-hot (binary, one 1 in every column)"),
+        ([[2, 0, 0, 1], [0, 1, 1, 0]], "is not one-hot (binary, one 1 in every column)"),
+        ([[0.5, 1, 0, 1], [0.5, 0, 1, 0]], "is not one-hot (binary, one 1 in every column)"),
+        ([[1, 0, 0, -1], [0, 1, 1, 2]], "is not one-hot (binary, one 1 in every column)"),
+        ([["1", "0", "0", "1"], ["0", "1", "1", "0"]],
+         "is a <U1 array of shape (2, 4), expected 2-D numbers of shape (2, 4)"),
+        (np.ones((3, 4)),
+         "is a float64 array of shape (3, 4), expected 2-D numbers of shape (2, 4)"),
+        (np.ones(4), "is a float64 array of shape (4,), expected 2-D numbers of shape (2, 4)")])
+    @given(m=st.integers(2, 6), data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_malformed_block_is_named_by_its_index(self, fault, message, m, data):
+        # the first block sets the shape, so a block of another shape comes later
+        first = 0 if np.shape(fault) == (2, 4) else 1
+        i = data.draw(st.integers(first, m - 1), label="malformed block")
+        blocks = [one_hot_block([0, 1, 1, 0], 2) for _ in range(m)]
+        blocks[i] = fault
+        with pytest.raises(InvalidInputError, match=f"^block {i} {re.escape(message)}$"):
+            BlockSet.from_blocks(blocks)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(InvalidInputError, match="^no code blocks given$"):
+            BlockSet.from_blocks([])
+
+    def test_blocks_of_no_rows_rejected(self):
+        # no leaf to be 1 in: once numpy's ValueError from argmax
+        with pytest.raises(InvalidInputError, match="^block 0 is not one-hot "):
+            BlockSet.from_blocks([np.zeros((0, 0)), np.zeros((0, 0))])
 
 
 class TestConditionalVariance:
@@ -229,6 +279,16 @@ class TestGreedySemiSupervised:
             assert get_threads() == 2
         finally:
             set_threads(before)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "1"])
+    def test_lambda_that_is_not_finite_or_is_negative_rejected(self, rng, lam):
+        bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)
+        with pytest.raises(InvalidInputError,
+                           match=r"^lambda must be a finite number >= 0, got "):
+            greedy_semisupervised(bs, labels, 3, lam=lam)
+        with pytest.raises(InvalidInputError,
+                           match=r"^lambda must be a finite number >= 0, got "):
+            select_blocks(bs, labels, 3, "semi", lam)
 
     def test_huge_lambda_reduces_to_supervised(self, rng):
         bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)

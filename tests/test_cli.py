@@ -217,6 +217,22 @@ class TestBadOptionValues:
         assert captured.err.startswith("usage error:") and "2 sigma^2" in captured.err
         assert captured.out == "" and not model.exists()
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+    def test_lambda_that_is_not_finite_or_is_negative_is_usage_error(
+            self, workspace, capsys, monkeypatch, lam):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train_forest", no_training)
+        model = workspace["tmp"] / f"lambda{lam}.fhsh"
+        rc = main(["train", "--features", str(workspace["features"]),
+                   "--labels", str(workspace["labels"]), "--model-out", str(model),
+                   *TRAIN_ARGS, "--mode", "semi", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("usage error: lambda must be a finite number >= 0")
+        assert captured.out == "" and not model.exists()
+
     def test_negative_radius_is_usage_error(self, workspace, capsys):
         rc = main(["eval", "--gallery", str(workspace["codes"]),
                    "--queries", str(workspace["codes"]), "--radii", "0,-1"])

@@ -115,6 +115,16 @@ class TestLoadMatrix:
         save_matrix(m, path, "csv")
         np.testing.assert_array_equal(load_matrix(path, "csv"), m)
 
+    def test_raw_is_not_a_format_name(self, tmp_path, rng):
+        # only raw-f64, the name the CLI and the README give
+        path = tmp_path / "m.bin"
+        with pytest.raises(InvalidInputError, match="^unknown matrix format 'raw'$"):
+            save_matrix(rng.normal(size=(2, 3)), path, "raw")
+        assert not path.exists()
+        save_matrix(rng.normal(size=(2, 3)), path, "raw-f64")
+        with pytest.raises(InvalidInputError, match="^unknown matrix format 'raw'$"):
+            load_matrix(path, "raw")
+
     def test_raw_size_mismatch(self, tmp_path):
         path = tmp_path / "m.raw"
         path.write_bytes(struct.pack("<QQ", 2, 2) + b"\x00" * 8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,35 @@ def class_pairs(draw, min_cols=1):
                      duplicate=draw(st.booleans()))
         for n in (draw(st.integers(min_cols, 14)), draw(st.integers(min_cols, 14)))
     )
+
+
+class TestMatrixInput:
+    """Every matrix the package takes passes ``lowrank._as_matrix``, which
+    raises InvalidInputError for any input that is not a finite real matrix."""
+
+    @pytest.mark.parametrize("a", [[["a", "1"]], np.array([["x"]], dtype=object),
+                                   [[{}, 1.0]], [[1.0, 2.0], [3.0]]])
+    def test_input_that_does_not_convert_rejected(self, a):
+        # once numpy's ValueError or TypeError
+        with pytest.raises(InvalidInputError, match=r"^m is not numeric: "):
+            lowrank._as_matrix(a, "m")
+
+    @pytest.mark.parametrize("a", [[[1 + 2j]], np.array([[1.0, 2.0]], dtype=np.complex128),
+                                   np.ones((2, 2), dtype=np.complex64)])
+    def test_complex_input_rejected(self, a):
+        # once a ComplexWarning, and the imaginary parts dropped
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^m has complex entries$"):
+                lowrank._as_matrix(a, "m")
+
+    def test_numbers_as_text_objects_and_integers_convert(self):
+        expected = np.array([[1.5, 2.0]])
+        for a in ([["1.5", "2"]], np.array([[1.5, 2]], dtype=object), [[1.5, 2]],
+                  np.array([[1.5, 2.0]], dtype=np.float32)):
+            m = lowrank._as_matrix(a, "m")
+            assert m.dtype == np.float64
+            np.testing.assert_array_equal(m, expected)
 
 
 class TestNuclearNorm:

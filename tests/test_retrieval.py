@@ -77,6 +77,51 @@ class TestPackCodes:
         packed = pack_codes(blocks, [0, 1, 2])  # L = 6
         assert np.all(packed.words >> np.uint64(6) == 0)
 
+    @given(leaf_count=st.integers(1, 64), n=st.integers(0, 300), m=st.integers(1, 5),
+           dtype=st.sampled_from([np.uint8, bool, np.int64, np.float64]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_codes_are_the_selected_blocks_bits_end_to_end(self, leaf_count, n, m, dtype,
+                                                          seed, data):
+        # any leaf count, so bits straddle words, and selections that repeat blocks
+        rng = np.random.default_rng(seed)
+        blocks = [one_hot_block(rng.integers(0, leaf_count, n), leaf_count).astype(dtype)
+                  for _ in range(m)]
+        order = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=12),
+                          label="selection")
+        packed = pack_codes(blocks, order)
+        assert packed.length == len(order) * leaf_count
+        assert packed.words.shape == (n, (packed.length + 63) // 64)
+        np.testing.assert_array_equal(unpack_codes(packed),
+                                      np.vstack([blocks[b] for b in order]).astype(np.uint8))
+        tail = packed.length % 64
+        if tail:
+            assert np.all(packed.words[:, -1] >> np.uint64(tail) == 0)
+
+    @pytest.mark.parametrize("fault", [[[1, 0], [1, 1]], [[0, 0], [1, 0]],
+                                       [[2, 0], [0, 1]], [[1, 0]]])
+    def test_selected_block_that_is_not_one_hot_is_named_by_its_index(self, fault):
+        # [[1, 0], [1, 1]] once packed as word 1, where its columns read 3
+        blocks = [one_hot_block([0, 1], 2), one_hot_block([1, 1], 2), np.array(fault)]
+        with pytest.raises(InvalidInputError, match=r"^block 2 "):
+            pack_codes(blocks, [1, 0, 2, 1])
+        # a block that is not selected is not read
+        assert pack_codes(blocks, [1, 0]).length == 4
+
+    @pytest.mark.parametrize("ones", [2, 257, 513])
+    def test_column_whose_ones_would_wrap_a_byte_count_rejected(self, ones):
+        # 257 ones counted in a uint8 would read 1
+        block = np.zeros((600, 2), dtype=np.uint8)
+        block[:ones, 0] = 1
+        block[0, 1] = 1
+        with pytest.raises(InvalidInputError, match="^block 0 is not one-hot "):
+            pack_codes([block], [0])
+
+    def test_blocks_of_no_rows_rejected(self):
+        # no leaf to be 1 in: once numpy's ValueError from argmax
+        with pytest.raises(InvalidInputError, match="^block 1 is not one-hot "):
+            pack_codes([np.zeros((0, 0)), np.zeros((0, 0))], [1, 0])
+
     def test_single_code_bit_view(self):
         c = HashCode(words=np.array([0b1011], dtype=np.uint64), length=4)
         one = PackedCodes(words=c.words[None, :], length=c.length)
@@ -117,6 +162,29 @@ class TestCodeWords:
             HashCode(words=np.zeros(1, dtype=np.uint64), length=length)
         with pytest.raises(InvalidInputError, match=r"^code length must be an integer"):
             PackedCodes(words=np.zeros((2, 1), dtype=np.uint64), length=length)
+
+    @pytest.mark.parametrize("words", [[-1], np.array([-1], dtype=np.int64), [2**64],
+                                       [2**70], [1.5], np.array([1.0]), ["1"], [None],
+                                       np.array([1j]), [2**63, -1]])
+    def test_words_that_are_not_integers_in_range_rejected(self, words):
+        # once an OverflowError, ValueError or TypeError, or [1.5] read as 1
+        with pytest.raises(InvalidInputError,
+                           match=r"^code words must be integers in 0\.\.2\^64-1$"):
+            HashCode(words=words, length=64)
+        with pytest.raises(InvalidInputError,
+                           match=r"^code words must be integers in 0\.\.2\^64-1$"):
+            PackedCodes(words=words[None, :] if isinstance(words, np.ndarray) else [words],
+                        length=64)
+
+    @pytest.mark.parametrize("words", [[2**64 - 1], [2**63], np.array([5], dtype=np.int8),
+                                       np.array([2**64 - 1], dtype=np.uint64), 7,
+                                       np.uint64(7), [np.int64(7)], [True]])
+    def test_integer_words_in_range_build(self, words):
+        code = HashCode(words=words, length=64)
+        assert code.words.dtype == np.uint64
+        assert code.words.tolist() == [int(np.asarray(words, dtype=object).ravel()[0])]
+        codes = PackedCodes(words=[[2**63, 5], [0, 2**64 - 1]], length=128)
+        assert codes.words.tolist() == [[2**63, 5], [0, 2**64 - 1]]
 
     def test_zero_length_and_numpy_integer_lengths_build(self):
         assert len(PackedCodes(words=np.zeros((3, 0), dtype=np.uint64), length=0)) == 3
