@@ -46,7 +46,12 @@ class BlockSet:
     @classmethod
     def from_blocks(cls, blocks) -> "BlockSet":
         stack = _one_hot_blocks(blocks)
-        return cls(leaf_ids=stack.argmax(axis=1).astype(np.int32), leaf_count=stack.shape[1])
+        leaf_count = stack.shape[1]
+        # each column's one 1 weighted by its leaf, in a dtype that holds
+        # leaf_count - 1: argmax over so short an axis is far slower
+        leaf = np.arange(leaf_count, dtype=np.min_scalar_type(leaf_count - 1))
+        leaf_ids = np.einsum("kln,l->kn", stack, leaf).astype(np.int32)
+        return cls(leaf_ids=leaf_ids, leaf_count=leaf_count)
 
     @property
     def n_blocks(self) -> int:

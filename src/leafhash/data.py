@@ -12,9 +12,11 @@ File formats owned here:
   pool (``Forest.pools``, see ``forest.anchor_pool``), and each kernel tree's
   anchors as indices into it.  A model is read in bulk: in place through a
   memoryview, with a run of records of one kind (a class partition, the
-  selection's blocks) as one array.  Every kernel tree's anchors are a column
-  slice of one gather from its pool, and the loaded forest is made with the
-  pools that were read, so it never dedups its anchors again.
+  selection's blocks) as one array.  No tree's anchors are copied out of the
+  pool: each loaded kernel gathers them from it when they are first read
+  (``KernelConfig._pooled``), which a stacked encode group never does.  The
+  loaded forest is made with the pools that were read, so it never dedups
+  its anchors again.
 """
 
 from __future__ import annotations
@@ -502,22 +504,12 @@ def _read_kernel(r, pools, modality, dim):
 
 
 def _kernels(pools, records):
-    """Every tree's kernels from its kernel records (:func:`_read_kernel`),
-    one ``(constants, indices)`` pair per modality.  Each modality's anchors
-    are gathered from its pool in one take, and each tree's kernel holds
-    its columns of them."""
-    kernels = [[None] * len(per_tree) for per_tree in records]
-    for m, pool in pools.items():
-        idx = [per_tree[m][1] for per_tree in records]
-        # the indices are checked against the pool as they are read
-        gathered = np.take(pool, np.concatenate([i for i in idx if i is not None]), axis=1,
-                           mode="clip")
-        at = 0
-        for per_tree, consts, i in zip(kernels, (rec[m][0] for rec in records), idx):
-            if i is not None:
-                per_tree[m] = KernelConfig._checked(gathered[:, at:at + i.size], **consts)
-                at += i.size
-    return [tuple(k) for k in kernels]
+    """A tree's kernels from its kernel records (:func:`_read_kernel`), one
+    ``(constants, indices)`` pair per modality.  Each kernel takes its
+    anchors from its modality's :class:`AnchorPool` in ``pools`` when they
+    are first read (``KernelConfig._pooled``)."""
+    return tuple(None if idx is None else KernelConfig._pooled(pools[m].rows, idx, **consts)
+                 for m, (consts, idx) in enumerate(records))
 
 
 def _write_net(w, net):
@@ -673,12 +665,11 @@ def load_model(path):
     pools = {}
     read = [_read_tree(r, pools, feature_dims, internal) for _ in range(n_trees)]
     r.done()
-    records = [kernels for _, kernels, _ in read]
-    trees = [HashTree(depth=depth, nodes=tree_nodes, tree_seed=seed,
-                      kernels=kernels, feature_dims=feature_dims)
-             for (seed, _, tree_nodes), kernels in zip(read, _kernels(pools, records))]
-    read_pools = [AnchorPool.of(pools[m], [rec[m][1] for rec in records]) if m in pools
+    read_pools = [AnchorPool.of(pools[m], [rec[m][1] for _, rec, _ in read]) if m in pools
                   else None for m in range(n_modalities)]
+    trees = [HashTree(depth=depth, nodes=tree_nodes, tree_seed=seed,
+                      kernels=_kernels(read_pools, records), feature_dims=feature_dims)
+             for seed, records, tree_nodes in read]
     try:
         forest = Forest(trees=trees, master_seed=master_seed, depth=depth,
                         feature_dims=feature_dims, config=config, read_pools=read_pools)

@@ -24,7 +24,6 @@ import glob
 import os
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -177,7 +176,7 @@ class Forest:
             if (tree.depth, tree.feature_dims) != (self.depth, self.feature_dims):
                 raise InvalidInputError(f"tree {t} differs from the forest in depth or dimensions")
             for m, kc in enumerate(tree.kernels):
-                if kc is not None and kc.anchors.shape[0] != self.feature_dims[m]:
+                if kc is not None and kc._shape[0] != self.feature_dims[m]:
                     raise InvalidInputError(f"kernel anchors of modality {m} differ in dimension")
             misfit = _learner_misfit(tree, self.learner)
             if misfit:
@@ -513,6 +512,10 @@ def train_multimodal_forest(
 
     args = (views, depth, cfg, master_seed, dominant)
     if workers > 1:
+        # imported here: multiprocessing would make every import of the
+        # package slower
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, n_trees),
                                  initializer=_pool_init, initargs=(args,)) as pool:
             trees = list(pool.map(_pool_train, range(n_trees)))
@@ -664,7 +667,7 @@ def _stack_key(tree, modality):
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
     if kc is None or kc.n_anchors == 1 or root.degenerate:
         return None
-    shapes = (kc.anchors.shape, root.proj_neg.shape, root.proj_pos.shape)
+    shapes = (kc._shape, root.proj_neg.shape, root.proj_pos.shape)
     if any(s[1:] != (kc.n_anchors,) for s in shapes[1:]):
         return None
     poly = (kc.p, kc.q) if kc.kind == "polynomial" else None
@@ -676,7 +679,7 @@ def _root_muladds(tree, modality: int) -> int:
     anchor product, its root net's layers and its root projectors (none for
     a degenerate root).  Deeper nodes share the columns, so they are left out."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
-    muladds = 0 if kc is None else kc.anchors.size
+    muladds = 0 if kc is None else kc._shape[0] * kc.n_anchors
     if not root.degenerate:
         if root.net is not None:
             muladds += sum(layer.weight.size for layer in root.net.layers)
@@ -903,12 +906,11 @@ def encode_dataset(forest: Forest, x, modality: int = 0) -> list[np.ndarray]:
     gives (leaf_count, 0) blocks, whatever the learner.  The trees are encoded
     in the forest's groups through its anchor pool (see :func:`_leaf_rows`),
     both built when the forest was made.  The blocks are the slices, tree by
-    tree, of one (trees, leaf_count, N) array, set in one scatter.
+    tree, of one (trees, leaf_count, N) array: one compare of every leaf id
+    against every leaf, viewed as uint8.
     """
     x = _checked_batch(forest.feature_dims, x, modality)
-    n = x.shape[1]
-    trees = forest.trees
-    leaves = _leaf_rows(trees, x, modality, forest._groups[modality], forest.pools[modality])
-    blocks = np.zeros((len(trees), forest.leaf_count, n), dtype=np.uint8)
-    blocks[np.arange(len(trees))[:, None], leaves, np.arange(n)] = 1
-    return list(blocks)
+    leaves = _leaf_rows(forest.trees, x, modality, forest._groups[modality],
+                        forest.pools[modality])
+    leaf = np.arange(forest.leaf_count)[:, None]
+    return list((leaves[:, None, :] == leaf).view(np.uint8))

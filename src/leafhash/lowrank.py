@@ -286,6 +286,12 @@ class KernelConfig:
     ``anchors`` has one anchor point per column (drawn from training data);
     ``kind`` is "rbf" (bandwidth ``sigma``) or "polynomial" (constants ``p``,
     ``q``).
+
+    A model file's reader makes its kernels with :meth:`_pooled`: such a
+    kernel gathers its anchors from its modality's pool when they are first
+    read, and keeps them, while ``n_anchors`` is known without that read.  A
+    forest whose trees are encoded in stacked groups maps a batch through
+    the pool and never reads them.
     """
 
     anchors: np.ndarray
@@ -297,23 +303,52 @@ class KernelConfig:
     def __post_init__(self):
         anchors = _as_matrix(self.anchors, "anchors")
         object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "_shape", anchors.shape)
         check_kernel_constants(self.kind, self.sigma, self.p, self.q)
 
     @classmethod
-    def _checked(cls, anchors: np.ndarray, **constants) -> "KernelConfig":
-        """``KernelConfig(anchors, **constants)`` for arguments already
-        checked, without checking them again: ``anchors`` a non-empty 2-D
-        float64 array of finite entries, and constants that pass
-        :func:`check_kernel_constants`.  A model file's reader takes every
-        kernel's anchors from a pool it has checked whole."""
+    def _pooled(cls, rows: np.ndarray, take: np.ndarray, **constants) -> "KernelConfig":
+        """The kernel whose anchors are rows ``take`` of ``rows``, as columns,
+        for arguments already checked, without checking them again:
+        ``rows`` a (P, d) float64 array of finite entries, ``take`` a
+        non-empty array of indices into it, and constants that pass
+        :func:`check_kernel_constants`.  ``anchors`` is gathered on its
+        first read (see :meth:`__getattr__`); until then the kernel keeps
+        all of ``rows`` alive, and a copy or pickle of it holds only its own
+        anchors."""
         kc = object.__new__(cls)
         # a frozen dataclass keeps its fields in the instance dict
-        vars(kc).update(_KERNEL_DEFAULTS, **constants, anchors=anchors)
+        vars(kc).update(_KERNEL_DEFAULTS, **constants, _source=(rows, take),
+                        _shape=(rows.shape[1], take.size))
         return kc
+
+    def __getattr__(self, name):
+        # called only for a name the instance dict lacks: a pooled kernel's
+        # anchors before their first read.  They are a new C-ordered (d, a)
+        # array, as a trained kernel's are, so its ``anchor_sq_norms`` round
+        # as the saved kernel's did.  setdefault keeps one array when threads
+        # make the first read at once; the source goes only after it.
+        state = vars(self)
+        if name == "anchors":
+            source = state.get("_source")
+            if source is not None:
+                rows, take = source
+                anchors = state.setdefault("anchors", np.ascontiguousarray(rows[take].T))
+                state.pop("_source", None)
+                return anchors
+            if "anchors" in state:  # gathered by another thread meanwhile
+                return state["anchors"]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # a pooled kernel is copied or pickled with its own anchors, not its pool
+        state = {**vars(self), "anchors": self.anchors}
+        state.pop("_source", None)
+        return state
 
     @property
     def n_anchors(self) -> int:
-        return self.anchors.shape[1]
+        return self._shape[1]
 
     @cached_property
     def anchor_sq_norms(self) -> np.ndarray:

@@ -52,14 +52,18 @@ class TestBlockCovariance:
 
 
 class TestFromBlocks:
-    @given(leaf_count=st.integers(1, 64), n=st.integers(0, 300), m=st.integers(1, 6),
-           dtype=st.sampled_from([np.uint8, bool, np.int64, np.float64]),
+    # leaf counts on both sides of 256, where a leaf id no longer fits a byte
+    @given(leaf_count=st.integers(1, 64) | st.integers(250, 300), n=st.integers(0, 300),
+           m=st.integers(1, 6), dtype=st.sampled_from([np.uint8, bool, np.int64, np.float64]),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_leaf_ids_are_each_blocks_argmax(self, leaf_count, n, m, dtype, seed):
         rng = np.random.default_rng(seed)
-        blocks = [one_hot_block(rng.integers(0, leaf_count, n), leaf_count).astype(dtype)
-                  for _ in range(m)]
+        # the highest leaf is taken whenever there are columns to take it
+        ids = [rng.integers(0, leaf_count, n) for _ in range(m)]
+        if n:
+            ids[0][0] = leaf_count - 1
+        blocks = [one_hot_block(i, leaf_count).astype(dtype) for i in ids]
         # any iterable of blocks
         bs = BlockSet.from_blocks(iter(blocks))
         assert bs.leaf_count == leaf_count and bs.leaf_ids.dtype == np.int32

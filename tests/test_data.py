@@ -1,7 +1,12 @@
+import copy
 import gzip
 import json
+import pickle
 import struct
+import sys
 import tempfile
+import threading
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -16,10 +21,13 @@ from leafhash import (
     DataFormatError,
     Forest,
     ForestConfig,
+    HashTree,
     InvalidInputError,
+    KernelConfig,
     NetConfig,
     PackedCodes,
     SplitConfig,
+    SplitNode,
     SyntheticSpec,
     encode_dataset,
     gen_synthetic,
@@ -759,6 +767,115 @@ class TestModelDecoding:
                     arrays += [a for layer in node.net.layers
                                for a in (layer.weight, layer.bias)]
                 assert all(np.isfinite(a).all() for a in arrays)
+
+
+def serve_shaped_forest(seed=0, dim=784):
+    """A kernel forest shaped like serve-784's: 32 RBF trees of 16 anchors
+    drawn from 40 shared columns, which encode in two stacked groups, then
+    a one-anchor tree and a tree with a degenerate root, which encode alone."""
+    rng = np.random.default_rng(seed)
+    shared = rng.normal(size=(dim, 40))
+    trees = []
+    for t in range(34):
+        # a copy in C order, as training draws anchors
+        anchors = shared[:, rng.choice(40, size=1 if t == 32 else 16, replace=False)].copy()
+        width = anchors.shape[1]
+        root = (SplitNode(class_partition={0: "neg", 1: "neg"}, degenerate=True) if t == 33
+                else SplitNode(proj_pos=rng.normal(size=(2, width)),
+                               proj_neg=rng.normal(size=(2, width)),
+                               class_partition={0: "neg", 1: "pos"}))
+        trees.append(HashTree(depth=2, nodes=[[root]], tree_seed=t,
+                              kernels=(KernelConfig(anchors=anchors, sigma=30.0),),
+                              feature_dims=(dim,)))
+    return Forest(trees=trees, master_seed=seed, depth=2, feature_dims=(dim,),
+                  config=ForestConfig(split=SplitConfig(learner="kernel")))
+
+
+class TestPooledAnchors:
+    """A loaded kernel tree takes its anchors from the pool when they are
+    first read; a stacked group never reads them."""
+
+    def test_stacked_load_gathers_no_anchors(self, tmp_path):
+        forest = serve_shaped_forest()
+        assert [g.stop - g.start for g in forest._groups[0]] == [16, 16, 1, 1]
+        path = tmp_path / "model.fhsh"
+        save_model(forest, None, path)
+        x = np.random.default_rng(1).normal(size=(784, 20))
+        anchor_bytes = sum(t.kernels[0].anchors.nbytes for t in forest.trees)
+        encode_dataset(load_model(path)[0], x)  # first calls allocate caches
+        tracemalloc.start()
+        try:
+            loaded, _ = load_model(path)
+            blocks = encode_dataset(loaded, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < anchor_bytes
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, encode_dataset(forest, x)))
+        # bit for bit, the lone trees' (read to encode) and the stacked ones'
+        for saved, tree in zip(forest.trees, loaded.trees):
+            (kc,), (own,) = tree.kernels, saved.kernels
+            assert kc._shape == own.anchors.shape
+            assert kc.anchors.tobytes() == own.anchors.tobytes()
+            assert kc.anchor_sq_norms.tobytes() == own.anchor_sq_norms.tobytes()
+
+    def test_forest_of_some_loaded_trees_encodes_and_saves_as_the_saved_ones(self, tmp_path):
+        forest = serve_shaped_forest(dim=64)
+        save_model(forest, None, tmp_path / "model.fhsh")
+        loaded, _ = load_model(tmp_path / "model.fhsh")
+        some = [3, 17, 32, 33]
+        subsets = [Forest(trees=[f.trees[t] for t in some], master_seed=0, depth=2,
+                          feature_dims=(64,), config=forest.config) for f in (forest, loaded)]
+        x = np.random.default_rng(2).normal(size=(64, 30))
+        for a, b in zip(*(encode_dataset(f, x) for f in subsets)):
+            np.testing.assert_array_equal(a, b)
+        for name, f in zip(("saved", "loaded"), subsets):
+            save_model(f, None, tmp_path / f"{name}.fhsh")
+        assert (tmp_path / "saved.fhsh").read_bytes() == (tmp_path / "loaded.fhsh").read_bytes()
+        # the new forest's pool read their anchors, so they let go of the old pool
+        assert all("_source" not in vars(loaded.trees[t].kernels[0]) for t in some)
+
+    def test_copy_or_pickle_of_a_pooled_kernel_holds_its_own_anchors(self, tmp_path):
+        forest = serve_shaped_forest(dim=64)
+        save_model(forest, None, tmp_path / "model.fhsh")
+        loaded, _ = load_model(tmp_path / "model.fhsh")
+        (kc,), (own,) = loaded.trees[0].kernels, forest.trees[0].kernels
+        # the whole 40-anchor pool would take 20 kB
+        assert len(pickle.dumps(kc)) < own.anchors.nbytes + 2000
+        copied = copy.copy(loaded.trees[1].kernels[0])
+        for other, saved in ((pickle.loads(pickle.dumps(kc)), own),
+                             (copied, forest.trees[1].kernels[0])):
+            assert "_source" not in vars(other)
+            assert other.anchors.tobytes() == saved.anchors.tobytes()
+        assert kc.anchors.tobytes() == own.anchors.tobytes()
+
+    def test_threads_reading_anchors_first_at_once_get_equal_arrays(self, tmp_path):
+        forest = serve_shaped_forest(dim=64)
+        path = tmp_path / "model.fhsh"
+        save_model(forest, None, path)
+        loaded, _ = load_model(path)
+        n_threads = 4
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for saved, tree in zip(forest.trees, loaded.trees):
+                kc, got = tree.kernels[0], [None] * n_threads
+                start = threading.Barrier(n_threads)
+
+                def read(i, kc=kc, got=got, start=start):
+                    start.wait(timeout=10)
+                    got[i] = kc.anchors
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(a is got[0] for a in got)
+                np.testing.assert_array_equal(got[0], saved.kernels[0].anchors)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestCodesContainer:

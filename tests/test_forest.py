@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import dataclasses
 import glob
@@ -206,7 +207,8 @@ class TestTrainForest:
                 asked.append(max_workers)
                 raise RuntimeError("no process is started")
 
-        monkeypatch.setattr(forest_module, "ProcessPoolExecutor", NoPool)
+        # train_multimodal_forest imports the pool when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         with pytest.raises(RuntimeError, match="no process"):
             train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=5, workers=64)
         assert asked == [2]
@@ -638,6 +640,42 @@ class TestDescend:
             encode_dataset(forest, x[:, [2]])
 
 
+def hand_forest(learner, depth, n_trees, seed, dim=9):
+    """A forest of untrained ``learner`` trees of random nodes (:func:`hand_node`)
+    on ``dim``-d points.  Kernel trees map them through 4 RBF anchors each, so
+    pairs of them encode in stacked groups."""
+    rng = np.random.default_rng(seed)
+    trees = []
+    for t in range(n_trees):
+        kc = (KernelConfig(anchors=rng.normal(size=(dim, 4)), sigma=2.0)
+              if learner == "kernel" else None)
+        nodes = [[hand_node(rng, dim if kc is None else kc.n_anchors, learner)]
+                 for _ in range(2 ** (depth - 1) - 1)]
+        trees.append(HashTree(depth=depth, nodes=nodes, tree_seed=t, kernels=(kc,),
+                              feature_dims=(dim,)))
+    return Forest(trees=trees, master_seed=seed, depth=depth, feature_dims=(dim,),
+                  config=ForestConfig(split=SplitConfig(learner=learner)))
+
+
+class TestOneHotBlocks:
+    @given(learner=st.sampled_from(["linear", "neural", "kernel"]), depth=st.integers(2, 7),
+           n_trees=st.integers(1, 5), n=st.integers(0, 300), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_are_the_one_hot_of_the_leaf_ids(self, learner, depth, n_trees, n, seed):
+        forest = hand_forest(learner, depth, n_trees, seed)
+        x = np.random.default_rng(seed).normal(size=(forest.feature_dims[0], n))
+        blocks = encode_dataset(forest, x)
+        leaves = forest_module._leaf_rows(forest.trees, x, 0, forest._groups[0],
+                                          forest.pools[0])
+        assert len(blocks) == n_trees
+        for block, ids in zip(blocks, leaves):
+            assert block.dtype == np.uint8 and block.shape == (forest.leaf_count, n)
+            assert block.flags.c_contiguous and block.flags.writeable
+            expected = np.zeros((forest.leaf_count, n), dtype=np.uint8)
+            expected[ids, np.arange(n)] = 1
+            np.testing.assert_array_equal(block, expected)
+
+
 def per_tree_leaves_and_margins(tree, x, modality):
     """Leaf of every column, one tree at a time as in :func:`per_tree_leaves`,
     and the smallest relative margin |e_neg - e_pos| / max(e_neg, e_pos) met on
@@ -1038,7 +1076,8 @@ class TestOverflowingBatch:
         rng = np.random.default_rng(0)
         anchors = rng.normal(size=(4, 3))
         kernels = (KernelConfig(anchors=anchors, kind="rbf", sigma=1.0),
-                   KernelConfig._checked(anchors, kind="rbf", sigma=1e-200))
+                   KernelConfig._pooled(anchors.T.copy(), np.arange(3), kind="rbf",
+                                        sigma=1e-200))
         trees = [HashTree(depth=2, nodes=[[hand_node(rng, 3, "linear")]], tree_seed=t,
                           kernels=(kc,), feature_dims=(4,))
                  for t, kc in enumerate(kernels)]

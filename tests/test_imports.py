@@ -39,6 +39,16 @@ def test_import_loads_neither_the_cli_nor_argparse():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # multiprocessing pulls in socket and queue; only training with
+    # workers > 1 needs it
+    code = ("import sys, leafhash; print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
+
+
 def defined_names(path):
     """Names a module defines at its top level: functions, classes and
     assigned constants."""

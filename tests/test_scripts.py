@@ -1,8 +1,10 @@
 """Smoke runs of the experiment scripts, so a stale call in one fails here."""
 
+import dataclasses
 import importlib.util
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -148,3 +150,64 @@ def test_bench_pairs_child_churn_counts_the_faults_of_finished_children():
                                                      check=True))
     assert done.returncode == 0
     assert churn["minflt"] >= 40_000_000 // 4096 and churn["stime_s"] >= 0.0
+
+
+# appended to a copy of forest.py: block 0 of every batch takes the other
+# leaf in its first column
+FLIP_ONE_LEAF = '''
+
+_encode_dataset = encode_dataset
+
+
+def encode_dataset(forest, x, modality=0):
+    blocks = _encode_dataset(forest, x, modality)
+    if blocks[0].shape[1]:
+        blocks[0][:, 0] = blocks[0][::-1, 0]
+    return blocks
+'''
+
+
+def test_bench_interleaved_compares_sides_and_fails_when_outputs_differ(tmp_path):
+    tiny = ["--workload", "train-kernel16", "--trees", "4", "--ops", "2", "--seed", "3"]
+    for stage in ("load", "encode"):
+        out = run_script("bench_interleaved.py",
+                         ["--parent", str(ROOT), "--change", str(ROOT), "--stage", stage, *tiny])
+        assert "outputs: equal" in out
+        assert "change better in" in out and "parent: " in out and "change: " in out
+    package = tmp_path / "src" / "leafhash"
+    shutil.copytree(ROOT / "src" / "leafhash", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    forest_py = package / "forest.py"
+    forest_py.write_text(forest_py.read_text(encoding="utf-8") + FLIP_ONE_LEAF,
+                         encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_interleaved.py"),
+                           "--parent", str(ROOT), "--change", str(tmp_path),
+                           "--stage", "encode", *tiny],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 1
+    assert "OUTPUTS DIFFER" in done.stderr
+
+
+def test_bench_interleaved_encode_is_the_benchmarks_encode_operation(tmp_path, monkeypatch):
+    # the script copies bench/run.py's encode step; both must serve each part
+    # alike, batch by batch, from the same model
+    import leafhash as lh
+
+    script = load_script("bench_interleaved")
+    bench = script.import_as("bench_run", ROOT / "bench" / "run.py")
+    monkeypatch.setattr(bench, "WORK", tmp_path)
+    w = dataclasses.replace(bench.WORKLOADS["train-kernel16"], trees=4, bits=4,
+                            opt_iters=(5, 5), encode_reps=3, encode_chunks=3,
+                            encode_batch=200, sweeps=1)
+    inputs = bench.make_inputs(lh, w, 3)
+    _, out = bench.run_stages(lh, w, inputs, "t")
+    parts = script.encode_parts(w, *inputs[1:])
+    assert len(parts) == len(out["encodings"]) == 3
+    for part, served in out["encodings"]:
+        copied = script.encode_operation(lh, tmp_path / "model-t.fhsh", parts[part],
+                                         tmp_path / "codes.fhcd")
+        assert copied.keys() == served.keys()
+        for name, (blocks, codes, labels) in served.items():
+            assert len(blocks) == w.trees
+            assert script.same_served({name: (blocks, codes.words, labels)},
+                                      {name: copied[name]})
