@@ -7,7 +7,7 @@ N points for each N.  Every repetition visits all batch sizes in turn and
 encodes batches of one size until a quarter second has passed, so load from
 elsewhere on the machine hits every size alike: once as the library decides
 (``pts_per_s``) and once serially (``serial_pts_per_s``), with
-``forest.THREAD_MULADDS`` raised past any batch, alternating which goes first.
+``encode.THREAD_MULADDS`` raised past any batch, alternating which goes first.
 At a size that threads, the two rates show whether threads pay there, which
 is how the threshold's break-even is measured.  It then times one ``load_model`` of the
 saved model, the load a serving process makes before it encodes.  One warm-up
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 import leafhash as lh
-from leafhash import forest as forest_module
+from leafhash import encode as encode_module
 
 SIZES = (1, 4, 16, 30, 64, 100, 250, 1000)
 DIM, CLASSES, INTRINSIC, NOISE = 784, 10, 12, 0.1
@@ -60,12 +60,12 @@ def encode_rate(forest, pool, n):
 
 def serial_rate(forest, pool, n):
     """:func:`encode_rate` with no batch large enough for threads."""
-    threshold = forest_module.THREAD_MULADDS
-    forest_module.THREAD_MULADDS = float("inf")
+    threshold = encode_module.THREAD_MULADDS
+    encode_module.THREAD_MULADDS = float("inf")
     try:
         return encode_rate(forest, pool, n)
     finally:
-        forest_module.THREAD_MULADDS = threshold
+        encode_module.THREAD_MULADDS = threshold
 
 
 def load_ms(path):

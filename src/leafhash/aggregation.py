@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .forest import _single_blas_thread
+from ._blas import _single_blas_thread
 from .retrieval import _one_hot_blocks
 
 JITTER = 1e-8

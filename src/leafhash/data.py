@@ -9,7 +9,7 @@ File formats owned here:
 - "FHSH04" binary model container and "FHCD01" packed-codes file, both with a
   trailing CRC32; round-trips are bit-exact for everything serving reads.  A
   model stores each modality's distinct kernel anchors once, as the forest's
-  pool (``Forest.pools``, see ``forest.anchor_pool``), and each kernel tree's
+  pool (``Forest.pools``, see ``encode.anchor_pool``), and each kernel tree's
   anchors as indices into it.  A model is read in bulk: in place through a
   memoryview, with a run of records of one kind (a class partition, the
   selection's blocks) as one array.  No tree's anchors are copied out of the
@@ -34,7 +34,8 @@ from .errors import DataFormatError, InvalidInputError
 from .lowrank import KernelConfig, OptimizerConfig, check_kernel_constants
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
-from .forest import AnchorPool, Forest, ForestConfig, HashTree, LabeledDataset
+from .encode import AnchorPool
+from .forest import Forest, ForestConfig, HashTree, LabeledDataset
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 

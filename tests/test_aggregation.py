@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leafhash import forest as forest_module
+from leafhash import _blas as blas_module
 from leafhash import (
     BlockCovariance,
     BlockSet,
@@ -262,7 +262,7 @@ class TestGreedySemiSupervised:
         assert semi.chosen == greedy_unsupervised(bs, 3).chosen
 
     def test_runs_on_one_blas_thread_and_restores_the_count(self, rng, monkeypatch):
-        threads = forest_module._openblas_threads()
+        threads = blas_module._openblas_threads()
         if threads is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
         get_threads, set_threads = threads

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leafhash import forest as forest_module
+from leafhash import encode as encode_module
 from leafhash import (
     BlockSet,
     DataFormatError,
@@ -707,7 +707,7 @@ class TestModelDecoding:
         loaded, _ = load_model_bytes(raw)
         pool = loaded.pools[0]
         assert pool.rows.shape[0] == pool_size
-        built = forest_module.anchor_pool(loaded.trees, 0)
+        built = encode_module.anchor_pool(loaded.trees, 0)
         assert np.array_equal(pool.rows, built.rows)
         assert all(np.array_equal(i, j) for i, j in zip(pool.indices, built.indices))
         for tree, idx in zip(loaded.trees, pool.indices):

@@ -34,6 +34,8 @@ from leafhash import (
     train_multimodal_forest,
     train_tree,
 )
+from leafhash import _blas as blas_module
+from leafhash import encode as encode_module
 from leafhash import forest as forest_module
 from leafhash.dictionaries import _residuals, _route_many, node_route_many
 from leafhash.network import DenseLayer, DenseNet
@@ -665,7 +667,7 @@ class TestOneHotBlocks:
         forest = hand_forest(learner, depth, n_trees, seed)
         x = np.random.default_rng(seed).normal(size=(forest.feature_dims[0], n))
         blocks = encode_dataset(forest, x)
-        leaves = forest_module._leaf_rows(forest.trees, x, 0, forest._groups[0],
+        leaves = encode_module._leaf_rows(forest.trees, x, 0, forest._groups[0],
                                           forest.pools[0])
         assert len(blocks) == n_trees
         for block, ids in zip(blocks, leaves):
@@ -727,8 +729,8 @@ def fake_kernel_tree(dim, anchors, kind="rbf", q=2.0, degenerate_root=False,
 
 
 def group_sizes(trees):
-    indices = forest_module.anchor_pool(trees, 0).indices
-    return [g.stop - g.start for g in forest_module._tree_groups(trees, 0, indices)]
+    indices = encode_module.anchor_pool(trees, 0).indices
+    return [g.stop - g.start for g in encode_module._tree_groups(trees, 0, indices)]
 
 
 class TestGroupedEncode:
@@ -774,13 +776,13 @@ class TestGroupedEncode:
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
 
-        pool = forest_module.anchor_pool(forest.trees, modality)
-        groups = forest_module._tree_groups(forest.trees, modality, pool.indices)
+        pool = encode_module.anchor_pool(forest.trees, modality)
+        groups = encode_module._tree_groups(forest.trees, modality, pool.indices)
         stacked = [g for g in groups if g.take is not None]
         if not any(t.nodes[0][modality].degenerate for t in forest.trees):
             assert stacked
         x_sq = np.sum(x**2, axis=0)
-        pool_maps = forest_module._pool_maps(pool, x, x_sq, kind == "rbf")
+        pool_maps = encode_module._pool_maps(pool, x, x_sq, kind == "rbf")
         for group in stacked:
             members = forest.trees[group.start:group.stop]
             f = group.kernel_map(*pool_maps)
@@ -807,7 +809,7 @@ class TestGroupedEncode:
         x = view.features
         assert isinstance(forest.trees, tuple)
         assert [g.stop - g.start for g in forest._groups[0]] == [3, 2]
-        assert pools_equal(forest.pools[0], forest_module.anchor_pool(forest.trees, 0))
+        assert pools_equal(forest.pools[0], encode_module.anchor_pool(forest.trees, 0))
         first = encode_dataset(forest, x)
 
         # a forest is not changed in place: a new one is made of the trees
@@ -905,7 +907,7 @@ class TestAnchorPool:
 
     def test_pool_dedups_in_order_of_first_occurrence(self):
         forest, points = shared_anchor_forest(7, "rbf", 1, 2, 5)
-        pool = forest_module.anchor_pool(forest.trees, 0)
+        pool = encode_module.anchor_pool(forest.trees, 0)
         seen = []
         for tree, idx in zip(forest.trees, pool.indices):
             anchors = tree.kernels[0].anchors
@@ -927,7 +929,7 @@ class TestAnchorPool:
 
     def test_no_pool_without_a_kernel(self):
         forest = train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=3)
-        assert forest_module.anchor_pool(forest.trees, 0) is None
+        assert encode_module.anchor_pool(forest.trees, 0) is None
         assert forest.pools == (None,)
 
     @given(seed=st.integers(0, 10_000), kind=st.sampled_from(["rbf", "polynomial"]),
@@ -949,9 +951,9 @@ class TestAnchorPool:
                 np.testing.assert_array_equal(a.anchors, b.anchors)
                 assert (a.kind, a.sigma, a.p, a.q) == (b.kind, b.sigma, b.p, b.q)
             held = loaded.pools[modality]
-            built = forest_module.anchor_pool(loaded.trees, modality)
+            built = encode_module.anchor_pool(loaded.trees, modality)
             assert pools_equal(held, built)
-            assert pools_equal(held, forest_module.anchor_pool(forest.trees, modality))
+            assert pools_equal(held, encode_module.anchor_pool(forest.trees, modality))
 
             blocks = encode_dataset(forest, x, modality=modality)
             for block, block_loaded in zip(blocks, encode_dataset(loaded, x, modality=modality)):
@@ -962,7 +964,7 @@ class TestAnchorPool:
             pool, groups = forest.pools[modality], forest._groups[modality]
             stacked = [g for g in groups if g.take is not None]
             assert stacked and len(stacked) < len(groups)
-            pool_maps = forest_module._pool_maps(pool, x, np.sum(x**2, axis=0), kind == "rbf")
+            pool_maps = encode_module._pool_maps(pool, x, np.sum(x**2, axis=0), kind == "rbf")
             for group in stacked:
                 f = group.kernel_map(*pool_maps)
                 members = forest.trees[group.start:group.stop]
@@ -1091,25 +1093,25 @@ class TestOverflowingBatch:
 
 def force_threads(monkeypatch, cpus=3):
     """Encode every batch on threads, as if this process could use ``cpus``
-    CPUs, and record each run of trees that :func:`forest._encode_groups`
+    CPUs, and record each run of trees that :func:`encode._encode_groups`
     encodes: ``(thread id, first tree, tree count)``."""
-    monkeypatch.setattr(forest_module, "THREAD_MULADDS", 0)
-    monkeypatch.setattr(forest_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(encode_module, "THREAD_MULADDS", 0)
+    monkeypatch.setattr(encode_module.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     runs = []
-    encode_groups = forest_module._encode_groups
+    encode_groups = encode_module._encode_groups
 
     def record(trees, x, x_sq, modality, groups, *args):
         runs.append((threading.get_ident(), groups[0].start, groups[-1].stop - groups[0].start))
         return encode_groups(trees, x, x_sq, modality, groups, *args)
 
-    monkeypatch.setattr(forest_module, "_encode_groups", record)
+    monkeypatch.setattr(encode_module, "_encode_groups", record)
     return runs
 
 
 def serial_blocks(forest, x, modality):
     """``encode_dataset``'s blocks when no batch is large enough for threads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(forest_module, "THREAD_MULADDS", float("inf"))
+        mp.setattr(encode_module, "THREAD_MULADDS", float("inf"))
         return encode_dataset(forest, x, modality=modality)
 
 
@@ -1146,14 +1148,14 @@ def overflow_trees(forest, bad):
 def delay_run(monkeypatch, start):
     """Make the run of trees that begins at tree ``start`` wait 50 ms before
     it is encoded, so the runs after it finish, or fail, first."""
-    encode_groups = forest_module._encode_groups
+    encode_groups = encode_module._encode_groups
 
     def late(trees, x, x_sq, modality, groups, *args):
         if groups[0].start == start:
             threading.Event().wait(0.05)
         return encode_groups(trees, x, x_sq, modality, groups, *args)
 
-    monkeypatch.setattr(forest_module, "_encode_groups", late)
+    monkeypatch.setattr(encode_module, "_encode_groups", late)
 
 
 class TestThreadedEncode:
@@ -1205,14 +1207,14 @@ class TestThreadedEncode:
         # a depth-2 tree's leaf is its root's side; deeper trees descend
         (view,), forest = stacked_forest(depth=depth)
         descended = []
-        descend = forest_module._descend
+        descend = encode_module._descend
         index = {id(tree): t for t, tree in enumerate(forest.trees)}
 
         def record(tree, *args):
             descended.append(index[id(tree)])
             return descend(tree, *args)
 
-        monkeypatch.setattr(forest_module, "_descend", record)
+        monkeypatch.setattr(encode_module, "_descend", record)
         blocks = encode_dataset(forest, view.features)
         assert descended == ([] if depth == 2 else list(range(8)))
         for tree, block in zip(forest.trees, blocks, strict=True):
@@ -1234,7 +1236,7 @@ class TestThreadedEncode:
     def test_small_batches_stay_serial(self, monkeypatch):
         # below the threshold: THREAD_MULADDS is kept, only the CPUs are forced
         runs = force_threads(monkeypatch)
-        monkeypatch.setattr(forest_module, "THREAD_MULADDS", 2**22)
+        monkeypatch.setattr(encode_module, "THREAD_MULADDS", 2**22)
         (view,), stacked = stacked_forest()
         encode_dataset(stacked, view.features)
         assert runs == [(threading.get_ident(), 0, 8)]
@@ -1251,9 +1253,9 @@ class TestThreadedEncode:
         per_column = 256 + 2 * 16 * 16 * 16
         assert [g.muladds for g in forest._groups[0]] == [per_column] * 2
         # the smallest batch whose cost reaches THREAD_MULADDS per group threads
-        fewest = -(-forest_module.THREAD_MULADDS // per_column)
+        fewest = -(-encode_module.THREAD_MULADDS // per_column)
         runs = force_threads(monkeypatch)
-        monkeypatch.setattr(forest_module, "THREAD_MULADDS", 2**22)
+        monkeypatch.setattr(encode_module, "THREAD_MULADDS", 2**22)
         x = rng.normal(size=(784, fewest))
         encode_dataset(forest, x[:, 1:])
         assert runs == [(threading.get_ident(), 0, 32)]
@@ -1448,7 +1450,7 @@ class TestPoolBlasThreads:
     def test_train_tree_on_two_blas_threads_gives_train_forests_trees(self):
         # at 784-d a product split over two OpenBLAS threads rounds otherwise
         # than on one, so a tree trained directly must hold the guard itself
-        threads = forest_module._openblas_threads()
+        threads = blas_module._openblas_threads()
         if threads is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count setter")
         if len(os.sched_getaffinity(0)) < 2:
@@ -1487,7 +1489,7 @@ class TestPoolBlasThreads:
             seen.append((threading.get_ident(), blas_threads()))
             return _route_many(node, x)
 
-        monkeypatch.setattr(forest_module, "_route_many", route)
+        monkeypatch.setattr(encode_module, "_route_many", route)
         encode_dataset(forest, ds.features)
         assert seen == [(threading.get_ident(), 1)] * 3
         assert blas_threads() == parent_threads
@@ -1515,14 +1517,14 @@ class TestPoolBlasThreads:
             seen = {}
 
             def thread_a():
-                with forest_module._single_blas_thread():
+                with blas_module._single_blas_thread():
                     a_in.set()
                     b_in.wait(30)
                 a_out.set()
 
             def thread_b():
                 a_in.wait(30)
-                with forest_module._single_blas_thread():
+                with blas_module._single_blas_thread():
                     b_in.set()
                     a_out.wait(30)
                     seen["b after a left"] = blas_threads()
@@ -1582,8 +1584,8 @@ class TestPoolBlasThreads:
 
             def enter_and_leave():
                 for _ in range(200):
-                    with forest_module._single_blas_thread():
-                        with forest_module._single_blas_thread():
+                    with blas_module._single_blas_thread():
+                        with blas_module._single_blas_thread():
                             counts.add(blas_threads())
 
             threads = [threading.Thread(target=enter_and_leave) for _ in range(8)]
@@ -1593,7 +1595,7 @@ class TestPoolBlasThreads:
                 t.join(60)
                 assert not t.is_alive()
             assert counts == {1}
-            assert forest_module._blas_holders == 0 and blas_threads() == 2
+            assert blas_module._blas_holders == 0 and blas_threads() == 2
         finally:
             sys.setswitchinterval(switch)
             lib.scipy_openblas_set_num_threads64_(caller_threads)
@@ -1602,35 +1604,35 @@ class TestPoolBlasThreads:
         if bundled_openblas() is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread-count getter")
         parent_threads = blas_threads()
-        with forest_module._single_blas_thread():
-            with forest_module._single_blas_thread():
-                assert forest_module._blas_holders == 2
+        with blas_module._single_blas_thread():
+            with blas_module._single_blas_thread():
+                assert blas_module._blas_holders == 2
             assert blas_threads() == 1
-        assert forest_module._blas_holders == 0 and blas_threads() == parent_threads
+        assert blas_module._blas_holders == 0 and blas_threads() == parent_threads
 
         ds = small_dataset()
         forest = train_forest(ds, 3, 2, FAST_CFG, master_seed=3)
         holders = []
 
         def route(node, x):
-            holders.append(forest_module._blas_holders)
+            holders.append(blas_module._blas_holders)
             return _route_many(node, x)
 
-        monkeypatch.setattr(forest_module, "_route_many", route)
+        monkeypatch.setattr(encode_module, "_route_many", route)
         force_threads(monkeypatch)
         encode_dataset(forest, ds.features)
         # the caller and each thread hold the guard; a thread may run alone
         assert len(holders) == 3 and min(holders) >= 2
-        assert forest_module._blas_holders == 0 and blas_threads() == parent_threads
+        assert blas_module._blas_holders == 0 and blas_threads() == parent_threads
 
     def test_missing_library_or_setter_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(forest_module.glob, "glob",
+        monkeypatch.setattr(blas_module.glob, "glob",
                             lambda pattern: ["/nonexistent/libscipy_openblas64_-x.so",
                                              "libc.so.6"])
-        forest_module._openblas_threads.cache_clear()
+        blas_module._openblas_threads.cache_clear()
         try:
-            assert forest_module._openblas_threads() is None
-            with forest_module._single_blas_thread():
+            assert blas_module._openblas_threads() is None
+            with blas_module._single_blas_thread():
                 pass
         finally:
-            forest_module._openblas_threads.cache_clear()
+            blas_module._openblas_threads.cache_clear()
