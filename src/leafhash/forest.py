@@ -258,7 +258,7 @@ def _tree_kernels(boot_features, cfg, rng):
             continue
         n_take = min(cfg.anchor_count, feats.shape[1])
         idx = rng.choice(feats.shape[1], size=n_take, replace=False)
-        anchors = feats[:, idx].copy()
+        anchors = feats[:, idx]
         if cfg.kernel_kind == "rbf":
             sigma = cfg.sigma if cfg.sigma is not None else median_bandwidth(feats, rng)
             kernels.append(KernelConfig(anchors=anchors, kind="rbf", sigma=sigma))

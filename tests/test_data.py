@@ -769,16 +769,18 @@ class TestModelDecoding:
                 assert all(np.isfinite(a).all() for a in arrays)
 
 
-def serve_shaped_forest(seed=0, dim=784):
+def serve_shaped_forest(seed=0, dim=784, order="C"):
     """A kernel forest shaped like serve-784's: 32 RBF trees of 16 anchors
     drawn from 40 shared columns, which encode in two stacked groups, then
-    a one-anchor tree and a tree with a degenerate root, which encode alone."""
+    a one-anchor tree and a tree with a degenerate root, which encode alone.
+    The anchors are handed over in ``order``: numpy lays out the columns
+    ``shared[:, idx]`` in Fortran order."""
     rng = np.random.default_rng(seed)
     shared = rng.normal(size=(dim, 40))
     trees = []
     for t in range(34):
-        # a copy in C order, as training draws anchors
-        anchors = shared[:, rng.choice(40, size=1 if t == 32 else 16, replace=False)].copy()
+        anchors = shared[:, rng.choice(40, size=1 if t == 32 else 16, replace=False)]
+        anchors = np.asarray(anchors, order=order)
         width = anchors.shape[1]
         root = (SplitNode(class_partition={0: "neg", 1: "neg"}, degenerate=True) if t == 33
                 else SplitNode(proj_pos=rng.normal(size=(2, width)),
@@ -818,6 +820,21 @@ class TestPooledAnchors:
             assert kc._shape == own.anchors.shape
             assert kc.anchors.tobytes() == own.anchors.tobytes()
             assert kc.anchor_sq_norms.tobytes() == own.anchor_sq_norms.tobytes()
+
+    def test_fortran_ordered_anchors_make_the_forest_their_c_copy_makes(self, tmp_path):
+        forests = {order: serve_shaped_forest(order=order) for order in "CF"}
+        for order, forest in forests.items():
+            save_model(forest, None, tmp_path / f"{order}.fhsh")
+        loaded, _ = load_model(tmp_path / "F.fhsh")
+        for c_tree, f_tree, l_tree in zip(*(f.trees for f in (*forests.values(), loaded))):
+            (c_kc,), (f_kc,), (l_kc,) = c_tree.kernels, f_tree.kernels, l_tree.kernels
+            assert f_kc.anchors.flags.c_contiguous
+            assert f_kc.anchor_sq_norms.tobytes() == c_kc.anchor_sq_norms.tobytes()
+            assert f_kc.anchor_sq_norms.tobytes() == l_kc.anchor_sq_norms.tobytes()
+        assert (tmp_path / "C.fhsh").read_bytes() == (tmp_path / "F.fhsh").read_bytes()
+        x = np.random.default_rng(3).normal(size=(784, 20))
+        for a, b in zip(*(encode_dataset(f, x) for f in forests.values())):
+            np.testing.assert_array_equal(a, b)
 
     def test_forest_of_some_loaded_trees_encodes_and_saves_as_the_saved_ones(self, tmp_path):
         forest = serve_shaped_forest(dim=64)
