@@ -82,3 +82,24 @@ def test_the_package_neither_exports_nor_defines_a_test_oracle():
     assert sorted(oracles & set(dir(leafhash))) == []
     for path in sorted(PACKAGE.glob("*.py")):
         assert sorted(oracles & defined_names(path)) == [], path.name
+
+
+def package_imports(module):
+    """The package modules that ``module`` imports, by name."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_each_module_imports_only_what_its_job_needs():
+    # the BLAS guard stands alone, selection needs no forest, and training
+    # needs no retrieval
+    assert package_imports("_blas") == set()
+    assert package_imports("aggregation") & {"forest", "encode"} == set()
+    assert "retrieval" not in package_imports("forest")
+    assert {"encode", "_blas"} <= package_imports("forest")

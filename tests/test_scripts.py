@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import shutil
@@ -211,3 +212,36 @@ def test_bench_interleaved_encode_is_the_benchmarks_encode_operation(tmp_path, m
             assert len(blocks) == w.trees
             assert script.same_served({name: (blocks, codes.words, labels)},
                                       {name: copied[name]})
+
+
+def test_bench_tracer_wraps_every_target_and_restores_every_binding():
+    # bench/spans.py wraps the package's functions by module path, so a name
+    # moved out of its module would make every traced benchmark run fail
+    import leafhash as lh
+
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = [lh] + [importlib.import_module(f"leafhash.{m}") for m in spans.MODULES]
+    owners = modules + [np.linalg, lh.BlockSet]
+    before = [dict(vars(owner)) for owner in owners]
+    targets = {}
+    for target in spans.TARGETS:
+        module, name = target.split(".")
+        targets[target] = getattr(importlib.import_module(f"leafhash.{module}"), name)
+
+    ds = lh.gen_synthetic(lh.SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=6,
+                                           samples_per_class=20))
+    cfg = lh.ForestConfig(split=lh.SplitConfig(atoms=3, sparsity=1))
+    with spans.Tracer(lh) as tracer:
+        for target, orig in targets.items():
+            module, name = target.split(".")
+            wrapped = getattr(importlib.import_module(f"leafhash.{module}"), name)
+            assert wrapped is not orig, target
+            assert inspect.unwrap(wrapped, stop=lambda f: f is orig) is orig, target
+        lh.encode_dataset(lh.train_forest(ds, 2, cfg=cfg), ds.features)
+    assert tracer.calls("forest.train_forest") == tracer.calls("forest.encode_dataset") == 1
+    assert tracer.seconds("forest.encode_dataset") > 0
+    for owner, saved in zip(owners, before):
+        now = vars(owner)
+        assert [k for k, v in saved.items() if callable(v) and now.get(k) is not v] == [], owner
