@@ -14,7 +14,9 @@ the final hash.  Three criteria are provided:
 All three run one greedy loop with two switchable gain terms, and all are
 deterministic: score ties resolve to the lowest block index.  Like training,
 the loop and the lambda estimate run on one OpenBLAS thread, on which their
-``np.linalg.solve`` calls round the same on every machine.
+``np.linalg.solve`` calls round the same whatever the caller's thread count,
+on every machine of one platform key: the same numpy version and OpenBLAS
+core.
 The greedy objective has diminishing returns, which keeps the greedy choice
 within (1 - 1/e) of the exhaustive optimum; the tests check it against an
 exhaustive search over every k-subset.

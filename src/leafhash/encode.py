@@ -152,7 +152,7 @@ def _stack_key(tree, modality):
     own ``anchor_sq_norms`` numpy sums pairwise, not in order as the pool's
     are summed), a degenerate root, or projectors whose shapes do not fit the
     map (which the tree alone rejects).  A kernel tree has no net
-    (:func:`_learner_misfit`), so its root routes the map itself."""
+    (``forest._learner_misfit``), so its root routes the map itself."""
     kc, root = tree.kernels[modality], tree.nodes[0][modality]
     if kc is None or kc.n_anchors == 1 or root.degenerate:
         return None

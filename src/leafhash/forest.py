@@ -1,19 +1,16 @@
-"""Tree and forest construction with random class grouping.
+"""Trees and forests: training with random class grouping, and encode_dataset.
 
 Each tree trains on its own bootstrap subset; at every internal node the
 classes present are randomly split into two pooled groups and a low-rank split
-node is trained to separate them.  Encoding pushes a point to a leaf and emits
-a one-hot vector over the tree's 2^(depth-1) breadth-first-indexed leaves;
-:mod:`.encode` finds the leaves.
+node is trained to separate them.  Per-tree seeds derive from the master seed
+and the tree index, and every tree trains on one OpenBLAS thread
+(:mod:`._blas`), in this process or in a pool worker, so training is
+reproducible bit-for-bit whatever the worker count.
 
-Trees are fully independent: per-tree seeds derive from the master seed and
-the tree index, and every tree trains on one OpenBLAS thread (:mod:`._blas`),
-whether in the calling process or in a pool worker, so training is
-reproducible bit-for-bit regardless of worker count or scheduling.
-
-A :class:`Forest` is made once: its constructor checks the trees and builds
-each modality's anchor pool and encode groups from them, and encoding and
-``save_model`` read them.  To change a forest, make a new one.
+A :class:`Forest` is made once, and builds its anchor pools and encode groups
+then (:mod:`.encode`); to change a forest, make a new one.
+:func:`encode_dataset` gives each tree's one-hot block over its
+2^(depth-1) breadth-first-indexed leaves.
 """
 
 from __future__ import annotations
