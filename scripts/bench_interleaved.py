@@ -22,7 +22,10 @@ and pack every part.  A difference exits 1.  Prints each side's median and
 quartiles, the rounds the change won, and ``bench_pairs.summarize``'s
 verdict, with the bound of the benchmark's ``encode_pts_per_s``.
 Interleaving in one warm process hides the cost of faulting in fresh
-memory, which ``bench_pairs.py``'s fresh processes pay.
+memory, which ``bench_pairs.py``'s fresh processes pay.  Both sides load the
+model the parent saved, so the script cannot compare two trees across a
+change of the model format (the change cannot read the parent's model);
+compare those with ``bench_pairs.py``, whose runs each save their own.
 
     python3 scripts/bench_interleaved.py --parent ../parent --change . \\
         --workload serve-784 --stage load --seed 23 --ops 60

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Encode rate of a serve-784-shaped model at several batch sizes.
+"""Encode rate of the serve-784 benchmark's model at several batch sizes.
 
-Trains 128 depth-2 RBF-kernel trees (16 anchors each) on 784-d synthetic
-subspace data shaped like MNIST, then times ``encode_dataset`` on batches of
-N points for each N.  Every repetition visits all batch sizes in turn and
-encodes batches of one size until a quarter second has passed, so load from
+Trains the forest of ``bench/run.py``'s serve-784 workload (its
+``WORKLOADS["serve-784"]``, ``make_inputs`` and ``forest_config``: 128
+depth-2 RBF-kernel trees of 16 anchors on 784-d subspace data shaped like
+MNIST), then times ``encode_dataset`` on batches of N points of its gallery
+for each N.  Every repetition visits all batch sizes in turn and encodes
+batches of one size until a quarter second has passed, so load from
 elsewhere on the machine hits every size alike: once as the library decides
 (``pts_per_s``) and once serially (``serial_pts_per_s``), with
 ``encode.THREAD_MULADDS`` raised past any batch, alternating which goes first.
@@ -24,24 +26,21 @@ import argparse
 import json
 import os
 import statistics
+import sys
 import tempfile
 import time
-
-import numpy as np
+from pathlib import Path
 
 import leafhash as lh
 from leafhash import encode as encode_module
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from bench_interleaved import import_as  # noqa: E402
+
 SIZES = (1, 4, 16, 30, 64, 100, 250, 1000)
-DIM, CLASSES, INTRINSIC, NOISE = 784, 10, 12, 0.1
 MIN_SECONDS = 0.25
-
-
-def subspace_points(per_class, rng, bases):
-    cols = [b @ rng.normal(size=(INTRINSIC, per_class))
-            + NOISE * rng.normal(size=(DIM, per_class)) for b in bases]
-    return lh.LabeledDataset(np.concatenate(cols, axis=1),
-                             np.repeat(np.arange(CLASSES), per_class))
 
 
 def encode_rate(forest, pool, n):
@@ -91,19 +90,13 @@ def main():
     args = ap.parse_args()
     sizes = [int(n) for n in args.sizes.split(",")]
 
-    geometry = np.random.default_rng([DIM, CLASSES, INTRINSIC])
-    bases = [np.linalg.qr(geometry.normal(size=(DIM, INTRINSIC)))[0]
-             for _ in range(CLASSES)]
-    rng = np.random.default_rng(args.seed)
-    train = subspace_points(30, rng, bases)
-    pool = np.ascontiguousarray(subspace_points(200, rng, bases).features)
-
-    cfg = lh.ForestConfig(
-        split=lh.SplitConfig(learner="kernel", ksvd_iters=2,
-                             optimizer=lh.OptimizerConfig(max_iters=20, geometry_iters=20)),
-        kernel_kind="rbf", anchor_count=16)
+    bench = import_as("bench_run", ROOT / "bench" / "run.py")
+    w = bench.WORKLOADS["serve-784"]
+    train, gallery, _ = bench.make_inputs(lh, w, args.seed)
+    pool = gallery.features
     start = time.perf_counter()
-    forest = lh.train_forest(train, 128, 2, cfg, master_seed=0)
+    forest = lh.train_forest(train, w.trees, bench.DEPTH, bench.forest_config(lh, w),
+                             bench.MASTER_SEED, w.workers)
     fit_s = time.perf_counter() - start
     lh.encode_dataset(forest, pool[:, :1])
 

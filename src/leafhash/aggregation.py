@@ -88,7 +88,7 @@ def block_covariance(bs: BlockSet, samples=None) -> BlockCovariance:
     """
     if bs.n_blocks < 2:
         raise InvalidInputError("need at least two blocks")
-    ids = bs.leaf_ids if samples is None else bs.leaf_ids[:, np.asarray(samples)]
+    ids = bs.leaf_ids[:, _columns(bs, samples, "samples")]
     n = ids.shape[1]
     if n == 0:
         raise InvalidInputError("no samples selected")
@@ -147,6 +147,17 @@ def _check_lambda(lam):
         raise InvalidInputError(f"lambda must be a finite number >= 0, got {lam!r}")
 
 
+def _columns(bs: BlockSet, indices, name: str):
+    """``indices`` as an index of columns of ``bs``, all of them for None;
+    anything but integers in 0..N-1 raises InvalidInputError naming ``name``."""
+    if indices is None:
+        return slice(None)
+    a, n = np.asarray(indices), bs.n_samples
+    if a.ndim != 1 or a.size and not (a.dtype.kind in "iu" and 0 <= a.min() <= a.max() < n):
+        raise InvalidInputError(f"{name} must be column indices in 0..{n - 1}")
+    return a.astype(np.intp)
+
+
 def _labeled(bs: BlockSet, labels, labeled=None):
     """Validated ``(leaf ids, labels)`` of the labeled columns (all by default)."""
     if labels is None:
@@ -154,9 +165,7 @@ def _labeled(bs: BlockSet, labels, labeled=None):
     labels = np.asarray(labels)
     if labels.shape[0] != bs.n_samples:
         raise InvalidInputError("labels length does not match the block columns")
-    if labeled is None:
-        return bs.leaf_ids, labels
-    labeled = np.asarray(labeled)
+    labeled = _columns(bs, labeled, "labeled")
     return bs.leaf_ids[:, labeled], labels[labeled]
 
 
@@ -244,6 +253,7 @@ def estimate_lambda(bs: BlockSet, labels, unlabeled=None, labeled=None) -> float
     information.  Falls back to 0 (pure unsupervised) when no block carries
     label information."""
     ids, lab = _labeled(bs, labels, labeled)
+    _columns(bs, unlabeled, "unlabeled")
     cov = block_covariance(bs, unlabeled)
     m = bs.n_blocks
     best_unsup = max(unsupervised_gain(cov, y, []) for y in range(m))
@@ -269,6 +279,7 @@ def greedy_semisupervised(
     _check_k(k, bs.n_blocks // 2, bs.n_blocks)
     _check_lambda(lam)
     ids, lab = _labeled(bs, labels, labeled)
+    _columns(bs, unlabeled, "unlabeled")
     if lam is None:
         lam = estimate_lambda(bs, labels, unlabeled, labeled)
     chosen, gains = _greedy(bs, k, block_covariance(bs, unlabeled), ids, lab, lam)

@@ -6,17 +6,17 @@ File formats owned here:
   files are detected by content and decompressed transparently.
 - Delimited text matrices (rows are feature dimensions, columns are samples)
   and a raw little-endian float64 format with a (rows, cols) header.
-- "FHSH04" binary model container and "FHCD01" packed-codes file, both with a
-  trailing CRC32; round-trips are bit-exact for everything serving reads.  A
-  model stores each modality's distinct kernel anchors once, as the forest's
-  pool (``Forest.pools``, see ``encode.anchor_pool``), and each kernel tree's
-  anchors as indices into it.  A model is read in bulk: in place through a
-  memoryview, with a run of records of one kind (a class partition, the
-  selection's blocks) as one array.  No tree's anchors are copied out of the
-  pool: each loaded kernel gathers them from it when they are first read
-  (``KernelConfig._pooled``), which a stacked encode group never does.  The
-  loaded forest is made with the pools that were read, so it never dedups
-  its anchors again.
+- "FHSH05" binary model container and "FHCD01" packed-codes file, both with a
+  trailing CRC32; round-trips are bit-exact for everything serving reads, and
+  a model holds nothing else.  Its header stores each modality's distinct
+  kernel anchors once, as the forest's pool (``Forest.pools``, see
+  ``encode.anchor_pool``), and each kernel tree's anchors as indices into
+  it.  A model is read in bulk: in place through a memoryview, with a run of
+  records of one kind (the selection's blocks, a kernel's indices) as one
+  array.  No tree's anchors are copied out of the pool: each loaded kernel
+  gathers them from it when they are first read (``KernelConfig._pooled``),
+  which a stacked encode group never does.  The loaded forest is made with
+  the pools that were read, so it never dedups its anchors again.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .forest import Forest, ForestConfig, HashTree, LabeledDataset
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
-MODEL_MAGIC = b"FHSH04"
+MODEL_MAGIC = b"FHSH05"
 CODES_MAGIC = b"FHCD01"
 
 _IDX_IMAGES = 0x00000803
@@ -293,10 +293,6 @@ class _Writer:
 
 _U32S, _U64S, _F64S = np.dtype("<u4"), np.dtype("<u8"), np.dtype("<f8")
 _U8, _U32, _U64, _I64, _F64 = (struct.Struct(f) for f in ("<B", "<I", "<Q", "<q", "<d"))
-# one class of a node's class partition: the class, then its side, which
-# reads "neg" for 0 and "pos" for any other byte
-_PARTITION = np.dtype([("cls", "<i8"), ("side", "u1")])
-_SIDES = ("neg",) + ("pos",) * 255
 
 
 class _Reader:
@@ -341,15 +337,13 @@ class _Reader:
     def records(self, dtype, count):
         """``count`` packed records of ``dtype`` as one read-only array.
 
-        Records that run past the payload are reported at the first field
-        that does not fit, where reading them field by field stops."""
+        Records that run past the payload are reported at the first that
+        does not fit, where reading them one by one stops."""
         at, need = self.pos, dtype.itemsize * count
         if at + need > len(self.buf):
-            full, part = divmod(len(self.buf) - at, dtype.itemsize)
-            fields = [dtype.fields[f] for f in dtype.names] if dtype.names else [(dtype, 0)]
-            cut = next(off for kind, off in fields if off + kind.itemsize > part)
+            full = (len(self.buf) - at) // dtype.itemsize
             raise DataFormatError("container truncated mid-record",
-                                  offset=self.base + at + full * dtype.itemsize + cut)
+                                  offset=self.base + at + full * dtype.itemsize)
         self.pos = at + need
         return np.frombuffer(self.buf, dtype=dtype, count=count, offset=at)
 
@@ -417,18 +411,13 @@ def _finalize(magic, payload: bytes) -> bytes:
 # Model container
 
 def _write_selection(w, selection):
-    if selection is None:
-        w.u8(0)
-        return
-    w.u8(1)
-    w.string(selection.mode)
-    w.u8(0 if selection.lam is None else 1)
-    w.f64(0.0 if selection.lam is None else float(selection.lam))
-    w.u32(len(selection.chosen))
-    for c in selection.chosen:
-        w.u32(int(c))
-    for g in selection.gains:
-        w.f64(float(g))
+    w.u8(selection is not None)
+    if selection is not None:
+        w.string(selection.mode)
+        w.u8(selection.lam is not None)
+        w.f64(0.0 if selection.lam is None else float(selection.lam))
+        w.u32s(selection.chosen)
+        w.buf += np.asarray(selection.gains, dtype="<f8").tobytes()
 
 
 def _read_selection(r, n_trees):
@@ -449,10 +438,24 @@ def _read_selection(r, n_trees):
                            lam=lam if has_lam else None)
 
 
-def _write_kernel(w, kc, pool, idx, first):
+def _read_pools(r, feature_dims):
+    """Each modality's pool record: ``(offset, pool)``, the pool as the (d, P)
+    array the file stores, or None.  A pool holds anchors of its modality's
+    dimension in ``feature_dims``."""
+    pools = []
+    for m, dim in enumerate(feature_dims):
+        start = r.base + r.pos
+        pool = r.array() if r.u8() else None
+        if pool is not None and (pool.ndim != 2 or pool.size == 0 or pool.shape[0] != dim):
+            raise DataFormatError(f"anchor pool of shape {pool.shape} does not hold anchors "
+                                  f"of modality {m}'s {dim} dimensions", offset=start)
+        pools.append((start, pool))
+    return pools
+
+
+def _write_kernel(w, kc, idx):
     """A kernel record: its kind code and constants, then its anchors as
-    indices into ``pool``, the modality's pool, which the modality's
-    ``first`` kernel record writes before them."""
+    indices ``idx`` into its modality's pool."""
     w.u8(_KERNEL_CODES[None if kc is None else kc.kind])
     if kc is None:
         return
@@ -461,15 +464,12 @@ def _write_kernel(w, kc, pool, idx, first):
     else:
         w.f64(kc.p)
         w.f64(kc.q)
-    if first:
-        w.array(pool.rows.T)
     w.u32s(idx)
 
 
-def _read_kernel(r, pools, modality, dim):
-    """A kernel record; reads the modality's pool into ``pools``, as the
-    (d, P) array the file stores, when it is the modality's first, and
-    checks that d is the modality's dimension ``dim``.  Returns
+def _read_kernel(r, size):
+    """A kernel record, whose indices must fall in its modality's pool of
+    ``size`` anchors (None when the modality has no pool).  Returns
     ``(constants, indices)``, both None for a tree without a kernel; the
     constants are checked here, and :func:`_kernels` makes the kernels."""
     start = r.base + r.pos
@@ -482,16 +482,8 @@ def _read_kernel(r, pools, modality, dim):
         consts = {"kind": "polynomial", "p": r.f64(), "q": r.f64()}
     else:
         raise DataFormatError(f"unknown kernel code {code}", offset=start)
-    if modality not in pools:
-        pool = r.array()
-        if pool.ndim != 2 or pool.size == 0:
-            raise DataFormatError(f"anchor pool of shape {pool.shape} holds no anchors",
-                                  offset=start)
-        if pool.shape[0] != dim:
-            raise DataFormatError(f"anchor pool of {pool.shape[0]} dimensions for modality "
-                                  f"{modality} of {dim}", offset=start)
-        pools[modality] = pool
-    size = pools[modality].shape[1]
+    if size is None:
+        raise DataFormatError("kernel record of a modality with no anchor pool", offset=start)
     idx = r.u32s(start)
     if idx.size and idx.max() >= size:
         raise DataFormatError(f"anchor index {idx.max()} past a pool of {size}", offset=start)
@@ -538,11 +530,6 @@ def _read_net(r):
 
 def _write_node(w, node):
     w.u8(1 if node.degenerate else 0)
-    items = sorted(node.class_partition.items())
-    w.u32(len(items))
-    for cls, side in items:
-        w.i64(int(cls))
-        w.u8(1 if side == "pos" else 0)
     if node.degenerate:
         return
     # a linear or kernel node's transform is folded into both projectors, so
@@ -558,11 +545,8 @@ def _read_node(r, width):
     """One node record, which must fit ``width``, the width of its tree's
     map: its kernel's anchor count, else the modality's dimension."""
     start = r.base + r.pos
-    degenerate = r.u8() == 1
-    # a class listed twice keeps its first place and its last side
-    partition = {cls: _SIDES[side] for cls, side in r.records(_PARTITION, r.u32()).tolist()}
-    if degenerate:
-        return SplitNode(class_partition=partition, degenerate=True)
+    if r.u8() == 1:
+        return SplitNode(degenerate=True)
     net = _read_net(r) if r.u8() else None
     proj_pos = r.array()
     proj_neg = r.array()
@@ -574,15 +558,14 @@ def _read_node(r, width):
     if any(p.ndim != 2 or p.shape[1] != width for p in (proj_pos, proj_neg)):
         raise DataFormatError(f"projectors of shapes {proj_pos.shape} and {proj_neg.shape} "
                               f"do not take {width} features", offset=start)
-    return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, net=net,
-                     class_partition=partition)
+    return SplitNode(proj_pos=proj_pos, proj_neg=proj_neg, net=net)
 
 
-def _read_tree(r, pools, feature_dims, internal):
+def _read_tree(r, sizes, feature_dims, internal):
     """One tree record: ``(seed, kernel records, nodes)`` (see
-    :func:`_read_kernel` and :func:`_read_node`)."""
+    :func:`_read_kernel`, of pools of ``sizes``, and :func:`_read_node`)."""
     seed = r.i64()
-    kernels = [_read_kernel(r, pools, m, dim) for m, dim in enumerate(feature_dims)]
+    kernels = [_read_kernel(r, size) for size in sizes]
     widths = [dim if idx is None else idx.size for dim, (_, idx) in zip(feature_dims, kernels)]
     nodes = [[_read_node(r, width) for width in widths] for _ in range(internal)]
     return seed, kernels, nodes
@@ -607,13 +590,13 @@ def _config_from_json(text: str, offset: int) -> ForestConfig:
 
 
 def save_model(forest: Forest, selection, path):
-    """Write the forest and its block selection as one FHSH04 container.
+    """Write the forest and its block selection as one FHSH05 container.
 
     The header holds the modality count, tree count, depth, master seed,
-    feature dimensions and the forest config as JSON, which states the
-    learner.  Each modality with a kernel tree stores its anchor pool once, in
-    its first kernel record; every kernel record stores its anchors as indices
-    into the pool.
+    feature dimensions, the forest config as JSON (which states the
+    learner), the selection, and per modality a flag, set when the anchor
+    pool follows.  Each tree record then holds its seed, its kernel records
+    (anchors as indices into the pool) and its nodes, without partitions.
     """
     w = _Writer()
     w.u8(len(forest.feature_dims))
@@ -624,15 +607,14 @@ def save_model(forest: Forest, selection, path):
         w.u32(dim)
     w.string(_config_to_json(forest.config))
     _write_selection(w, selection)
-    written = set()
+    for pool in forest.pools:
+        w.u8(pool is not None)
+        if pool is not None:
+            w.array(pool.rows.T)
     for t, tree in enumerate(forest.trees):
         w.i64(tree.tree_seed)
-        for m, kc in enumerate(tree.kernels):
-            pool = forest.pools[m]
-            _write_kernel(w, kc, pool, None if pool is None else pool.indices[t],
-                          kc is not None and m not in written)
-            if kc is not None:
-                written.add(m)
+        for kc, pool in zip(tree.kernels, forest.pools):
+            _write_kernel(w, kc, None if kc is None else pool.indices[t])
         for per_mod in tree.nodes:
             for node in per_mod:
                 _write_node(w, node)
@@ -641,10 +623,11 @@ def save_model(forest: Forest, selection, path):
 
 
 def load_model(path):
-    """Read an FHSH04 container; returns ``(forest, selection)``.
+    """Read an FHSH05 container; returns ``(forest, selection)``.
 
     The forest is made with the anchor pools it was read with, so it does
-    not build them again.  A pool not of its modality's dimension, a net
+    not build them again; its nodes' class partitions are empty.  A pool
+    that does not fit its modality, a kernel record without a pool, a net
     or projector that does not fit its tree's map, or a tree that does not
     fit the config's learner (a kernel or a net where the learner has none,
     or none where it has one) raises ``DataFormatError``; the last is
@@ -663,11 +646,16 @@ def load_model(path):
     config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r, n_trees)
     internal = 2 ** (depth - 1) - 1
-    pools = {}
-    read = [_read_tree(r, pools, feature_dims, internal) for _ in range(n_trees)]
+    pools = _read_pools(r, feature_dims)
+    sizes = [None if pool is None else pool.shape[1] for _, pool in pools]
+    read = [_read_tree(r, sizes, feature_dims, internal) for _ in range(n_trees)]
     r.done()
-    read_pools = [AnchorPool.of(pools[m], [rec[m][1] for _, rec, _ in read]) if m in pools
-                  else None for m in range(n_modalities)]
+    read_pools = []
+    for m, (start, pool) in enumerate(pools):
+        indices = [rec[m][1] for _, rec, _ in read]
+        if pool is not None and all(idx is None for idx in indices):
+            raise DataFormatError(f"anchor pool of modality {m} with no kernel tree", offset=start)
+        read_pools.append(None if pool is None else AnchorPool.of(pool, indices))
     trees = [HashTree(depth=depth, nodes=tree_nodes, tree_seed=seed,
                       kernels=_kernels(read_pools, records), feature_dims=feature_dims)
              for seed, records, tree_nodes in read]

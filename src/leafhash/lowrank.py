@@ -301,10 +301,10 @@ class KernelConfig:
     q: float = 1.0
 
     def __post_init__(self):
-        # C order, as a loaded kernel gathers them: numpy sums the columns of
-        # an F-ordered array pairwise, so its ``anchor_sq_norms`` would differ
-        # in the last bit from the pool's and from the loaded kernel's
-        anchors = np.ascontiguousarray(_as_matrix(self.anchors, "anchors"))
+        # an own copy, which the caller's array cannot change, in C order:
+        # numpy sums an F-ordered array's columns pairwise, so its
+        # ``anchor_sq_norms`` would differ in the last bit from the pool's
+        anchors = np.array(_as_matrix(self.anchors, "anchors"), order="C")
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "_shape", anchors.shape)
         check_kernel_constants(self.kind, self.sigma, self.p, self.q)

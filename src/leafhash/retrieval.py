@@ -169,6 +169,7 @@ class HammingIndex:
 
 def radius_query(idx: HammingIndex, q: HashCode, radius: int) -> np.ndarray:
     """Gallery ids within the Hamming radius, ascending id order."""
+    radius = _as_int(radius, "radius")
     if radius < 0:
         raise InvalidInputError("radius must be >= 0")
     return np.flatnonzero(idx.distances(q) <= radius)

@@ -380,6 +380,53 @@ class TestGreedySemiSupervised:
         assert result.chosen == again.chosen
 
 
+class TestColumnSubsets:
+    """``samples``, ``unlabeled`` and ``labeled`` name columns: integers in
+    0..N-1, whatever their integer type."""
+
+    N = 40
+    CALLS = {
+        "block_covariance(samples=)": ("samples", lambda bs, y, v: block_covariance(bs, v)),
+        "estimate_lambda(unlabeled=)": (
+            "unlabeled", lambda bs, y, v: estimate_lambda(bs, y, unlabeled=v)),
+        "estimate_lambda(labeled=)": (
+            "labeled", lambda bs, y, v: estimate_lambda(bs, y, labeled=v)),
+        "greedy_semisupervised(unlabeled=)": (
+            "unlabeled", lambda bs, y, v: greedy_semisupervised(bs, y, 2, unlabeled=v)),
+        "greedy_semisupervised(unlabeled=, lam=)": (
+            "unlabeled", lambda bs, y, v: greedy_semisupervised(bs, y, 2, 1.0, unlabeled=v)),
+        "greedy_semisupervised(labeled=)": (
+            "labeled", lambda bs, y, v: greedy_semisupervised(bs, y, 2, labeled=v)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("value", [[N], [0, N + 5], [1.5], np.array([2.0, 3.0]),
+                                       [-1, 3], [[0, 1], [2, 3]], 3, ["1"], [None],
+                                       [True, False] * (N // 2)],
+                             ids=["N", "past N", "float", "float array", "negative", "2-D",
+                                  "scalar", "text", "None", "mask"])
+    def test_value_that_is_not_column_indices_is_named(self, rng, call, value):
+        bs, labels = treelike_blockset(6, self.N, 3, 0.1, rng)
+        name, fn = self.CALLS[call]
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} must be column indices in 0..{self.N - 1}$"):
+            fn(bs, labels, value)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_integer_indices_of_any_type_select_the_same_columns(self, rng, call):
+        bs, labels = treelike_blockset(6, self.N, 3, 0.1, rng)
+        _, fn = self.CALLS[call]
+        cols = list(range(0, self.N, 3)) + [self.N - 1]
+        want = fn(bs, labels, np.array(cols))
+        for value in (cols, np.array(cols, dtype=np.uint8), np.array(cols, dtype=np.int32),
+                      [np.int64(c) for c in cols]):
+            got = fn(bs, labels, value)
+            if isinstance(want, BlockCovariance):
+                np.testing.assert_array_equal(got.sigma, want.sigma)
+            else:
+                assert got == want
+
+
 class TestExhaustiveSelect:
     def test_enumerates_all_subsets(self, rng):
         bs = random_blockset(4, 30, rng=rng)

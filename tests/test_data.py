@@ -252,8 +252,8 @@ def trained_artifacts(learner="linear", seed=1):
     have 20 anchors in 8 dimensions and encode one at a time;
     ``kernel-stacked`` is a kernel forest of 3-anchor trees, which encode in
     stacked groups; ``kernel-one-anchor`` keeps each of those trees' first
-    anchor, so its trees encode one at a time; ``kernel-two-view`` adds a second, 5-d view of the same
-    samples, whose anchor pool the first tree's second kernel record holds."""
+    anchor, so its trees encode one at a time; ``kernel-two-view`` adds a
+    second, 5-d view of the same samples, with a second anchor pool."""
     ds = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=8,
                                      intrinsic_dim=2, noise=0.02,
                                      samples_per_class=30, seed=2))
@@ -353,9 +353,11 @@ class TestModelContainer:
         path = tmp_path / "model.fhsh"
         save_model(forest, selection, path)
         raw = path.read_bytes()
-        # FHSH03 had a learner byte in its header and kept the optimizer's
-        # constants in its config; FHSH02 stored every tree's anchors in full
-        for magic in (b"FHSH05", b"FHSH03", b"FHSH02"):
+        # FHSH04 kept each modality's pool in its first kernel record and
+        # every node's class partition; FHSH03 had a learner byte in its
+        # header and kept the optimizer's constants in its config; FHSH02
+        # stored every tree's anchors in full
+        for magic in (b"FHSH06", b"FHSH04", b"FHSH03", b"FHSH02"):
             path.write_bytes(magic + raw[6:])
             with pytest.raises(DataFormatError, match="version"):
                 load_model(path)
@@ -408,39 +410,52 @@ def selection_span(raw):
     return count_at, struct.unpack_from("<I", raw, count_at)[0]
 
 
-def first_kernel_record(raw):
-    """(offset of the first tree's first kernel record, offset of its anchor
-    pool) in a saved RBF kernel model.
+def pool_records(raw):
+    """([(offset, (d, P) or None)] per modality, offset of the first tree
+    record) in a saved model.
 
-    Before the record: the selection record and the tree seed.  The record
-    is the u8 kernel code and sigma, the pool array, then the indices.
+    The pool records follow the selection: per modality a u8 flag, then,
+    when it is set, the pool as a 2-D array: u8 ndim, u64 d, u64 P and the
+    d x P float64 entries.
     """
     count_at, count = selection_span(raw)
-    record = count_at + 4 + 12 * count + 8
+    at, pools = count_at + 4 + 12 * count, []
+    for _ in range(raw[6]):
+        if raw[at] == 0:
+            pools.append((at, None))
+            at += 1
+            continue
+        assert raw[at + 1] == 2
+        d, size = struct.unpack_from("<QQ", raw, at + 2)
+        pools.append((at, (d, size)))
+        at += 2 + 16 + 8 * d * size
+    return pools, at
+
+
+def first_kernel_record(raw):
+    """(offset of the first tree's first kernel record, offset of its u32
+    index count) in a saved RBF kernel model.
+
+    Before the record: the pool records and the tree seed.  The record is
+    the u8 kernel code and sigma, then the indices.
+    """
+    record = pool_records(raw)[1] + 8
     assert raw[record] == 1
     return record, record + 1 + 8
 
 
-def pool_shape(raw, pool_at):
-    """((d, P), offset of the u32 index count after it) of a pool array."""
-    d, size = struct.unpack_from("<QQ", raw, pool_at + 1)
-    return (d, size), pool_at + 1 + 16 + 8 * d * size
-
-
 def first_node(raw):
     """Offset of the first tree's first node in a saved model: after its
-    kernel records, one per modality, each its modality's first (so an RBF
-    record holds a pool).  The node is a u8 degenerate flag, a u32 class
-    count and that many 9-byte (i64 class, u8 side) partition entries."""
-    count_at, count = selection_span(raw)
-    at = count_at + 4 + 12 * count + 8
+    kernel records, one per modality.  The node is a u8 degenerate flag,
+    then, for a node that is not, its net and projectors."""
+    at = pool_records(raw)[1] + 8
     for _ in range(raw[6]):
         if raw[at] == 0:
             at += 1
             continue
-        _, index_count_at = pool_shape(raw, at + 1 + 8)
-        (n,) = struct.unpack_from("<I", raw, index_count_at)
-        at = index_count_at + 4 + 4 * n
+        constants = 8 * raw[at]  # sigma, or polynomial p and q
+        (n,) = struct.unpack_from("<I", raw, at + 1 + constants)
+        at += 1 + constants + 4 + 4 * n
     return at
 
 
@@ -533,8 +548,8 @@ class TestModelDecoding:
 
     def test_huge_array_shape_is_format_error(self):
         raw = saved_model_bytes("kernel")
-        # the first array is the anchor pool, in the first tree's kernel record
-        anchors = first_kernel_record(raw)[1]
+        # the first array is the anchor pool, after its record's flag
+        anchors = pool_records(raw)[0][0][0] + 1
         assert raw[anchors] == 2
         # 2**61 rows: an element count that overflows int64
         changes = list(enumerate(struct.pack("<Q", 2**61), start=anchors + 1))
@@ -592,8 +607,8 @@ class TestModelDecoding:
 
     def test_anchor_index_past_the_pool_is_format_error_at_kernel(self):
         raw = saved_model_bytes("kernel")
-        record, pool_at = first_kernel_record(raw)
-        (_, pool_size), count_at = pool_shape(raw, pool_at)
+        record, count_at = first_kernel_record(raw)
+        (_, (_, pool_size)), = pool_records(raw)[0]
         changes = list(enumerate(struct.pack("<I", pool_size), start=count_at + 4))
         with pytest.raises(DataFormatError, match="past a pool") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
@@ -601,24 +616,71 @@ class TestModelDecoding:
 
     def test_index_count_past_the_payload_is_format_error_at_kernel(self):
         raw = saved_model_bytes("kernel")
-        record, pool_at = first_kernel_record(raw)
-        _, count_at = pool_shape(raw, pool_at)
+        record, count_at = first_kernel_record(raw)
         changes = list(enumerate(struct.pack("<I", len(raw)), start=count_at))
         with pytest.raises(DataFormatError, match="indices run past") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == record
 
-    def test_pool_of_another_dimension_is_format_error_at_kernel(self):
+    def test_pool_of_another_dimension_is_format_error_at_its_record(self):
         raw = saved_model_bytes("kernel")
-        record, pool_at = first_kernel_record(raw)
-        (d, _), _ = pool_shape(raw, pool_at)
+        (pool_at, (d, _)), = pool_records(raw)[0]
         # the header's feature dimension: after the u8 modality count, u32
         # tree count, u8 depth and i64 master seed
         assert struct.unpack_from("<I", raw, 20)[0] == d
         changes = list(enumerate(struct.pack("<I", d + 1), start=20))
         with pytest.raises(DataFormatError, match="pool") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == pool_at
+
+    def test_second_modality_pool_of_another_dimension_is_format_error_at_its_record(self):
+        raw = saved_model_bytes("kernel-two-view")
+        (_, first), (pool_at, (d, _)) = pool_records(raw)[0]
+        assert first[0] == 8 and d == 5
+        assert struct.unpack_from("<I", raw, 24)[0] == d
+        changes = list(enumerate(struct.pack("<I", d - 1), start=24))
+        with pytest.raises(DataFormatError, match="modality 1's 4 dimensions") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == pool_at
+
+    def test_kernel_record_of_a_modality_without_a_pool_is_format_error_at_kernel(self):
+        raw = saved_model_bytes("kernel")
+        (pool_at, _), = pool_records(raw)[0]
+        trees_at = pool_records(raw)[1]
+        # the flag cleared and the pool taken out: the trees follow the flag
+        body = raw[:pool_at] + b"\x00" + raw[trees_at:-4]
+        record = first_kernel_record(raw)[0] - (trees_at - pool_at - 1)
+        with pytest.raises(DataFormatError, match="no anchor pool") as info:
+            load_model_bytes(body + struct.pack("<I", zlib.crc32(body[6:])))
         assert info.value.offset == record
+
+    @pytest.mark.parametrize("learner", ["linear", "neural"])
+    def test_pool_of_a_modality_without_kernel_trees_is_format_error_at_its_record(
+            self, learner):
+        raw = saved_model_bytes(learner)
+        (pool_at, pool), = pool_records(raw)[0]
+        assert pool is None
+        pool = np.ones((8, 2))
+        record = b"\x01\x02" + struct.pack("<QQ", *pool.shape) + pool.tobytes()
+        body = raw[:pool_at] + record + raw[pool_at + 1:-4]
+        with pytest.raises(DataFormatError, match="no kernel tree") as info:
+            load_model_bytes(body + struct.pack("<I", zlib.crc32(body[6:])))
+        assert info.value.offset == pool_at
+
+    def test_pool_of_a_forest_without_trees_is_format_error_at_its_record(self, tmp_path):
+        # a kernel forest of no trees has no pool to store
+        _, forest, _, _ = trained_artifacts("kernel")
+        path = tmp_path / "model.fhsh"
+        save_model(replace(forest, trees=()), None, path)
+        raw = path.read_bytes()
+        pool_at = config_span(raw)[0] + 4 + config_span(raw)[1] + 1
+        assert raw[pool_at:-4] == b"\x00"
+        pool = forest.pools[0].rows.T
+        record = b"\x01\x02" + struct.pack("<QQ", *pool.shape) + pool.tobytes()
+        body = raw[:pool_at] + record
+        with pytest.raises(DataFormatError, match="no kernel tree") as info:
+            load_model_bytes(body + struct.pack("<I", zlib.crc32(body[6:])))
+        assert info.value.offset == pool_at
 
     def test_projectors_that_do_not_fit_the_map_are_format_error_at_node(self, tmp_path):
         # tree 0 loses its last anchor but keeps root projectors that take all 20
@@ -635,36 +697,39 @@ class TestModelDecoding:
             load_model(path)
         assert info.value.offset == first_node(path.read_bytes())
 
-    def test_empty_pool_is_format_error_at_kernel(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_empty_pool_is_format_error_at_its_record(self, axis):
         raw = saved_model_bytes("kernel")
-        record, pool_at = first_kernel_record(raw)
-        # a pool of no columns: its anchors' bytes are then read as what follows
-        changes = list(enumerate(struct.pack("<Q", 0), start=pool_at + 9))
+        (pool_at, _), = pool_records(raw)[0]
+        # a pool of no rows or no columns: its anchors' bytes are then read
+        # as what follows
+        changes = list(enumerate(struct.pack("<Q", 0), start=pool_at + 2 + 8 * axis))
         with pytest.raises(DataFormatError, match="pool") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
-        assert info.value.offset == record
+        assert info.value.offset == pool_at
 
-    # a record cut short is reported at the first field that does not fit,
-    # where reading it field by field stops
-    @pytest.mark.parametrize("kept, offset", [(0, 0), (5, 0), (8, 8), (9, 9), (26, 26)])
-    def test_truncated_class_partition_is_format_error_at_its_field(self, kept, offset):
-        raw = saved_model_bytes("kernel")
-        entries = first_node(raw) + 1 + 4
-        assert struct.unpack_from("<I", raw, entries - 4)[0] == 3
-        with pytest.raises(DataFormatError, match="truncated") as info:
-            load_model_bytes(truncated_payload(raw, entries + kept))
-        assert info.value.offset == entries + offset
+    def test_loaded_nodes_have_empty_class_partitions(self):
+        _, forest, _, _ = trained_artifacts("kernel-two-view")
+        loaded, _ = load_model_bytes(saved_model_bytes("kernel-two-view"))
+        nodes = [n for tree in loaded.trees for per_mod in tree.nodes for n in per_mod]
+        assert len(nodes) == 2 * len(loaded.trees)
+        assert all(node.class_partition == {} for node in nodes)
+        # the trained forest keeps its partitions
+        assert all(node.class_partition for tree in forest.trees
+                   for per_mod in tree.nodes for node in per_mod)
 
-    def test_class_listed_twice_keeps_its_first_place_and_last_side(self):
+    def test_node_record_is_its_flags_and_arrays(self):
+        # the first node of a linear tree: u8 degenerate flag, u8 net flag,
+        # then the projectors, with no class partition between
         raw = saved_model_bytes()
-        entries = first_node(raw) + 1 + 4
-        (cls, side), _, (last, last_side) = struct.iter_unpack("<qB", raw[entries:entries + 27])
-        # the second entry names the first class again, on the other side
-        changes = enumerate(struct.pack("<qB", cls, 1 - side), start=entries + 9)
-        forest, _ = load_model_bytes(with_payload_bytes(raw, list(changes)))
-        sides = ("neg", "pos")
-        assert list(forest.trees[0].nodes[0][0].class_partition.items()) == [
-            (cls, sides[1 - side]), (last, sides[last_side])]
+        forest, _ = load_model_bytes(raw)
+        node = forest.trees[0].nodes[0][0]
+        assert not node.degenerate
+        at = first_node(raw)
+        assert raw[at:at + 2] == b"\x00\x00" and raw[at + 2] == 2
+        shape = struct.unpack_from("<QQ", raw, at + 3)
+        assert shape == node.proj_pos.shape
+        assert raw[at + 19:at + 19 + node.proj_pos.nbytes] == node.proj_pos.tobytes()
 
     @pytest.mark.parametrize("part, kept", [("chosen", 0), ("chosen", 3), ("gains", 0),
                                             ("gains", 7)])
@@ -691,8 +756,7 @@ class TestModelDecoding:
     @pytest.mark.parametrize("kept", [0, 3, 4, 11])
     def test_truncated_indices_are_format_error_at_kernel(self, kept):
         raw = saved_model_bytes("kernel")
-        record, pool_at = first_kernel_record(raw)
-        _, count_at = pool_shape(raw, pool_at)
+        record, count_at = first_kernel_record(raw)
         with pytest.raises(DataFormatError, match="indices run past") as info:
             load_model_bytes(truncated_payload(raw, count_at + 4 + kept))
         assert info.value.offset == record
@@ -700,7 +764,7 @@ class TestModelDecoding:
     def test_pool_is_stored_once_and_held_by_the_loaded_forest(self):
         _, forest, _, selection = trained_artifacts("kernel")
         raw = saved_model_bytes("kernel")
-        (_, pool_size), _ = pool_shape(raw, first_kernel_record(raw)[1])
+        (_, (_, pool_size)), = pool_records(raw)[0]
         total = sum(t.kernels[0].n_anchors for t in forest.trees)
         distinct = {c.tobytes() for t in forest.trees for c in t.kernels[0].anchors.T}
         assert pool_size == len(distinct) < total
@@ -718,6 +782,7 @@ class TestModelDecoding:
             raw = saved_model_bytes(learner)
             forest, _ = load_model_bytes(raw)
             assert forest.pools == (None,)
+            assert pool_records(raw)[0] == [(pool_records(raw)[1] - 1, None)]
             # every tree's kernel record is its one u8 "no kernel" code
             assert all(t.kernels == (None,) for t in forest.trees)
 
@@ -727,17 +792,18 @@ class TestModelDecoding:
     @settings(max_examples=300, deadline=None)
     def test_mutated_payload_loads_or_raises_format_error(self, learner, data):
         raw = saved_model_bytes(learner)
-        # the whole payload, or the first node's class partition
+        # the whole payload, the pool records' flags and shapes, or the
+        # first node's flags
+        pools, trees_at = pool_records(raw)
         node = first_node(raw)
-        (classes,) = struct.unpack_from("<I", raw, node + 1)
-        spans = [(6, len(raw) - 5), (node + 1, node + 4 + 9 * classes)]
+        spans = [(6, len(raw) - 5), (node, node + 1)]
+        spans += [(at, at if pool is None else at + 17) for at, pool in pools]
         if learner.startswith("kernel"):
             # the first kernel record's indices
-            record, pool_at = first_kernel_record(raw)
-            _, count_at = pool_shape(raw, pool_at)
+            record, count_at = first_kernel_record(raw)
             spans.append((count_at, count_at + 4 + 4 * 3))
         if learner == "kernel-two-view":
-            # the second modality's kernel record, with its pool
+            # the second modality's kernel record
             second = count_at + 4 + 4 * struct.unpack_from("<I", raw, count_at)[0]
             spans.append((second, node - 1))
         lo, hi = data.draw(st.sampled_from(spans))
@@ -834,6 +900,42 @@ class TestPooledAnchors:
         assert (tmp_path / "C.fhsh").read_bytes() == (tmp_path / "F.fhsh").read_bytes()
         x = np.random.default_rng(3).normal(size=(784, 20))
         for a, b in zip(*(encode_dataset(f, x) for f in forests.values())):
+            np.testing.assert_array_equal(a, b)
+
+    def test_caller_changing_its_anchors_moves_no_tree_pool_model_or_code(self, tmp_path):
+        # the caller keeps the C-ordered float64 arrays it built the kernels
+        # of, and changes them in place once the forest is made
+        rng = np.random.default_rng(5)
+        shared = rng.normal(size=(64, 40))
+        arrays = [np.ascontiguousarray(shared[:, rng.choice(40, size=16, replace=False)])
+                  for _ in range(8)]
+        trees = [HashTree(depth=2, tree_seed=t, feature_dims=(64,),
+                          kernels=(KernelConfig(anchors=a, sigma=30.0),),
+                          nodes=[[SplitNode(proj_pos=rng.normal(size=(2, 16)),
+                                            proj_neg=rng.normal(size=(2, 16)))]])
+                 for t, a in enumerate(arrays)]
+        forest = Forest(trees=trees, master_seed=0, depth=2, feature_dims=(64,),
+                        config=ForestConfig(split=SplitConfig(learner="kernel")))
+        assert all(g.take is not None for g in forest._groups[0])
+        x = rng.normal(size=(64, 20))
+        anchors = [tree.kernels[0].anchors.copy() for tree in forest.trees]
+        rows = forest.pools[0].rows.copy()
+        blocks = encode_dataset(forest, x)
+        save_model(forest, None, tmp_path / "before.fhsh")
+        for a in arrays:
+            a += 5.0
+        for tree, a, own in zip(forest.trees, arrays, anchors):
+            assert tree.kernels[0].anchors is not a
+            np.testing.assert_array_equal(tree.kernels[0].anchors, own)
+        np.testing.assert_array_equal(forest.pools[0].rows, rows)
+        save_model(forest, None, tmp_path / "after.fhsh")
+        assert (tmp_path / "after.fhsh").read_bytes() == (tmp_path / "before.fhsh").read_bytes()
+        for a, b in zip(blocks, encode_dataset(forest, x)):
+            np.testing.assert_array_equal(a, b)
+        # a tree encoded alone reads its own anchors, not the pool
+        alone = Forest(trees=forest.trees[:1], master_seed=0, depth=2, feature_dims=(64,),
+                       config=forest.config)
+        for a, b in zip(blocks[:1], encode_dataset(alone, x)):
             np.testing.assert_array_equal(a, b)
 
     def test_forest_of_some_loaded_trees_encodes_and_saves_as_the_saved_ones(self, tmp_path):

@@ -51,17 +51,17 @@ CONFIGS = {
 GOLDEN = {
     "numpy 2.4.6, OpenBLAS SkylakeX": {
         "kernel": {
-            "model": "5a90c7e64159fc57039268a08975c16bbf7e227d0010add8fbb30e20bce0eda4",
+            "model": "8ce749a1763730d4827643e49f68ba3d2553ec494951f02a1fbe0170aa56345a",
             "codes": "b707ebef884f5c060921c670ae68d775806a694c94850987cf1ed22d5c888df9",
             "chosen": "476dc192ef52c9d303a1ed424b04d889b8a260e5f4af502bb2acfce918af78cd",
         },
         "linear": {
-            "model": "1ed56307b648da4e91fdb61ee678b4224404a275e2ee1a9b9206158a1e7b2b02",
+            "model": "c7f06765ad8339bbd1334e0c2a4f5e0578aa28b59490ac38a64865882eee15eb",
             "codes": "ac009de77d6a31ae96052cd81f0ae064d0ba88a3e850513db0f16f9ad38975aa",
             "chosen": "596b9797b8bd0c51cb918894a6bb2d1104cd18ba5859664f85e8f2eb7d2f9655",
         },
         "neural": {
-            "model": "b033397d493405c58cd4c1a5b0147972e95ec84e919498ae04062b1b1e54b32f",
+            "model": "24e289faefeacf98a718d2540622804df2214b5f63c8bc39d0459988700543d4",
             "codes": "d726f3951c45f910fa541f877da647b61a76edf0c10208a7840a61f77ec72482",
             "chosen": "9be902a7e5066d6b26b8680aa2be6ddc74fdb27fceeca24b8e1ae2ddffba4331",
         },

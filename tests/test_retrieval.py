@@ -234,6 +234,17 @@ class TestQueries:
         idx = HammingIndex(codes=codes_from_values([0b1111], length=4))
         assert radius_query(idx, code(0, 4), 0).size == 0
 
+    @pytest.mark.parametrize("radius", ["2", None, 1.5, np.float64(1.0)])
+    def test_radius_that_is_not_an_integer_rejected(self, radius):
+        idx = HammingIndex(codes=codes_from_values([5, 9, 5, 7]))
+        with pytest.raises(InvalidInputError, match="^radius must be an integer"):
+            radius_query(idx, code(5), radius)
+
+    def test_integer_radius_of_any_integer_type_queries(self):
+        idx = HammingIndex(codes=codes_from_values([0b0000, 0b0001, 0b0011], length=4))
+        for radius in (1, np.int64(1), np.uint8(1)):
+            np.testing.assert_array_equal(radius_query(idx, code(0, 4), radius), [0, 1])
+
     def test_rank_orders_by_distance_then_id(self):
         idx = HammingIndex(codes=codes_from_values([0b111, 0b000, 0b001], length=3))
         np.testing.assert_array_equal(rank_query(idx, code(0, 3)), [1, 2, 0])
@@ -314,6 +325,13 @@ class TestPrecisionRecall:
         p, r = precision_recall_at_radius(idx, queries, np.array([9, 0]), 0)
         assert p == pytest.approx(0.5)  # one query hits, one retrieves wrong class
         assert r == pytest.approx(0.5)  # only the second query has relevant items
+
+    @pytest.mark.parametrize("radius", ["2", None, 1.5])
+    def test_radius_that_is_not_an_integer_rejected(self, radius):
+        idx = HammingIndex(codes=codes_from_values([2, 3, 9], length=4),
+                           labels=np.array([0, 1, 0]))
+        with pytest.raises(InvalidInputError, match="^radius must be an integer"):
+            precision_recall_at_radius(idx, codes_from_values([2], length=4), [0], radius)
 
     def test_empty_query_set_rejected(self):
         idx = HammingIndex(codes=codes_from_values([2, 3, 9], length=4),
