@@ -44,11 +44,9 @@ from .forest import (
     encode_dataset,
     partition_classes,
     train_forest,
-    train_multimodal_forest,
     train_tree,
 )
 from .aggregation import (
-    BlockCovariance,
     BlockSet,
     SelectionResult,
     block_covariance,

@@ -3,9 +3,10 @@
 Given the M per-tree code blocks of a training set, select k of them to form
 the final hash.  Three criteria are provided:
 
-- unsupervised: a Gaussian model over blocks (covariance exp(-d_H/N)) scores a
-  candidate by how unpredictable it is from the already selected blocks and
-  how predictable the remaining blocks are from it;
+- unsupervised: a Gaussian model over blocks, whose covariance exp(-d_H/N) is
+  a plain (M, M) matrix, scores a candidate by how unpredictable it is from
+  the already selected blocks and how predictable the remaining blocks are
+  from it;
 - supervised: plug-in mutual information between the concatenated selected
   codes and the class labels;
 - semi-supervised: the unsupervised gain plus lambda times the supervised
@@ -65,14 +66,6 @@ class BlockSet:
 
 
 @dataclass
-class BlockCovariance:
-    """Similarity matrix Sigma_ij = exp(-d_H(B_i, B_j) / N)."""
-
-    sigma: np.ndarray
-    jitter: float = JITTER
-
-
-@dataclass
 class SelectionResult:
     chosen: list[int]
     gains: list[float]
@@ -80,8 +73,8 @@ class SelectionResult:
     lam: float | None = None
 
 
-def block_covariance(bs: BlockSet, samples=None) -> BlockCovariance:
-    """Covariance from pairwise Hamming distances between whole blocks.
+def block_covariance(bs: BlockSet, samples=None) -> np.ndarray:
+    """The blocks' covariance, the symmetric (M, M) matrix exp(-d_H / N).
 
     ``samples`` optionally restricts the distance computation to a subset of
     columns (used by the semi-supervised split of labeled/unlabeled data).
@@ -98,37 +91,36 @@ def block_covariance(bs: BlockSet, samples=None) -> BlockCovariance:
         # one-hot columns differ in exactly two entries when leaves differ
         mismatches = (ids != ids[i]).sum(axis=1)
         sigma[i] = np.exp(-2.0 * mismatches / n)
-    return BlockCovariance(sigma=0.5 * (sigma + sigma.T))
+    return 0.5 * (sigma + sigma.T)
 
 
-def conditional_variance(cov: BlockCovariance, y: int, conditioning) -> float:
+def conditional_variance(sigma: np.ndarray, y: int, conditioning) -> float:
     """Gaussian conditional variance of block ``y`` given a set of blocks.
 
-    Jitter on the conditioning submatrix keeps duplicate blocks finite; an
-    empty conditioning set returns the prior variance.
+    ``JITTER`` on the conditioning submatrix keeps duplicate blocks finite;
+    an empty conditioning set returns the prior variance.
     """
     s = list(conditioning)
     if y in s:
         raise InvalidInputError(f"block {y} cannot condition itself")
-    sigma = cov.sigma
     if not s:
         return float(sigma[y, y])
-    a = sigma[np.ix_(s, s)] + cov.jitter * np.eye(len(s))
+    a = sigma[np.ix_(s, s)] + JITTER * np.eye(len(s))
     b = sigma[s, y]
     return float(sigma[y, y] - b @ np.linalg.solve(a, b))
 
 
-def unsupervised_gain(cov: BlockCovariance, y: int, selected) -> float:
+def unsupervised_gain(sigma: np.ndarray, y: int, selected) -> float:
     """Greedy step score of candidate ``y``: the Gaussian entropy difference
 
         1/2 ln( var(y | selected) / var(y | remaining) )
 
     where remaining excludes both the selected blocks and ``y``."""
-    m = cov.sigma.shape[0]
+    m = sigma.shape[0]
     selected = list(selected)
     rest = [i for i in range(m) if i != y and i not in selected]
-    v_sel = max(conditional_variance(cov, y, selected), _VAR_FLOOR)
-    v_rest = max(conditional_variance(cov, y, rest), _VAR_FLOOR)
+    v_sel = max(conditional_variance(sigma, y, selected), _VAR_FLOOR)
+    v_rest = max(conditional_variance(sigma, y, rest), _VAR_FLOOR)
     return 0.5 * math.log(v_sel / v_rest)
 
 
@@ -194,13 +186,13 @@ def _mi_ids_labels(ids, labels) -> float:
 
 
 @_single_blas_thread()
-def _greedy(bs: BlockSet, k: int, cov, ids, labels, lam):
+def _greedy(bs: BlockSet, k: int, sigma, ids, labels, lam):
     """The greedy loop behind every selector; returns ``(chosen, gains)``.
 
-    A candidate scores ``unsupervised_gain`` when ``cov`` is given, plus
-    ``lam`` times its label-information gain on the ``ids`` columns when
-    ``labels`` are given.  Each step takes the best score, the lowest block
-    index on ties, and records that score as its gain.
+    A candidate scores ``unsupervised_gain`` under the covariance ``sigma``
+    when it is given, plus ``lam`` times its label-information gain on the
+    ``ids`` columns when ``labels`` are given.  Each step takes the best
+    score, the lowest block index on ties, and records that score as its gain.
     """
     chosen: list[int] = []
     gains: list[float] = []
@@ -211,7 +203,7 @@ def _greedy(bs: BlockSet, k: int, cov, ids, labels, lam):
         for y in range(bs.n_blocks):
             if y in chosen:
                 continue
-            score = unsupervised_gain(cov, y, chosen) if cov is not None else None
+            score = unsupervised_gain(sigma, y, chosen) if sigma is not None else None
             cand, mi_gain = None, 0.0
             if labels is not None:
                 cand = _fold(joint, ids[y], bs.leaf_count)
@@ -254,9 +246,9 @@ def estimate_lambda(bs: BlockSet, labels, unlabeled=None, labeled=None) -> float
     label information."""
     ids, lab = _labeled(bs, labels, labeled)
     _columns(bs, unlabeled, "unlabeled")
-    cov = block_covariance(bs, unlabeled)
+    sigma = block_covariance(bs, unlabeled)
     m = bs.n_blocks
-    best_unsup = max(unsupervised_gain(cov, y, []) for y in range(m))
+    best_unsup = max(unsupervised_gain(sigma, y, []) for y in range(m))
     best_sup = max(_mi_ids_labels(ids[y], lab) for y in range(m))
     if best_sup <= 1e-12:
         return 0.0

@@ -35,7 +35,7 @@ from .lowrank import KernelConfig, OptimizerConfig, check_kernel_constants
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
 from .encode import AnchorPool
-from .forest import Forest, ForestConfig, HashTree, LabeledDataset
+from .forest import Forest, ForestConfig, HashTree, LabeledDataset, _checked_labels
 from .aggregation import SelectionResult
 from .retrieval import PackedCodes, _words_for
 
@@ -325,6 +325,15 @@ class _Reader:
     def u32(self):
         return self._scalar(_U32)
 
+    def flag(self):
+        """A u8 flag as a bool; a byte but 0 or 1 raises at its offset, so
+        a file that loads is the file its contents save to."""
+        v = self.u8()
+        if v > 1:
+            raise DataFormatError(f"flag byte {v} is neither 0 nor 1",
+                                  offset=self.base + self.pos - 1)
+        return v == 1
+
     def u64(self):
         return self._scalar(_U64)
 
@@ -421,11 +430,14 @@ def _write_selection(w, selection):
 
 
 def _read_selection(r, n_trees):
-    if r.u8() == 0:
+    if not r.flag():
         return None
     mode = r.string()
-    has_lam = r.u8()
+    has_lam = r.flag()
     lam = r.f64()
+    if not has_lam and struct.pack("<d", lam) != bytes(8):
+        raise DataFormatError("lambda bytes under a clear lambda flag",
+                              offset=r.base + r.pos - 8)
     k = r.u32()
     start = r.base + r.pos
     chosen = r.records(_U32S, k).tolist()
@@ -445,7 +457,7 @@ def _read_pools(r, feature_dims):
     pools = []
     for m, dim in enumerate(feature_dims):
         start = r.base + r.pos
-        pool = r.array() if r.u8() else None
+        pool = r.array() if r.flag() else None
         if pool is not None and (pool.ndim != 2 or pool.size == 0 or pool.shape[0] != dim):
             raise DataFormatError(f"anchor pool of shape {pool.shape} does not hold anchors "
                                   f"of modality {m}'s {dim} dimensions", offset=start)
@@ -545,9 +557,9 @@ def _read_node(r, width):
     """One node record, which must fit ``width``, the width of its tree's
     map: its kernel's anchor count, else the modality's dimension."""
     start = r.base + r.pos
-    if r.u8() == 1:
+    if r.flag():
         return SplitNode(degenerate=True)
-    net = _read_net(r) if r.u8() else None
+    net = _read_net(r) if r.flag() else None
     proj_pos = r.array()
     proj_neg = r.array()
     if net is not None:
@@ -635,13 +647,13 @@ def load_model(path):
     """
     payload = _checked_payload(_read_file(path), MODEL_MAGIC, "model")
     r = _Reader(payload, base_offset=len(MODEL_MAGIC))
-    n_modalities = r.u8()
+    modality_count = r.u8()
     n_trees = r.u32()
     depth = r.u8()
     if not 2 <= depth <= 7:
         raise DataFormatError(f"tree depth {depth} outside 2..7", offset=r.base + r.pos - 1)
     master_seed = r.i64()
-    feature_dims = tuple(r.u32() for _ in range(n_modalities))
+    feature_dims = tuple(r.u32() for _ in range(modality_count))
     config_offset = r.base + r.pos
     config = _config_from_json(r.string(), config_offset)
     selection = _read_selection(r, n_trees)
@@ -671,17 +683,17 @@ def load_model(path):
 # Codes file
 
 def save_codes(codes: PackedCodes, labels, path):
-    """Write packed codes (and optional labels) as one FHCD01 container."""
+    """Write packed codes (and optional labels, one integer per code) as one
+    FHCD01 container."""
+    if labels is not None:
+        labels = _checked_labels(labels, len(codes), "code")
     w = _Writer()
     w.u64(len(codes))
     w.u32(codes.length)
-    w.u8(1 if labels is not None else 0)
+    w.u8(labels is not None)
     w.buf += np.ascontiguousarray(codes.words, dtype="<u8").tobytes()
     if labels is not None:
-        labels = np.asarray(labels, dtype="<i8")
-        if labels.shape[0] != len(codes):
-            raise InvalidInputError("labels length does not match the codes")
-        w.buf += labels.tobytes()
+        w.buf += np.asarray(labels, dtype="<i8").tobytes()
     with open(path, "wb") as fh:
         fh.write(_finalize(CODES_MAGIC, bytes(w.buf)))
 
@@ -692,7 +704,7 @@ def load_codes(path):
     r = _Reader(payload, base_offset=len(CODES_MAGIC))
     count = r.u64()
     length = r.u32()
-    has_labels = r.u8()
+    has_labels = r.flag()
     wpl = _words_for(length)
     words = np.frombuffer(r._take(count * wpl * 8), dtype="<u8").reshape(count, wpl)
     labels = None

@@ -1,11 +1,12 @@
 """Trees and forests: training with random class grouping, and encode_dataset.
 
-Each tree trains on its own bootstrap subset; at every internal node the
-classes present are randomly split into two pooled groups and a low-rank split
-node is trained to separate them.  Per-tree seeds derive from the master seed
-and the tree index, and every tree trains on one OpenBLAS thread
-(:mod:`._blas`), in this process or in a pool worker, so training is
-reproducible bit-for-bit whatever the worker count.
+Each tree of :func:`train_forest` trains on its own bootstrap subset of one
+dataset or of aligned views (modalities) of it; at every internal node the
+classes present are randomly split into two pooled groups, shared by all
+views, and a low-rank split node is trained per view to separate them.
+Per-tree seeds derive from the master seed and the tree index, and every tree
+trains on one OpenBLAS thread (:mod:`._blas`), in this process or in a pool
+worker, so training is reproducible bit-for-bit whatever the worker count.
 
 A :class:`Forest` is made once, and builds its anchor pools and encode groups
 then (:mod:`.encode`); to change a forest, make a new one.
@@ -41,6 +42,25 @@ _MAX_SUPPORTED_DEPTH = 6
 BOOTSTRAP_FRACTION = 0.5
 
 
+def _checked_labels(labels, n: int, per: str) -> np.ndarray:
+    """``labels`` as int64, one per ``per`` of ``n``.  Anything but a 1-D
+    array of ``n`` finite integers in int64 range raises InvalidInputError;
+    integer-valued floats are integers."""
+    try:
+        a = np.asarray(labels)
+    except ValueError:  # a ragged nesting
+        a = np.empty((0, 0))
+    valid = a.ndim == 1 and a.shape[0] == n and a.dtype.kind in "iuf"
+    if valid and a.size and a.dtype.kind == "u":
+        valid = a.max() <= np.iinfo(np.int64).max
+    if valid and a.size and a.dtype.kind == "f":
+        valid = bool(np.isfinite(a).all() and (a == np.floor(a)).all()
+                     and -2.0**63 <= a.min() and a.max() < 2.0**63)
+    if not valid:
+        raise InvalidInputError(f"labels must be one integer per {per}, {n} in all")
+    return a.astype(np.int64)
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix (columns are samples) with integer class labels."""
@@ -50,14 +70,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise InvalidInputError("features must be a 2-D matrix")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[1]:
-            raise InvalidInputError(
-                "labels must be one integer per feature column"
-            )
-        self.labels = self.labels.astype(np.int64)
+        self.labels = _checked_labels(self.labels, self.features.shape[1], "feature column")
 
     @property
     def n_samples(self) -> int:
@@ -123,10 +138,6 @@ class HashTree:
     @property
     def internal_count(self) -> int:
         return 2 ** (self.depth - 1) - 1
-
-    @property
-    def n_modalities(self) -> int:
-        return len(self.feature_dims)
 
 
 @dataclass(frozen=True)
@@ -377,8 +388,8 @@ _POOL_ARGS = None
 
 
 def _train_one(args, index):
-    """Tree ``index`` of the forest that ``train_multimodal_forest`` trains
-    on ``args`` (its views, depth, config, master seed and dominant
+    """Tree ``index`` of the forest that ``train_forest`` trains on
+    ``args`` (its views, depth, config, master seed and dominant
     modality).  A failure propagates with a ``tree {index}`` note, which
     survives a pool's pickling."""
     views, depth, cfg, master_seed, dominant = args
@@ -398,16 +409,16 @@ def _pool_train(index):
     return _train_one(_POOL_ARGS, index)
 
 
-def train_multimodal_forest(
-    views,
-    dominant: int,
+def train_forest(
+    ds,
     n_trees: int,
     depth: int = 2,
     cfg: ForestConfig | None = None,
     master_seed: int = 0,
     workers: int = 1,
+    dominant: int = 0,
 ) -> Forest:
-    """Train a forest over aligned modality views of the same samples.
+    """Train a forest on a LabeledDataset or a list of aligned views of it.
 
     Every node draws a single class partition shared by all modalities and
     trains one split node per modality on it; the ``dominant`` modality routes
@@ -417,7 +428,7 @@ def train_multimodal_forest(
     those :func:`train_tree` gives for the same seeds, whatever the worker
     count.
     """
-    views = [views] if isinstance(views, LabeledDataset) else list(views)
+    views = [ds] if isinstance(ds, LabeledDataset) else list(ds)
     cfg = cfg or ForestConfig()
     _check_depth(depth)
     _check_views(views)
@@ -444,20 +455,6 @@ def train_multimodal_forest(
         depth=depth,
         feature_dims=tuple(v.feature_dim for v in views),
         config=cfg,
-    )
-
-
-def train_forest(
-    ds: LabeledDataset,
-    n_trees: int,
-    depth: int = 2,
-    cfg: ForestConfig | None = None,
-    master_seed: int = 0,
-    workers: int = 1,
-) -> Forest:
-    """Single-modality forest training (see :func:`train_multimodal_forest`)."""
-    return train_multimodal_forest(
-        [ds], 0, n_trees, depth, cfg, master_seed, workers
     )
 
 

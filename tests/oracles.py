@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from leafhash.aggregation import (
-    BlockCovariance,
+    JITTER,
     BlockSet,
     SelectionResult,
     _check_k,
@@ -42,16 +42,17 @@ from leafhash.retrieval import HashCode, PackedCodes
 _EXHAUSTIVE_LIMIT = 100_000
 
 
-def set_mutual_information(cov: BlockCovariance, subset) -> float:
+def set_mutual_information(sigma: np.ndarray, subset) -> float:
     """Gaussian mutual information between a block subset and its complement.
 
     Evaluated as 1/2 (logdet Sigma_BB + logdet Sigma_RR - logdet Sigma) on the
-    jittered covariance; the exhaustive objective for the unsupervised mode.
+    covariance ``sigma`` plus ``JITTER`` on its diagonal; the exhaustive
+    objective for the unsupervised mode.
     """
-    m = cov.sigma.shape[0]
+    m = sigma.shape[0]
     subset = sorted(set(int(i) for i in subset))
     rest = [i for i in range(m) if i not in subset]
-    sigma = cov.sigma + cov.jitter * np.eye(m)
+    sigma = sigma + JITTER * np.eye(m)
 
     def logdet(idx):
         if not idx:

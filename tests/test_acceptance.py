@@ -355,9 +355,8 @@ def test_criterion_9_multimodal_cross_retrieval():
                                                seed=77))
     cfg = lh.ForestConfig(split=lh.SplitConfig(learner="linear", atoms=4,
                                                sparsity=2))
-    forest = lh.train_multimodal_forest([view_a, view_b], dominant=0,
-                                        n_trees=32, depth=2, cfg=cfg,
-                                        master_seed=9)
+    forest = lh.train_forest([view_a, view_b], n_trees=32, depth=2, cfg=cfg,
+                             master_seed=9, dominant=0)
     blocks_a = lh.encode_dataset(forest, view_a.features, modality=0)
     blocks_b = lh.encode_dataset(forest, view_b.features, modality=1)
     selection = lh.greedy_semisupervised(

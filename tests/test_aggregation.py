@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from leafhash import _blas as blas_module
 from leafhash import (
-    BlockCovariance,
     BlockSet,
     ForestConfig,
     HammingIndex,
@@ -35,26 +34,26 @@ from conftest import one_hot_block, random_blockset, treelike_blockset
 from oracles import exhaustive_select, label_mi, set_mutual_information
 
 
-class TestBlockCovariance:
+class TestCovarianceMatrix:
     def test_identical_blocks(self):
         b = one_hot_block([0, 1, 0], 2)
         cov = block_covariance(BlockSet.from_blocks([b, b.copy()]))
-        assert cov.sigma[0, 1] == pytest.approx(1.0)
+        assert cov[0, 1] == pytest.approx(1.0)
 
     def test_fully_flipped_depth2(self):
         b = one_hot_block([0, 1, 0, 1], 2)
         flipped = one_hot_block([1, 0, 1, 0], 2)
         cov = block_covariance(BlockSet.from_blocks([b, flipped]))
-        assert cov.sigma[0, 1] == pytest.approx(math.exp(-2.0))
+        assert cov[0, 1] == pytest.approx(math.exp(-2.0))
 
     def test_unit_diagonal(self, rng):
         cov = block_covariance(random_blockset(5, 30, rng=rng))
-        np.testing.assert_allclose(np.diag(cov.sigma), 1.0)
+        np.testing.assert_allclose(np.diag(cov), 1.0)
 
     def test_depth2_entry_range(self, rng):
         cov = block_covariance(random_blockset(6, 40, rng=rng))
-        assert np.all(cov.sigma >= math.exp(-2.0) - 1e-12)
-        assert np.all(cov.sigma <= 1.0 + 1e-12)
+        assert np.all(cov >= math.exp(-2.0) - 1e-12)
+        assert np.all(cov <= 1.0 + 1e-12)
 
     def test_rejects_non_onehot(self):
         bad = np.array([[1, 1], [1, 0]], dtype=np.uint8)
@@ -116,11 +115,11 @@ class TestFromBlocks:
 
 class TestConditionalVariance:
     def test_empty_conditioning(self):
-        cov = BlockCovariance(sigma=np.array([[1.0, 0.3], [0.3, 1.0]]))
+        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
         assert conditional_variance(cov, 0, []) == pytest.approx(1.0)
 
     def test_two_by_two_closed_form(self):
-        cov = BlockCovariance(sigma=np.array([[1.0, 0.6], [0.6, 1.0]]))
+        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
         assert conditional_variance(cov, 0, [1]) == pytest.approx(1 - 0.36, abs=1e-6)
 
     def test_duplicate_information_near_zero(self):
@@ -129,7 +128,7 @@ class TestConditionalVariance:
         assert conditional_variance(cov, 0, [1]) <= 1e-6
 
     def test_self_conditioning_rejected(self):
-        cov = BlockCovariance(sigma=np.eye(3))
+        cov = np.eye(3)
         with pytest.raises(InvalidInputError):
             conditional_variance(cov, 1, [1, 2])
 
@@ -421,8 +420,8 @@ class TestColumnSubsets:
         for value in (cols, np.array(cols, dtype=np.uint8), np.array(cols, dtype=np.int32),
                       [np.int64(c) for c in cols]):
             got = fn(bs, labels, value)
-            if isinstance(want, BlockCovariance):
-                np.testing.assert_array_equal(got.sigma, want.sigma)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want)
             else:
                 assert got == want
 

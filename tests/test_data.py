@@ -43,7 +43,6 @@ from leafhash import (
     save_matrix,
     save_model,
     train_forest,
-    train_multimodal_forest,
 )
 
 IMAGES_MAGIC = 0x00000803
@@ -268,7 +267,7 @@ def trained_artifacts(learner="linear", seed=1):
         second = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=5,
                                              intrinsic_dim=2, noise=0.02,
                                              samples_per_class=30, seed=3))
-        forest = train_multimodal_forest([ds, second], 0, 3, 2, cfg, master_seed=seed)
+        forest = train_forest([ds, second], 3, 2, cfg, master_seed=seed, dominant=0)
     else:
         forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
     if learner == "kernel-one-anchor":
@@ -835,6 +834,41 @@ class TestModelDecoding:
                 assert all(np.isfinite(a).all() for a in arrays)
 
 
+class TestCanonicalFlags:
+    """Every flag of a model is one byte, 0 or 1, and a clear lambda flag has
+    all-zero lambda bytes, so one forest and selection have one file."""
+
+    @staticmethod
+    def flags(raw):
+        """Offsets of the flags in a saved kernel model, whose selection
+        has no lambda and whose first node is neither degenerate nor a net."""
+        selection = sum(config_span(raw)) + 4
+        (mode_length,) = struct.unpack_from("<I", raw, selection + 1)
+        (pool, _), = pool_records(raw)[0]
+        node = first_node(raw)
+        flags = {"selection": selection, "lambda": selection + 5 + mode_length,
+                 "pool": pool, "degenerate": node, "net": node + 1}
+        assert [raw[at] for at in flags.values()] == [1, 0, 1, 0, 0]
+        return flags
+
+    @pytest.mark.parametrize("flag", ["selection", "lambda", "pool", "degenerate", "net"])
+    def test_flag_that_is_neither_0_nor_1_is_format_error_at_it(self, flag):
+        raw = saved_model_bytes("kernel")
+        at = self.flags(raw)[flag]
+        with pytest.raises(DataFormatError, match="neither 0 nor 1") as info:
+            load_model_bytes(with_payload_bytes(raw, [(at, 2)]))
+        assert info.value.offset == at
+
+    def test_lambda_bytes_under_a_clear_lambda_flag_are_format_error_at_them(self):
+        raw = saved_model_bytes("kernel")
+        at = self.flags(raw)["lambda"] + 1
+        assert raw[at:at + 8] == bytes(8)
+        changes = list(enumerate(struct.pack("<d", 5.0), start=at))
+        with pytest.raises(DataFormatError, match="lambda bytes") as info:
+            load_model_bytes(with_payload_bytes(raw, changes))
+        assert info.value.offset == at
+
+
 def serve_shaped_forest(seed=0, dim=784, order="C"):
     """A kernel forest shaped like serve-784's: 32 RBF trees of 16 anchors
     drawn from 40 shared columns, which encode in two stacked groups, then
@@ -1037,6 +1071,28 @@ class TestCodesContainer:
                 load_codes(path)
             except DataFormatError:
                 pass
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], [[0, 1], [1, 0]]],
+                             ids=["fractions", "2-D"])
+    def test_labels_that_are_not_one_integer_per_code_raise_before_writing(
+            self, tmp_path, labels):
+        codes = PackedCodes(words=np.zeros((2, 1), dtype=np.uint64), length=8)
+        path = tmp_path / "codes.fhcd"
+        with pytest.raises(InvalidInputError,
+                           match="^labels must be one integer per code, 2 in all$"):
+            save_codes(codes, labels, path)
+        assert not path.exists()
+
+    def test_label_flag_that_is_neither_0_nor_1_is_format_error_at_it(self, tmp_path):
+        codes = PackedCodes(words=np.zeros((3, 1), dtype=np.uint64), length=8)
+        path = tmp_path / "codes.fhcd"
+        save_codes(codes, None, path)
+        # after the magic: u64 count, u32 length, then the flag
+        at = 6 + 8 + 4
+        path.write_bytes(with_payload_bytes(path.read_bytes(), [(at, 2)]))
+        with pytest.raises(DataFormatError, match="neither 0 nor 1") as info:
+            load_codes(path)
+        assert info.value.offset == at
 
     def test_count_mismatch_detected(self, tmp_path, rng):
         codes = PackedCodes(words=rng.integers(0, 100, size=(3, 1),

@@ -31,7 +31,6 @@ from leafhash import (
     partition_classes,
     save_model,
     train_forest,
-    train_multimodal_forest,
     train_tree,
 )
 from leafhash import _blas as blas_module
@@ -209,7 +208,7 @@ class TestTrainForest:
                 asked.append(max_workers)
                 raise RuntimeError("no process is started")
 
-        # train_multimodal_forest imports the pool when it needs one
+        # train_forest imports the pool when it needs one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         with pytest.raises(RuntimeError, match="no process"):
             train_forest(small_dataset(), 2, 2, FAST_CFG, master_seed=5, workers=64)
@@ -220,6 +219,17 @@ class TestTrainForest:
                             labels=np.zeros(20, dtype=int))
         with pytest.raises(InvalidInputError):
             train_forest(ds, 2, 2, FAST_CFG, master_seed=0)
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels", [
+        [0.5, 1.5, 0.2, 1.9, 0.0, 1.0], [0, 1, float("nan"), 1, 0, 1],
+        ["0", "1", "0", "1", "0", "1"], [0, 1, 2**70, 1, 0, 1],
+    ], ids=["fractions", "nan", "text", "past int64"])
+    def test_labels_that_are_not_integers_raise(self, labels):
+        with pytest.raises(InvalidInputError, match="^labels must be one integer per "
+                                                    "feature column, 6 in all$"):
+            LabeledDataset(np.zeros((2, 6)), labels)
 
 
 def forced_node(direction):
@@ -400,7 +410,7 @@ class TestMultimodal:
 
     def test_single_modality_reduces_to_train_forest(self):
         ds = small_dataset()
-        f_multi = train_multimodal_forest([ds], 0, 3, 2, FAST_CFG, master_seed=5)
+        f_multi = train_forest([ds], 3, 2, FAST_CFG, master_seed=5, dominant=0)
         f_plain = train_forest(ds, 3, 2, FAST_CFG, master_seed=5)
         assert forests_equal(f_multi, f_plain)
 
@@ -409,20 +419,20 @@ class TestMultimodal:
         short = LabeledDataset(features=view_b.features[:, :-1],
                                labels=view_b.labels[:-1])
         with pytest.raises(InvalidInputError):
-            train_multimodal_forest([view_a, short], 0, 2, 2, FAST_CFG)
+            train_forest([view_a, short], 2, 2, FAST_CFG, dominant=0)
 
     def test_shared_partition_across_modalities(self):
         view_a, view_b = self._views()
-        forest = train_multimodal_forest([view_a, view_b], 0, 2, 2, FAST_CFG,
-                                         master_seed=9)
+        forest = train_forest([view_a, view_b], 2, 2, FAST_CFG, master_seed=9,
+                              dominant=0)
         for tree in forest.trees:
             for per_mod in tree.nodes:
                 assert per_mod[0].class_partition == per_mod[1].class_partition
 
     def test_each_modality_routes_with_its_own_nodes(self):
         view_a, view_b = self._views()
-        forest = train_multimodal_forest([view_a, view_b], 0, 4, 2, FAST_CFG,
-                                         master_seed=9)
+        forest = train_forest([view_a, view_b], 4, 2, FAST_CFG, master_seed=9,
+                              dominant=0)
         blocks_a = encode_dataset(forest, view_a.features, modality=0)
         blocks_b = encode_dataset(forest, view_b.features, modality=1)
         assert blocks_a[0].shape == blocks_b[0].shape
@@ -521,8 +531,8 @@ class TestEncodeUnchanged:
         dims = (dim + 3, dim) if two_views else (dim,)
         modality = len(dims) - 1
         views = encode_views(seed, dims)
-        forest = train_multimodal_forest(views, 0, 3, depth, ENCODE_CONFIGS[kind],
-                                         master_seed=seed)
+        forest = train_forest(views, 3, depth, ENCODE_CONFIGS[kind], master_seed=seed,
+                              dominant=0)
         rng = np.random.default_rng(seed)
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
@@ -770,8 +780,8 @@ class TestGroupedEncode:
         dims = (dim + 1, dim) if two_views else (dim,)
         modality = len(dims) - 1
         views = encode_views(seed, dims)
-        forest = train_multimodal_forest(views, 0, n_trees, depth,
-                                         grouped_config(kind, anchors), master_seed=seed)
+        forest = train_forest(views, n_trees, depth, grouped_config(kind, anchors),
+                              master_seed=seed, dominant=0)
         rng = np.random.default_rng(seed)
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
@@ -1129,8 +1139,8 @@ def stacked_forest(kind="rbf", depth=2, dims=(12,), n_trees=8, seed=5):
     """A kernel forest whose trees stack 3 to a group over 12-d (4 anchors
     each): groups of 3, 3 and 2 trees of 8."""
     views = encode_views(seed, dims)
-    return views, train_multimodal_forest(views, 0, n_trees, depth,
-                                          grouped_config(kind, 4), master_seed=seed)
+    return views, train_forest(views, n_trees, depth, grouped_config(kind, 4),
+                               master_seed=seed, dominant=0)
 
 
 def overflow_trees(forest, bad):
@@ -1167,7 +1177,7 @@ class TestThreadedEncode:
                                             ("rbf", (9, 6)), ("neural", (9, 6))])
     def test_threaded_leaves_equal_serial_leaves(self, monkeypatch, kind, dims):
         views = encode_views(8, dims)
-        forest = train_multimodal_forest(views, 0, 5, 3, ENCODE_CONFIGS[kind], master_seed=8)
+        forest = train_forest(views, 5, 3, ENCODE_CONFIGS[kind], master_seed=8, dominant=0)
         rng = np.random.default_rng(8)
         for modality, view in enumerate(views):
             assert not any(g.take is not None for g in forest._groups[modality])

@@ -1,7 +1,8 @@
 """The package depends on numpy alone: its modules import nothing else from
 outside the standard library.  Importing it leaves the command line unloaded.
-Every public name is in the README, and the package neither exports nor
-defines a test oracle of ``tests/oracles.py``."""
+Every public name is in the README, every name the README's API section
+lists is in the package, and the package neither exports nor defines a test
+oracle of ``tests/oracles.py``."""
 
 import ast
 import inspect
@@ -72,6 +73,43 @@ def test_every_public_name_is_in_the_readme():
     assert public
     missing = [name for name in public if not re.search(rf"\b{name}\b", readme)]
     assert missing == []
+
+
+def readme_api_names(readme):
+    """``(bullets, constants)`` of a README's API section: the names that
+    open its bullets (``name(...)``, ``Class.method`` or ``leafhash.module``,
+    each name before the bullet's colon), and the ``module.CONSTANT`` names of
+    its constants table."""
+    api = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    heads = [line.split("`: ", 1)[0] for line in re.findall(r"^- (`.*)$", api, flags=re.M)]
+    bullets = [name for head in heads for name in re.findall(r"`([\w.]+)", head)]
+    constants = re.findall(r"^\| `(\w+\.\w+)` \|", api, flags=re.M)
+    return bullets, constants
+
+
+def unresolved_readme_names(readme):
+    """The names of :func:`readme_api_names` that the package lacks; each
+    is looked up as a chain of attributes of ``leafhash``."""
+    import leafhash
+
+    def resolves(dotted):
+        owner = leafhash
+        for part in dotted.split("."):
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    bullets, constants = readme_api_names(readme)
+    names = [name.removeprefix("leafhash.") for name in bullets] + constants
+    return [name for name in names if not resolves(name)]
+
+
+def test_every_name_the_readme_lists_is_in_the_package():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets, constants = readme_api_names(readme)
+    assert len(bullets) >= 60 and len(constants) >= 9
+    assert unresolved_readme_names(readme) == []
 
 
 def test_the_package_neither_exports_nor_defines_a_test_oracle():

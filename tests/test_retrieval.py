@@ -291,7 +291,7 @@ class TestCrossModuleIdentities:
         a = pack_codes([blocks[0]], [0])
         b = pack_codes([blocks[1]], [0])
         d_h = sum(hamming(a.code(i), b.code(i)) for i in range(40))
-        assert cov.sigma[0, 1] == pytest.approx(np.exp(-d_h / 40.0))
+        assert cov[0, 1] == pytest.approx(np.exp(-d_h / 40.0))
 
 
 class TestPrecisionRecall:
