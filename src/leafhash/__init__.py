@@ -53,8 +53,6 @@ from .aggregation import (
     conditional_variance,
     estimate_lambda,
     greedy_semisupervised,
-    greedy_supervised,
-    greedy_unsupervised,
     select_blocks,
     unsupervised_gain,
 )

@@ -1,7 +1,7 @@
 """Greedy information-theoretic selection of code blocks.
 
-Given the M per-tree code blocks of a training set, select k of them to form
-the final hash.  Three criteria are provided:
+Given the M per-tree code blocks of a training set, :func:`select_blocks`
+selects k of them to form the final hash by one of three criteria:
 
 - unsupervised: a Gaussian model over blocks, whose covariance exp(-d_H/N) is
   a plain (M, M) matrix, scores a candidate by how unpredictable it is from
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from ._blas import _single_blas_thread
-from .retrieval import _one_hot_blocks
+from .lowrank import _checked_labels
+from .retrieval import _as_int, _one_hot_blocks
 
 JITTER = 1e-8
 _VAR_FLOOR = 1e-12
@@ -124,19 +125,41 @@ def unsupervised_gain(sigma: np.ndarray, y: int, selected) -> float:
     return 0.5 * math.log(v_sel / v_rest)
 
 
-def _check_k(k: int, high: int, m: int):
+def _check_k(k: int, high: int, m: int) -> int:
+    """``k`` as an int, once it is an integer in 0..high."""
+    k = _as_int(k, "k")
     if not 0 <= k <= high:
         raise InvalidInputError(f"k must be in [0, {high}] for {m} blocks, got {k}")
+    return k
+
+
+def _valid_lambda(lam) -> bool:
+    try:
+        return lam is None or math.isfinite(lam) and lam >= 0
+    except TypeError:
+        return False
 
 
 def _check_lambda(lam):
-    """InvalidInputError unless ``lam`` is None or a finite number >= 0."""
-    try:
-        valid = lam is None or math.isfinite(lam) and lam >= 0
-    except TypeError:
-        valid = False
-    if not valid:
+    if not _valid_lambda(lam):
         raise InvalidInputError(f"lambda must be a finite number >= 0, got {lam!r}")
+
+
+def _selection_misfit(selection: SelectionResult, n_blocks: int) -> str | None:
+    """The first field of ``selection``, in file order, that no selector
+    makes from ``n_blocks`` blocks, or None: modes are "unsup", "sup" and
+    "semi", a lambda is None or finite and >= 0, blocks are distinct indices
+    in 0..n_blocks-1, and gains are finite (maybe negative), one per block."""
+    try:
+        gains = np.asarray(selection.gains, dtype=np.float64)
+    except (TypeError, ValueError):  # text, a ragged nesting
+        gains = np.array(np.nan)
+    fits = {"mode": selection.mode in ("unsup", "sup", "semi"),
+            "lam": _valid_lambda(selection.lam),
+            "chosen": len(set(selection.chosen)) == len(selection.chosen)
+                      and all(0 <= b < n_blocks for b in selection.chosen),
+            "gains": gains.shape == (len(selection.chosen),) and np.isfinite(gains).all()}
+    return next((field for field, fit in fits.items() if not fit), None)
 
 
 def _columns(bs: BlockSet, indices, name: str):
@@ -152,11 +175,7 @@ def _columns(bs: BlockSet, indices, name: str):
 
 def _labeled(bs: BlockSet, labels, labeled=None):
     """Validated ``(leaf ids, labels)`` of the labeled columns (all by default)."""
-    if labels is None:
-        raise InvalidInputError("labels are required")
-    labels = np.asarray(labels)
-    if labels.shape[0] != bs.n_samples:
-        raise InvalidInputError("labels length does not match the block columns")
+    labels = _checked_labels(labels, bs.n_samples, "block column")
     labeled = _columns(bs, labeled, "labeled")
     return bs.leaf_ids[:, labeled], labels[labeled]
 
@@ -219,25 +238,6 @@ def _greedy(bs: BlockSet, k: int, sigma, ids, labels, lam):
     return chosen, gains
 
 
-def greedy_unsupervised(bs: BlockSet, k: int) -> SelectionResult:
-    """Pick k blocks greedily by the Gaussian entropy-difference score.
-
-    Near-optimality needs the pool to be comfortably larger than the
-    selection, hence the k <= M/2 precondition.
-    """
-    _check_k(k, bs.n_blocks // 2, bs.n_blocks)
-    chosen, gains = _greedy(bs, k, block_covariance(bs), None, None, None)
-    return SelectionResult(chosen=chosen, gains=gains, mode="unsup")
-
-
-def greedy_supervised(bs: BlockSet, labels, k: int) -> SelectionResult:
-    """Pick k blocks greedily by label mutual-information gain."""
-    ids, labels = _labeled(bs, labels)
-    _check_k(k, bs.n_blocks, bs.n_blocks)
-    chosen, gains = _greedy(bs, k, None, ids, labels, 1.0)
-    return SelectionResult(chosen=chosen, gains=gains, mode="sup")
-
-
 @_single_blas_thread()
 def estimate_lambda(bs: BlockSet, labels, unlabeled=None, labeled=None) -> float:
     """Mixing weight for the semi-supervised score: the ratio of the best
@@ -268,7 +268,7 @@ def greedy_semisupervised(
     (``unlabeled``/``labeled`` column indices); both default to all samples.
     A given ``lam`` must be finite and at least 0.
     """
-    _check_k(k, bs.n_blocks // 2, bs.n_blocks)
+    k = _check_k(k, bs.n_blocks // 2, bs.n_blocks)
     _check_lambda(lam)
     ids, lab = _labeled(bs, labels, labeled)
     _columns(bs, unlabeled, "unlabeled")
@@ -279,11 +279,20 @@ def greedy_semisupervised(
 
 
 def select_blocks(bs: BlockSet, labels, k: int, mode: str, lam=None) -> SelectionResult:
-    """Dispatch to the selector named by ``mode`` ("unsup", "sup", "semi")."""
-    if mode == "unsup":
-        return greedy_unsupervised(bs, k)
-    if mode == "sup":
-        return greedy_supervised(bs, labels, k)
+    """Pick k blocks by ``mode``: "unsup" (the Gaussian score; ignores
+    ``labels``), "sup" (label information) or "semi"
+    (:func:`greedy_semisupervised` with ``lam``).  Near-optimality needs the
+    pool comfortably larger than the selection, hence k <= M/2 but for "sup".
+    """
     if mode == "semi":
         return greedy_semisupervised(bs, labels, k, lam)
-    raise InvalidInputError(f"unknown aggregation mode {mode!r}")
+    if mode == "unsup":
+        k = _check_k(k, bs.n_blocks // 2, bs.n_blocks)
+        chosen, gains = _greedy(bs, k, block_covariance(bs), None, None, None)
+    elif mode == "sup":
+        ids, labels = _labeled(bs, labels)
+        k = _check_k(k, bs.n_blocks, bs.n_blocks)
+        chosen, gains = _greedy(bs, k, None, ids, labels, 1.0)
+    else:
+        raise InvalidInputError(f"unknown aggregation mode {mode!r}")
+    return SelectionResult(chosen=chosen, gains=gains, mode=mode)

@@ -31,12 +31,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataFormatError, InvalidInputError
-from .lowrank import KernelConfig, OptimizerConfig, check_kernel_constants
+from .lowrank import KernelConfig, OptimizerConfig, _checked_labels, check_kernel_constants
 from .network import DenseLayer, DenseNet, NetConfig
 from .dictionaries import SplitConfig, SplitNode
 from .encode import AnchorPool
-from .forest import Forest, ForestConfig, HashTree, LabeledDataset, _checked_labels
-from .aggregation import SelectionResult
+from .forest import Forest, ForestConfig, HashTree, LabeledDataset
+from .aggregation import SelectionResult, _selection_misfit
 from .retrieval import PackedCodes, _words_for
 
 MODEL_MAGIC = b"FHSH05"
@@ -419,9 +419,11 @@ def _finalize(magic, payload: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # Model container
 
-def _write_selection(w, selection):
+def _write_selection(w, selection, n_trees):
     w.u8(selection is not None)
     if selection is not None:
+        if misfit := _selection_misfit(selection, n_trees):
+            raise InvalidInputError(f"selection {misfit} is not one a selector makes")
         w.string(selection.mode)
         w.u8(selection.lam is not None)
         w.f64(0.0 if selection.lam is None else float(selection.lam))
@@ -432,22 +434,24 @@ def _write_selection(w, selection):
 def _read_selection(r, n_trees):
     if not r.flag():
         return None
+    offsets = {"mode": r.base + r.pos}
     mode = r.string()
     has_lam = r.flag()
+    offsets["lam"] = r.base + r.pos
     lam = r.f64()
     if not has_lam and struct.pack("<d", lam) != bytes(8):
-        raise DataFormatError("lambda bytes under a clear lambda flag",
-                              offset=r.base + r.pos - 8)
+        raise DataFormatError("lambda bytes under a clear lambda flag", offset=offsets["lam"])
     k = r.u32()
-    start = r.base + r.pos
+    offsets["chosen"] = r.base + r.pos
     chosen = r.records(_U32S, k).tolist()
-    if chosen and max(chosen) >= n_trees:
-        raise DataFormatError(
-            f"selection names block {max(chosen)} of a {n_trees}-tree forest", offset=start
-        )
+    offsets["gains"] = r.base + r.pos
     gains = r.records(_F64S, k).tolist()
-    return SelectionResult(chosen=chosen, gains=gains, mode=mode,
-                           lam=lam if has_lam else None)
+    selection = SelectionResult(chosen=chosen, gains=gains, mode=mode,
+                                lam=lam if has_lam else None)
+    if misfit := _selection_misfit(selection, n_trees):
+        raise DataFormatError(f"selection {misfit} is not one a selector makes",
+                              offset=offsets[misfit])
+    return selection
 
 
 def _read_pools(r, feature_dims):
@@ -618,7 +622,7 @@ def save_model(forest: Forest, selection, path):
     for dim in forest.feature_dims:
         w.u32(dim)
     w.string(_config_to_json(forest.config))
-    _write_selection(w, selection)
+    _write_selection(w, selection, forest.n_trees)
     for pool in forest.pools:
         w.u8(pool is not None)
         if pool is not None:

@@ -3,7 +3,8 @@
 Each tree of :func:`train_forest` trains on its own bootstrap subset of one
 dataset or of aligned views (modalities) of it; at every internal node the
 classes present are randomly split into two pooled groups, shared by all
-views, and a low-rank split node is trained per view to separate them.
+views, and a low-rank split node is trained per view to separate them; the
+first view's nodes route the training samples to the children.
 Per-tree seeds derive from the master seed and the tree index, and every tree
 trains on one OpenBLAS thread (:mod:`._blas`), in this process or in a pool
 worker, so training is reproducible bit-for-bit whatever the worker count.
@@ -26,6 +27,8 @@ from .encode import _checked_batch, _leaf_rows, _tree_groups, anchor_pool
 from .errors import InvalidInputError
 from .lowrank import (
     KernelConfig,
+    _as_matrix,
+    _checked_labels,
     check_kernel_constants,
     kernel_featurize,
     median_bandwidth,
@@ -42,25 +45,6 @@ _MAX_SUPPORTED_DEPTH = 6
 BOOTSTRAP_FRACTION = 0.5
 
 
-def _checked_labels(labels, n: int, per: str) -> np.ndarray:
-    """``labels`` as int64, one per ``per`` of ``n``.  Anything but a 1-D
-    array of ``n`` finite integers in int64 range raises InvalidInputError;
-    integer-valued floats are integers."""
-    try:
-        a = np.asarray(labels)
-    except ValueError:  # a ragged nesting
-        a = np.empty((0, 0))
-    valid = a.ndim == 1 and a.shape[0] == n and a.dtype.kind in "iuf"
-    if valid and a.size and a.dtype.kind == "u":
-        valid = a.max() <= np.iinfo(np.int64).max
-    if valid and a.size and a.dtype.kind == "f":
-        valid = bool(np.isfinite(a).all() and (a == np.floor(a)).all()
-                     and -2.0**63 <= a.min() and a.max() < 2.0**63)
-    if not valid:
-        raise InvalidInputError(f"labels must be one integer per {per}, {n} in all")
-    return a.astype(np.int64)
-
-
 @dataclass
 class LabeledDataset:
     """Feature matrix (columns are samples) with integer class labels."""
@@ -69,9 +53,10 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
+        features = _as_matrix(self.features, "features", allow_empty=True)
+        if np.ndim(self.features) != 2:  # _as_matrix reads a vector as a column
             raise InvalidInputError("features must be a 2-D matrix")
+        self.features = features
         self.labels = _checked_labels(self.labels, self.features.shape[1], "feature column")
 
     @property
@@ -283,13 +268,12 @@ def train_tree(
     depth: int,
     cfg: ForestConfig | None = None,
     tree_seed: int = 0,
-    dominant: int = 0,
 ) -> HashTree:
     """Train one hash tree on a bootstrap subset of the data.
 
     ``ds`` is a LabeledDataset or a list of aligned per-modality datasets; the
-    dominant modality's split nodes route the training samples while growing
-    the tree.  The tree trains on one OpenBLAS thread
+    first view's split nodes route the training samples while growing the
+    tree.  The tree trains on one OpenBLAS thread
     (:func:`_single_blas_thread`): at 784-d, a product split over threads
     rounds differently, so the caller's thread count would otherwise change
     the tree.
@@ -298,8 +282,6 @@ def train_tree(
     cfg = cfg or ForestConfig()
     _check_depth(depth)
     _check_views(views)
-    if not 0 <= dominant < len(views):
-        raise InvalidInputError(f"dominant modality {dominant} out of range")
     rng = np.random.default_rng(tree_seed)
 
     n = views[0].n_samples
@@ -350,7 +332,7 @@ def train_tree(
                 for f in feats
             ]
             nodes[pos] = per_mod
-            go_left = node_route_many(per_mod[dominant], feats[dominant][:, sample_idx])
+            go_left = node_route_many(per_mod[0], feats[0][:, sample_idx])
             left_idx, right_idx = sample_idx[go_left], sample_idx[~go_left]
         left_child = 2 * pos + 1
         if left_child < internal:
@@ -389,12 +371,12 @@ _POOL_ARGS = None
 
 def _train_one(args, index):
     """Tree ``index`` of the forest that ``train_forest`` trains on
-    ``args`` (its views, depth, config, master seed and dominant
-    modality).  A failure propagates with a ``tree {index}`` note, which
-    survives a pool's pickling."""
-    views, depth, cfg, master_seed, dominant = args
+    ``args`` (its views, depth, config and master seed).  A failure
+    propagates with a ``tree {index}`` note, which survives a pool's
+    pickling."""
+    views, depth, cfg, master_seed = args
     try:
-        return train_tree(views, depth, cfg, tree_seed_for(master_seed, index), dominant)
+        return train_tree(views, depth, cfg, tree_seed_for(master_seed, index))
     except Exception as exc:
         exc.add_note(f"tree {index}")
         raise
@@ -416,17 +398,16 @@ def train_forest(
     cfg: ForestConfig | None = None,
     master_seed: int = 0,
     workers: int = 1,
-    dominant: int = 0,
 ) -> Forest:
     """Train a forest on a LabeledDataset or a list of aligned views of it.
 
     Every node draws a single class partition shared by all modalities and
-    trains one split node per modality on it; the ``dominant`` modality routes
-    the training samples.  A per-tree failure propagates with a note naming
-    the tree index.  Every tree trains through :func:`train_tree`, on one
-    OpenBLAS thread, in this process or in a pool worker, so the trees are
-    those :func:`train_tree` gives for the same seeds, whatever the worker
-    count.
+    trains one split node per modality on it; the first view routes the
+    training samples (a caller that wants another view to route puts it
+    first).  A per-tree failure propagates with a note naming the tree
+    index.  Every tree trains through :func:`train_tree`, on one OpenBLAS
+    thread, in this process or in a pool worker, so the trees are those
+    :func:`train_tree` gives for the same seeds, whatever the worker count.
     """
     views = [ds] if isinstance(ds, LabeledDataset) else list(ds)
     cfg = cfg or ForestConfig()
@@ -434,10 +415,8 @@ def train_forest(
     _check_views(views)
     if n_trees < 1:
         raise InvalidInputError("a forest needs at least one tree")
-    if not 0 <= dominant < len(views):
-        raise InvalidInputError(f"dominant modality {dominant} out of range")
 
-    args = (views, depth, cfg, master_seed, dominant)
+    args = (views, depth, cfg, master_seed)
     if workers > 1:
         # imported here: multiprocessing would make every import of the
         # package slower

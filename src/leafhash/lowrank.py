@@ -61,6 +61,25 @@ def _as_matrix(a, name="matrix", allow_empty=False):
     return a
 
 
+def _checked_labels(labels, n: int, per: str) -> np.ndarray:
+    """``labels`` as int64, one per ``per`` of ``n``.  Anything but a 1-D
+    array of ``n`` finite integers in int64 range raises InvalidInputError;
+    integer-valued floats are integers."""
+    try:
+        a = np.asarray(labels)
+    except ValueError:  # a ragged nesting
+        a = np.empty((0, 0))
+    valid = a.ndim == 1 and a.shape[0] == n and a.dtype.kind in "iuf"
+    if valid and a.size and a.dtype.kind == "u":
+        valid = a.max() <= np.iinfo(np.int64).max
+    if valid and a.size and a.dtype.kind == "f":
+        valid = bool(np.isfinite(a).all() and (a == np.floor(a)).all()
+                     and -2.0**63 <= a.min() and a.max() < 2.0**63)
+    if not valid:
+        raise InvalidInputError(f"labels must be one integer per {per}, {n} in all")
+    return a.astype(np.int64)
+
+
 @dataclass
 class Transform:
     """A learned weight matrix together with its fitting diagnostics.
@@ -73,10 +92,6 @@ class Transform:
     w: np.ndarray
     loss_trace: np.ndarray | None = None
     converged: bool = True
-
-    def __array__(self, dtype=None, copy=None):
-        w = np.asarray(self.w, dtype=dtype)
-        return w.copy() if copy else w
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .lowrank import _checked_labels
 
 
 def _words_for(length: int) -> int:
@@ -146,18 +147,14 @@ class HammingIndex:
 
     def __post_init__(self):
         if self.labels is not None:
-            self.labels = np.asarray(self.labels)
-            if self.labels.shape[0] != len(self.codes):
-                raise InvalidInputError("labels length does not match the gallery")
+            self.labels = _checked_labels(self.labels, len(self.codes), "gallery code")
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    @property
-    def length(self) -> int:
-        return self.codes.length
-
     def distances(self, q: HashCode) -> np.ndarray:
+        if not isinstance(q, HashCode):
+            raise InvalidInputError(f"a query is one HashCode, got {type(q).__name__}")
         if q.length != self.codes.length:
             raise InvalidInputError(
                 f"query length {q.length} does not match index ({self.codes.length})"
@@ -183,16 +180,13 @@ def rank_query(idx: HammingIndex, q: HashCode) -> np.ndarray:
 
 
 def _check_queries(idx, queries, query_labels) -> np.ndarray:
-    """``query_labels`` as an array, once the index has labels and the
-    queries are neither empty nor of another count than their labels."""
+    """``query_labels`` as int64, one per query (:func:`_checked_labels`),
+    once the index has labels and there are queries."""
     if idx.labels is None:
         raise InvalidInputError("the index was built without labels")
     if len(queries) == 0:
         raise InvalidInputError("query set is empty")
-    query_labels = np.asarray(query_labels)
-    if query_labels.shape[0] != len(queries):
-        raise InvalidInputError("query labels length does not match the queries")
-    return query_labels
+    return _checked_labels(query_labels, len(queries), "query")
 
 
 def precision_recall_at_radius(idx: HammingIndex, queries: PackedCodes,

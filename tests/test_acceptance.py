@@ -119,11 +119,11 @@ def test_criterion_4_greedy_near_optimality():
         n = int(rng.integers(100, 200))
         bs, labels = treelike_blockset(8, n, 4, 0.1, rng)
         cov = lh.block_covariance(bs)
-        value = set_mutual_information(cov, lh.greedy_unsupervised(bs, 3).chosen)
+        value = set_mutual_information(cov, lh.select_blocks(bs, None, 3, "unsup").chosen)
         best = exhaustive_select(bs, None, 3, "unsup").gains[0]
         assert value >= bound * best - 1e-9, f"unsup bound violated: {value} < {bound * best}"
         near_unsup += value >= 0.95 * best
-        value = label_mi(lh.greedy_supervised(bs, labels, 3).chosen, bs, labels)
+        value = label_mi(lh.select_blocks(bs, labels, 3, "sup").chosen, bs, labels)
         best = exhaustive_select(bs, labels, 3, "sup").gains[0]
         assert value >= bound * best - 1e-9, f"sup bound violated: {value} < {bound * best}"
         near_sup += value >= 0.95 * best
@@ -277,8 +277,8 @@ def test_criterion_7_structural_invariants(tmp_path):
                         assert np.array_equal(na.proj_pos, nb.proj_pos)
                         assert np.array_equal(na.proj_neg, nb.proj_neg)
 
-    selection = lh.greedy_unsupervised(lh.BlockSet.from_blocks(
-        lh.encode_dataset(forest, ds.features)), 2)
+    selection = lh.select_blocks(lh.BlockSet.from_blocks(
+        lh.encode_dataset(forest, ds.features)), None, 2, "unsup")
     model_path = tmp_path / "model.fhsh"
     lh.save_model(forest, selection, model_path)
     loaded, loaded_sel = lh.load_model(model_path)
@@ -356,7 +356,7 @@ def test_criterion_9_multimodal_cross_retrieval():
     cfg = lh.ForestConfig(split=lh.SplitConfig(learner="linear", atoms=4,
                                                sparsity=2))
     forest = lh.train_forest([view_a, view_b], n_trees=32, depth=2, cfg=cfg,
-                             master_seed=9, dominant=0)
+                             master_seed=9)
     blocks_a = lh.encode_dataset(forest, view_a.features, modality=0)
     blocks_b = lh.encode_dataset(forest, view_b.features, modality=1)
     selection = lh.greedy_semisupervised(

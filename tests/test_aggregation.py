@@ -21,8 +21,6 @@ from leafhash import (
     estimate_lambda,
     gen_synthetic,
     greedy_semisupervised,
-    greedy_supervised,
-    greedy_unsupervised,
     mean_average_precision,
     pack_codes,
     select_blocks,
@@ -149,23 +147,24 @@ class TestGreedyUnsupervised:
         base = one_hot_block(rng.integers(0, 2, 50), 2)
         other = one_hot_block(rng.integers(0, 2, 50), 2)
         bs = BlockSet.from_blocks([base, base.copy(), base.copy(), other])
-        result = greedy_unsupervised(bs, 1)
+        result = select_blocks(bs, None, 1, "unsup")
         assert result.chosen == [0]
 
     def test_k_beyond_half_rejected(self, rng):
         bs = random_blockset(8, 20, rng=rng)
         with pytest.raises(InvalidInputError):
-            greedy_unsupervised(bs, 7)
+            select_blocks(bs, None, 7, "unsup")
 
     def test_deterministic(self, rng):
         bs = random_blockset(8, 40, rng=rng)
-        assert greedy_unsupervised(bs, 3).chosen == greedy_unsupervised(bs, 3).chosen
+        first, again = (select_blocks(bs, None, 3, "unsup") for _ in range(2))
+        assert first.chosen == again.chosen
 
     def test_near_optimality_small_instance(self):
         rng = np.random.default_rng(42)
         bs, _ = treelike_blockset(8, 120, 4, 0.1, rng)
         cov = block_covariance(bs)
-        greedy_value = set_mutual_information(cov, greedy_unsupervised(bs, 3).chosen)
+        greedy_value = set_mutual_information(cov, select_blocks(bs, None, 3, "unsup").chosen)
         best = exhaustive_select(bs, None, 3, "unsup").gains[0]
         assert greedy_value >= (1 - 1 / math.e) * best - 1e-9
 
@@ -218,7 +217,7 @@ class TestGreedySupervised:
         perfect = one_hot_block(labels, 2)
         const = one_hot_block(np.zeros(200, dtype=int), 2)
         bs = BlockSet.from_blocks([const, perfect, const.copy()])
-        assert greedy_supervised(bs, labels, 1).chosen == [1]
+        assert select_blocks(bs, labels, 1, "sup").chosen == [1]
 
     def test_jointly_determining_pair(self, rng):
         labels = np.repeat([0, 1, 2, 3], 100)
@@ -226,17 +225,53 @@ class TestGreedySupervised:
         low = one_hot_block(labels % 2, 2)
         noise = one_hot_block(rng.integers(0, 2, 400), 2)
         bs = BlockSet.from_blocks([noise, high, low])
-        assert sorted(greedy_supervised(bs, labels, 2).chosen) == [1, 2]
+        assert sorted(select_blocks(bs, labels, 2, "sup").chosen) == [1, 2]
 
     def test_k_zero_empty(self, rng):
         bs = random_blockset(4, 20, rng=rng)
-        result = greedy_supervised(bs, np.zeros(20, dtype=int), 0)
+        result = select_blocks(bs, np.zeros(20, dtype=int), 0, "sup")
         assert result.chosen == [] and result.gains == []
 
     def test_missing_labels_rejected(self, rng):
         bs = random_blockset(4, 20, rng=rng)
         with pytest.raises(InvalidInputError):
-            greedy_supervised(bs, None, 2)
+            select_blocks(bs, None, 2, "sup")
+
+
+class TestArgumentChecks:
+    """Labels are checked as LabeledDataset checks them, one per block
+    column, and k is an integer, in every selector and estimate_lambda."""
+
+    SELECTORS = {
+        "sup": lambda bs, labels, k: select_blocks(bs, labels, k, "sup"),
+        "semi": lambda bs, labels, k: select_blocks(bs, labels, k, "semi"),
+        "semi-lambda": lambda bs, labels, k: greedy_semisupervised(bs, labels, k, lam=1.0),
+        "estimate_lambda": lambda bs, labels, k: estimate_lambda(bs, labels),
+    }
+    BAD_LABELS = {"0-d": 5, "2-D": [[0], [1]] * 10, "fractional": [0, 0.5] * 10,
+                  "text": ["a", "b"] * 10}
+
+    @pytest.mark.parametrize("select", SELECTORS.values(), ids=SELECTORS)
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS)
+    def test_labels_that_are_not_integers_raise(self, rng, select, labels):
+        bs = random_blockset(4, 20, rng=rng)
+        with pytest.raises(InvalidInputError, match="one integer per block column, 20 in all"):
+            select(bs, labels, 2)
+
+    @pytest.mark.parametrize("mode", ["unsup", "sup", "semi"])
+    @pytest.mark.parametrize("k", [2.5, "2", None])
+    def test_k_that_is_not_an_integer_raises(self, rng, mode, k):
+        bs = random_blockset(4, 20, rng=rng)
+        with pytest.raises(InvalidInputError, match="^k must be an integer"):
+            select_blocks(bs, np.arange(20) % 2, k, mode)
+
+    @pytest.mark.parametrize("mode", ["unsup", "sup", "semi"])
+    def test_k_of_any_integer_type_selects(self, rng, mode):
+        bs = random_blockset(4, 20, rng=rng)
+        labels = np.arange(20) % 2
+        expected = select_blocks(bs, labels, 2, mode)
+        for k in (np.int64(2), np.uint8(2)):
+            assert select_blocks(bs, labels, k, mode) == expected
 
 
 class TestEstimateLambda:
@@ -269,7 +304,7 @@ class TestGreedySemiSupervised:
     def test_lambda_zero_reduces_to_unsupervised(self, rng):
         bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)
         semi = greedy_semisupervised(bs, labels, 3, lam=0.0)
-        assert semi.chosen == greedy_unsupervised(bs, 3).chosen
+        assert semi.chosen == select_blocks(bs, None, 3, "unsup").chosen
 
     def test_runs_on_one_blas_thread_and_restores_the_count(self, rng, monkeypatch):
         threads = blas_module._openblas_threads()
@@ -307,7 +342,7 @@ class TestGreedySemiSupervised:
     def test_huge_lambda_reduces_to_supervised(self, rng):
         bs, labels = treelike_blockset(8, 100, 4, 0.15, rng)
         semi = greedy_semisupervised(bs, labels, 3, lam=1e6)
-        assert semi.chosen == greedy_supervised(bs, labels, 3).chosen
+        assert semi.chosen == select_blocks(bs, labels, 3, "sup").chosen
 
     @given(mode=st.sampled_from(["unsup", "sup", "semi", "semi-subsets"]),
            m=st.integers(4, 8), n=st.integers(30, 100), classes=st.integers(2, 4),
@@ -348,9 +383,9 @@ class TestGreedySemiSupervised:
             gains.append(best_score)
 
         if mode == "unsup":
-            result = greedy_unsupervised(bs, k)
+            result = select_blocks(bs, None, k, "unsup")
         elif mode == "sup":
-            result = greedy_supervised(bs, labels, k)
+            result = select_blocks(bs, labels, k, "sup")
         elif mode == "semi":
             result = greedy_semisupervised(bs, labels, k, lam=lam)
         else:
@@ -443,7 +478,7 @@ class TestExhaustiveSelect:
         perfect = one_hot_block(np.repeat([0, 1], 100), 2)
         noise = [one_hot_block(rng.integers(0, 2, 200), 2) for _ in range(3)]
         bs = BlockSet.from_blocks([noise[0], perfect, noise[1], noise[2]])
-        greedy = greedy_supervised(bs, labels, 1)
+        greedy = select_blocks(bs, labels, 1, "sup")
         exact = exhaustive_select(bs, labels, 1, "sup")
         assert greedy.chosen == exact.chosen == [1]
 

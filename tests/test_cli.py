@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from leafhash import (
     Forest,
     ForestConfig,
+    PackedCodes,
     SplitConfig,
     SyntheticSpec,
     encode_dataset,
@@ -395,6 +396,66 @@ class TestEval:
             if key.startswith(("precision", "recall", "map")):
                 mantissa = value.replace(".", "").replace("-", "").lstrip("0")
                 assert len(mantissa) <= 6
+
+
+def written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+def codes_without_labels(tmp, bits=8):
+    path = tmp / f"unlabeled-{bits}.fhcd"
+    save_codes(PackedCodes(words=np.zeros((3, 1), dtype=np.uint64), length=bits), None, path)
+    return path
+
+
+def model_without_selection(ws, tmp):
+    forest, _ = load_model(ws["model"])
+    save_model(forest, None, tmp / "unselected.fhsh")
+    return tmp / "unselected.fhsh"
+
+
+def eval_argv(ws, *extra, queries=None):
+    return ["eval", "--gallery", str(ws["codes"]), "--queries", str(queries or ws["codes"]),
+            *extra]
+
+
+# each rejection of the README's exit codes: (argv from the workspace and a
+# scratch directory, exit code, a fragment of the message)
+EXIT_CASES = {
+    "config line without =": (lambda ws, tmp: eval_argv(
+        ws, "--config", str(written(tmp / "bad.cfg", b"radii 0\n"))), 1, "key=value"),
+    "unreadable config": (lambda ws, tmp: eval_argv(ws, "--config", str(tmp / "none.cfg")),
+                          1, "cannot read config"),
+    "idx label file as features": (lambda ws, tmp: [
+        # IDX labels: magic 0x00000801, a big-endian count, one byte each
+        "train", "--features", str(written(tmp / "lab.idx", struct.pack(">II", 0x801, 3)
+                                            + bytes([0, 1, 0]))),
+        "--format", "idx", "--labels", str(ws["labels"]), "--model-out", str(tmp / "m"),
+        *SMALL_TRAIN_ARGS], 2, "IDX label file"),
+    "encode without a selection": (lambda ws, tmp: [
+        "encode", "--model", str(model_without_selection(ws, tmp)),
+        "--features", str(ws["features"]), "--codes-out", str(tmp / "c")],
+        2, "no block selection"),
+    "radius that is not a number": (lambda ws, tmp: eval_argv(ws, "--radii", "1,x"),
+                                    1, "bad radii"),
+    "unknown metric": (lambda ws, tmp: eval_argv(ws, "--metrics", "pr,auc"), 1, "'auc'"),
+    "code lengths differ": (lambda ws, tmp: eval_argv(
+        ws, queries=codes_without_labels(tmp, bits=12)), 2, "code lengths differ"),
+    "query index out of range": (lambda ws, tmp: eval_argv(ws, "--query-index", "100000"),
+                                 2, "out of range"),
+    "metrics without labels": (lambda ws, tmp: eval_argv(
+        ws, queries=codes_without_labels(tmp)), 2, "need labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_each_rejection_exits_with_its_documented_code(workspace, tmp_path, capsys, case):
+    argv, code, fragment = EXIT_CASES[case]
+    assert main(argv(workspace, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:" if code == 1 else "data error:")
+    assert fragment in err
 
 
 class TestTrainOnlyOptions:

@@ -1,6 +1,7 @@
 import copy
 import gzip
 import json
+import math
 import pickle
 import struct
 import sys
@@ -26,12 +27,12 @@ from leafhash import (
     KernelConfig,
     NetConfig,
     PackedCodes,
+    SelectionResult,
     SplitConfig,
     SplitNode,
     SyntheticSpec,
     encode_dataset,
     gen_synthetic,
-    greedy_unsupervised,
     load_codes,
     load_idx,
     load_labels,
@@ -42,6 +43,7 @@ from leafhash import (
     save_labels,
     save_matrix,
     save_model,
+    select_blocks,
     train_forest,
 )
 
@@ -267,7 +269,7 @@ def trained_artifacts(learner="linear", seed=1):
         second = gen_synthetic(SyntheticSpec(kind="subspaces", class_count=3, ambient_dim=5,
                                              intrinsic_dim=2, noise=0.02,
                                              samples_per_class=30, seed=3))
-        forest = train_forest([ds, second], 3, 2, cfg, master_seed=seed, dominant=0)
+        forest = train_forest([ds, second], 3, 2, cfg, master_seed=seed)
     else:
         forest = train_forest(ds, 3, 2, cfg, master_seed=seed)
     if learner == "kernel-one-anchor":
@@ -281,7 +283,7 @@ def trained_artifacts(learner="linear", seed=1):
         forest = Forest(trees=forest.trees, master_seed=forest.master_seed, depth=forest.depth,
                         feature_dims=forest.feature_dims, config=forest.config)
     blocks = encode_dataset(forest, ds.features)
-    selection = greedy_unsupervised(BlockSet.from_blocks(blocks), 1)
+    selection = select_blocks(BlockSet.from_blocks(blocks), None, 1, "unsup")
     return ds, forest, blocks, selection
 
 
@@ -867,6 +869,75 @@ class TestCanonicalFlags:
         with pytest.raises(DataFormatError, match="lambda bytes") as info:
             load_model_bytes(with_payload_bytes(raw, changes))
         assert info.value.offset == at
+
+
+class TestSelectionRules:
+    """A model holds only a selection that a selector makes: mode unsup, sup
+    or semi, a finite lambda >= 0 when set, distinct blocks of the forest
+    and finite gains.  ``save_model`` rejects any other with InvalidInputError,
+    ``load_model`` with DataFormatError at the field."""
+
+    # a negative gain is one an unsupervised step can make
+    GOOD = SelectionResult(chosen=[0, 1], gains=[0.5, -0.25], mode="semi", lam=1.0)
+    # rule: (selection that breaks it, field, offset in the field, bytes there)
+    BROKEN = {
+        "mode": (replace(GOOD, mode="semx"), "mode", 4 + 3, b"x"),
+        "lambda-negative": (replace(GOOD, lam=-2.0), "lam", 0, struct.pack("<d", -2.0)),
+        "lambda-nan": (replace(GOOD, lam=math.nan), "lam", 0, struct.pack("<d", math.nan)),
+        "chosen-twice": (replace(GOOD, chosen=[1, 1]), "chosen", 0, struct.pack("<I", 1)),
+        # the saved forest has 3 trees
+        "chosen-outside": (replace(GOOD, chosen=[0, 3]), "chosen", 4, struct.pack("<I", 3)),
+        "gain-nan": (replace(GOOD, gains=[0.5, math.nan]), "gains", 8,
+                     struct.pack("<d", math.nan)),
+        "gain-inf": (replace(GOOD, gains=[math.inf, 0.5]), "gains", 0,
+                     struct.pack("<d", math.inf)),
+    }
+
+    @staticmethod
+    def fields(raw):
+        """Offsets of the selection's mode, lambda value, blocks and gains
+        in a saved model of a two-block selection."""
+        mode = sum(config_span(raw)) + 4 + 1
+        (mode_length,) = struct.unpack_from("<I", raw, mode)
+        lam = mode + 4 + mode_length + 1
+        chosen = lam + 8 + 4
+        return {"mode": mode, "lam": lam, "chosen": chosen, "gains": chosen + 2 * 4}
+
+    @pytest.fixture(scope="class")
+    def good_raw(self, tmp_path_factory):
+        _, forest, _, _ = trained_artifacts()
+        path = tmp_path_factory.mktemp("selection") / "model.fhsh"
+        save_model(forest, self.GOOD, path)
+        return path.read_bytes()
+
+    def test_a_selection_a_selector_makes_round_trips(self, good_raw):
+        _, selection = load_model_bytes(good_raw)
+        assert selection == self.GOOD
+
+    @pytest.mark.parametrize("rule", sorted(BROKEN))
+    def test_save_rejects_a_selection_no_selector_makes(self, tmp_path, rule):
+        _, forest, _, _ = trained_artifacts()
+        selection, field, _, _ = self.BROKEN[rule]
+        path = tmp_path / "model.fhsh"
+        with pytest.raises(InvalidInputError, match=f"selection {field}"):
+            save_model(forest, selection, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("gains", [[0.5], [0.5, 0.25, 0.125]])
+    def test_save_rejects_gains_that_are_not_one_per_block(self, tmp_path, gains):
+        # the file stores one gain per block, so no file holds such a selection
+        _, forest, _, _ = trained_artifacts()
+        with pytest.raises(InvalidInputError, match="selection gains"):
+            save_model(forest, replace(self.GOOD, gains=gains), tmp_path / "model.fhsh")
+
+    @pytest.mark.parametrize("rule", sorted(BROKEN))
+    def test_load_rejects_a_selection_no_selector_makes_at_its_field(self, good_raw, rule):
+        _, field, at, value = self.BROKEN[rule]
+        start = self.fields(good_raw)[field]
+        changes = list(enumerate(value, start=start + at))
+        with pytest.raises(DataFormatError, match=f"selection {field}") as info:
+            load_model_bytes(with_payload_bytes(good_raw, changes))
+        assert info.value.offset == start
 
 
 def serve_shaped_forest(seed=0, dim=784, order="C"):

@@ -231,6 +231,18 @@ class TestLabeledDataset:
                                                     "feature column, 6 in all$"):
             LabeledDataset(np.zeros((2, 6)), labels)
 
+    @pytest.mark.parametrize("features, why", [
+        ([["0", "1"], ["a", "b"]], "not numeric"), ([[0.0, np.nan], [1.0, 2.0]], "non-finite"),
+        ([[0.0, np.inf], [1.0, 2.0]], "non-finite"), ([0.0, 1.0], "2-D"),
+    ], ids=["text", "nan", "inf", "vector"])
+    def test_features_that_are_not_a_finite_matrix_raise(self, features, why):
+        with pytest.raises(InvalidInputError, match=f"^features .*{why}"):
+            LabeledDataset(features, [0, 1])
+
+    def test_features_of_no_columns_are_a_dataset(self):
+        ds = LabeledDataset(np.zeros((3, 0)), [])
+        assert (ds.feature_dim, ds.n_samples) == (3, 0)
+
 
 def forced_node(direction):
     """A split node that routes every point the given way."""
@@ -410,7 +422,7 @@ class TestMultimodal:
 
     def test_single_modality_reduces_to_train_forest(self):
         ds = small_dataset()
-        f_multi = train_forest([ds], 3, 2, FAST_CFG, master_seed=5, dominant=0)
+        f_multi = train_forest([ds], 3, 2, FAST_CFG, master_seed=5)
         f_plain = train_forest(ds, 3, 2, FAST_CFG, master_seed=5)
         assert forests_equal(f_multi, f_plain)
 
@@ -419,20 +431,18 @@ class TestMultimodal:
         short = LabeledDataset(features=view_b.features[:, :-1],
                                labels=view_b.labels[:-1])
         with pytest.raises(InvalidInputError):
-            train_forest([view_a, short], 2, 2, FAST_CFG, dominant=0)
+            train_forest([view_a, short], 2, 2, FAST_CFG)
 
     def test_shared_partition_across_modalities(self):
         view_a, view_b = self._views()
-        forest = train_forest([view_a, view_b], 2, 2, FAST_CFG, master_seed=9,
-                              dominant=0)
+        forest = train_forest([view_a, view_b], 2, 2, FAST_CFG, master_seed=9)
         for tree in forest.trees:
             for per_mod in tree.nodes:
                 assert per_mod[0].class_partition == per_mod[1].class_partition
 
     def test_each_modality_routes_with_its_own_nodes(self):
         view_a, view_b = self._views()
-        forest = train_forest([view_a, view_b], 4, 2, FAST_CFG, master_seed=9,
-                              dominant=0)
+        forest = train_forest([view_a, view_b], 4, 2, FAST_CFG, master_seed=9)
         blocks_a = encode_dataset(forest, view_a.features, modality=0)
         blocks_b = encode_dataset(forest, view_b.features, modality=1)
         assert blocks_a[0].shape == blocks_b[0].shape
@@ -452,10 +462,10 @@ class TestTreeFailure:
         failing = tree_seed_for(5, 2)
         real_train_tree = forest_module.train_tree
 
-        def train_tree_or_fail(views, depth, cfg, tree_seed, dominant):
+        def train_tree_or_fail(views, depth, cfg, tree_seed):
             if tree_seed == failing:
                 raise TwoArgError(17, "bad node")
-            return real_train_tree(views, depth, cfg, tree_seed, dominant)
+            return real_train_tree(views, depth, cfg, tree_seed)
 
         monkeypatch.setattr(forest_module, "train_tree", train_tree_or_fail)
         with pytest.raises(TwoArgError) as info:
@@ -531,8 +541,7 @@ class TestEncodeUnchanged:
         dims = (dim + 3, dim) if two_views else (dim,)
         modality = len(dims) - 1
         views = encode_views(seed, dims)
-        forest = train_forest(views, 3, depth, ENCODE_CONFIGS[kind], master_seed=seed,
-                              dominant=0)
+        forest = train_forest(views, 3, depth, ENCODE_CONFIGS[kind], master_seed=seed)
         rng = np.random.default_rng(seed)
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
@@ -781,7 +790,7 @@ class TestGroupedEncode:
         modality = len(dims) - 1
         views = encode_views(seed, dims)
         forest = train_forest(views, n_trees, depth, grouped_config(kind, anchors),
-                              master_seed=seed, dominant=0)
+                              master_seed=seed)
         rng = np.random.default_rng(seed)
         x = np.concatenate([views[modality].features[:, : n // 2],
                             scale * rng.normal(size=(dim, n - n // 2))], axis=1)
@@ -1140,7 +1149,7 @@ def stacked_forest(kind="rbf", depth=2, dims=(12,), n_trees=8, seed=5):
     each): groups of 3, 3 and 2 trees of 8."""
     views = encode_views(seed, dims)
     return views, train_forest(views, n_trees, depth, grouped_config(kind, 4),
-                               master_seed=seed, dominant=0)
+                               master_seed=seed)
 
 
 def overflow_trees(forest, bad):
@@ -1177,7 +1186,7 @@ class TestThreadedEncode:
                                             ("rbf", (9, 6)), ("neural", (9, 6))])
     def test_threaded_leaves_equal_serial_leaves(self, monkeypatch, kind, dims):
         views = encode_views(8, dims)
-        forest = train_forest(views, 5, 3, ENCODE_CONFIGS[kind], master_seed=8, dominant=0)
+        forest = train_forest(views, 5, 3, ENCODE_CONFIGS[kind], master_seed=8)
         rng = np.random.default_rng(8)
         for modality, view in enumerate(views):
             assert not any(g.take is not None for g in forest._groups[modality])

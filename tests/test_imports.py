@@ -1,8 +1,8 @@
 """The package depends on numpy alone: its modules import nothing else from
 outside the standard library.  Importing it leaves the command line unloaded.
 Every public name is in the README, every name the README's API section
-lists is in the package, and the package neither exports nor defines a test
-oracle of ``tests/oracles.py``."""
+lists is in the package with the parameters the README gives it, and the
+package neither exports nor defines a test oracle of ``tests/oracles.py``."""
 
 import ast
 import inspect
@@ -110,6 +110,40 @@ def test_every_name_the_readme_lists_is_in_the_package():
     bullets, constants = readme_api_names(readme)
     assert len(bullets) >= 60 and len(constants) >= 9
     assert unresolved_readme_names(readme) == []
+
+
+def readme_signature_misfits(readme):
+    """Every ``name(params)`` of the README's API bullets whose parameter
+    names are not the leading parameters of the package's signature, in
+    order, or that leaves out a parameter without a default; ``p=default``
+    counts as ``p``."""
+    import leafhash
+
+    api = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    heads = [line.split("`: ", 1)[0] for line in re.findall(r"^- (`.*)$", api, flags=re.M)]
+    misfits = []
+    for name, listed in re.findall(r"`([\w.]+)\(([^)]*)\)", " ".join(heads)):
+        owner = leafhash
+        for part in name.removeprefix("leafhash.").split("."):
+            owner = getattr(owner, part)
+        listed = [p.split("=", 1)[0].strip() for p in listed.split(",") if p.strip()]
+        params = list(inspect.signature(owner).parameters.values())
+        left_out = params[len(listed):]
+        if ([p.name for p in params[:len(listed)]] != listed
+                or any(p.default is inspect.Parameter.empty for p in left_out)):
+            misfits.append(name)
+    return misfits
+
+
+def test_the_readme_signatures_are_the_packages():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert readme_signature_misfits(readme) == []
+    # a parameter the package lacks, one it requires, and one out of order
+    for listed, misfit in [("`rank_query(idx, q)`", "`rank_query(idx, q, k)`"),
+                           ("`rank_query(idx, q)`", "`rank_query(idx)`"),
+                           ("`pack_codes(blocks, order)`", "`pack_codes(order, blocks)`")]:
+        assert listed in readme
+        assert readme_signature_misfits(readme.replace(listed, misfit, 1)) != []
 
 
 def test_the_package_neither_exports_nor_defines_a_test_oracle():

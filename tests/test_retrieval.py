@@ -267,6 +267,53 @@ class TestQueries:
             np.testing.assert_array_equal(radius_query(idx, q, r), naive)
 
 
+class TestOneCodeQueries:
+    """A query is one HashCode; a batch of codes is not one, whatever its
+    count (three codes on a 3-code gallery once ranked as a single code)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("query", ["rank", "radius"])
+    def test_a_batch_of_codes_is_not_a_query(self, query, n):
+        idx = HammingIndex(codes=codes_from_values([5, 9, 7]))
+        batch = codes_from_values([5, 9, 7][:n])
+        with pytest.raises(InvalidInputError, match="^a query is one HashCode"):
+            rank_query(idx, batch) if query == "rank" else radius_query(idx, batch, 0)
+
+
+# labels that are not one integer per code, for three codes
+BAD_LABELS = {"0-d": 5, "2-D": [[0], [1], [0]], "fractional": [0, 0.5, 1],
+              "text": ["a", "b", "a"]}
+
+
+class TestLabelChecks:
+    """Gallery and query labels are checked as LabeledDataset checks its
+    labels (:func:`lowrank._checked_labels`)."""
+
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS)
+    def test_gallery_labels_that_are_not_integers_raise(self, labels):
+        with pytest.raises(InvalidInputError, match="one integer per gallery code, 3 in all"):
+            HammingIndex(codes=codes_from_values([2, 3, 9], length=4), labels=labels)
+
+    @pytest.mark.parametrize("metric", ["pr", "map"])
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS)
+    def test_query_labels_that_are_not_integers_raise(self, labels, metric):
+        idx = HammingIndex(codes=codes_from_values([2, 3, 9], length=4), labels=[0, 1, 0])
+        queries = codes_from_values([2, 3, 9], length=4)
+        with pytest.raises(InvalidInputError, match="one integer per query, 3 in all"):
+            if metric == "pr":
+                precision_recall_at_radius(idx, queries, labels, 0)
+            else:
+                mean_average_precision(idx, queries, labels)
+
+    def test_integer_valued_float_labels_are_integers(self):
+        idx = HammingIndex(codes=codes_from_values([2, 3, 9], length=4),
+                           labels=[0.0, 1.0, 0.0])
+        assert idx.labels.dtype == np.int64 and idx.labels.tolist() == [0, 1, 0]
+        queries = codes_from_values([2, 3], length=4)
+        assert (mean_average_precision(idx, queries, [0.0, 1.0])
+                == mean_average_precision(idx, queries, [0, 1]))
+
+
 class TestCrossModuleIdentities:
     @given(st.integers(0, 3000))
     @settings(max_examples=30, deadline=None)
